@@ -26,7 +26,7 @@ from .conjectures import (
     conjecture13_check,
     conjecture14_check,
 )
-from .discriminator import APCase, HalfQuadratic, least_modulus
+from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
 from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form
 from .verifier import (
     COROLLARY11_THRESHOLD,
@@ -94,27 +94,6 @@ def parse_record(line: str) -> dict:
     return rec
 
 
-def resume_scan(path: str | Path) -> set[tuple]:
-    """Keys of all valid records already present at path.
-
-    Corrupt or truncated lines are skipped with a warning on stderr.
-    """
-    done: set[tuple] = set()
-    p = Path(path)
-    if not p.exists():
-        return done
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                done.add(record_key(parse_record(line)))
-            except (ValueError, KeyError):
-                print(f"warning: skipping corrupt record at {p}:{lineno}", file=sys.stderr)
-    return done
-
-
 def _load_prior(path: Path) -> dict[tuple, dict]:
     """Valid records already present at path, keyed; corrupt lines warned."""
     prior: dict[tuple, dict] = {}
@@ -132,6 +111,23 @@ def _load_prior(path: Path) -> dict[tuple, dict]:
                 continue
             prior[record_key(rec)] = rec
     return prior
+
+
+def _drop_partial_tail(path: Path) -> None:
+    """Truncate path after its last newline, so that appended records start on
+    a line of their own instead of being glued onto a record cut mid-line."""
+    with open(path, "rb+") as fh:
+        size = end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            block = max(0, end - 4096)
+            fh.seek(block)
+            newline = fh.read(end - block).rfind(b"\n")
+            if newline >= 0:
+                end = block + newline + 1
+                break
+            end = block
+        if end < size:
+            fh.truncate(end)
 
 
 def _base_record(cmd: str, identity: dict, n: int, least_m, predicted, match, ms) -> dict:
@@ -156,36 +152,40 @@ def _from_verification(cmd: str, identity: dict, vrec) -> dict:
     )
 
 
-def _task_theorem11(params: dict, n: int) -> dict:
+# Each task takes the scan's first modulus as its last argument (None: from n).
+
+
+def _task_theorem11(params: dict, n: int, start: int | None) -> dict:
     d, c = params["d"], params["c"]
-    vrec = verify_theorem11(d, c, n, params["ceiling"])
+    vrec = verify_theorem11(d, c, n, params["ceiling"], start=start)
     return _from_verification("verify-theorem11", {"d": d, "c": c}, vrec)
 
 
-def _task_corollary11(params: dict, n: int) -> dict:
+def _task_corollary11(params: dict, n: int, start: int | None) -> dict:
     d, c = params["d"], params["c"]
-    vrec = verify_theorem11(d, c, n, params["ceiling"])
+    vrec = verify_theorem11(d, c, n, params["ceiling"], start=start)
     return _from_verification("corollary11", {"d": d, "c": c}, vrec)
 
 
-def _task_remark11(params: dict, d: int) -> dict:
+def _task_remark11(params: dict, d: int, _start: int | None) -> dict:
+    # one sequence per d: a least_m of another d bounds nothing here
     vrec = verify_remark11(d, params["ceiling"])
     return _from_verification("verify-remark11", {"d": d, "c": vrec.c}, vrec)
 
 
-def _task_theorem12(params: dict, n: int) -> dict:
+def _task_theorem12(params: dict, n: int, start: int | None) -> dict:
     case = params["case"]
-    vrec = verify_theorem12(case, n, params["ceiling"])
+    vrec = verify_theorem12(case, n, params["ceiling"], start=start)
     return _from_verification("verify-theorem12", {"case": case}, vrec)
 
 
-def _task_remark12(params: dict, n: int) -> dict:
+def _task_remark12(params: dict, n: int, start: int | None) -> dict:
     sign = params["sign"]
-    vrec = verify_remark12(sign, n, params["ceiling"])
+    vrec = verify_remark12(sign, n, params["ceiling"], start=start)
     return _from_verification("verify-remark12", {"sign": sign}, vrec)
 
 
-def _task_window(params: dict, n: int) -> dict:
+def _task_window(params: dict, n: int, _start: int | None) -> dict:
     d = params["d"]
     eps = params.get("eps")
     t0 = time.perf_counter()
@@ -194,28 +194,28 @@ def _task_window(params: dict, n: int) -> dict:
     return _base_record("window-check", {"d": d, "eps": eps}, n, None, None, ok, ms)
 
 
-def _task_discriminator(params: dict, n: int) -> dict:
+def _task_discriminator(params: dict, n: int, start: int | None) -> dict:
     a, b = params["A"], params["B"]
     t0 = time.perf_counter()
-    m = least_modulus(HalfQuadratic(a, b), n, ceiling=params["ceiling"])
+    m = least_modulus(HalfQuadratic(a, b), n, ceiling=params["ceiling"], start=start)
     ms = int((time.perf_counter() - t0) * 1000)
     return _base_record("discriminator", {"A": a, "B": b}, n, m, None, None, ms)
 
 
-def _task_conjecture(params: dict, n: int) -> dict:
+def _task_conjecture(params: dict, n: int, start: int | None) -> dict:
     cid = params["id"]
     ceiling = params["ceiling"]
     if cid == "1.1":
-        rep = conjecture11_check(params["d"], n, ceiling)
+        rep = conjecture11_check(params["d"], n, ceiling, start=start)
         identity = {"id": cid, "d": params["d"]}
     elif cid == "1.2":
-        rep = conjecture12_check(n, ceiling)
+        rep = conjecture12_check(n, ceiling, start=start)
         identity = {"id": cid}
     elif cid == "1.3":
-        rep = conjecture13_check(params["form"], n, params["variant"], ceiling)
+        rep = conjecture13_check(params["form"], n, params["variant"], ceiling, start=start)
         identity = {"id": cid, "form": params["form"], "variant": params["variant"]}
     else:
-        rep = conjecture14_check(n, ceiling)
+        rep = conjecture14_check(n, ceiling, start=start)
         identity = {"id": cid}
     rec = _base_record(
         "conjecture", identity, n, rep.observed, rep.predicted, rep.agrees, rep.elapsed_ms
@@ -239,9 +239,9 @@ _TASKS = {
 }
 
 
-def _dispatch(command: str, params: dict, key: int) -> dict:
+def _dispatch(command: str, params: dict, key: int, start: int | None = None) -> dict:
     try:
-        return _TASKS[command](params, key)
+        return _TASKS[command](params, key, start)
     except ScanCeilingError as e:
         identity = _identity_for(command, params, key)
         n = identity.pop("n")
@@ -328,6 +328,8 @@ def _validate(config: CampaignConfig) -> None:
         raise ValueError("--resume requires an output file")
     if config.scan_ceiling < 2:
         raise ValueError("scan ceiling must be >= 2")
+    if config.scan_ceiling >= 2**64:
+        raise ValueError("scan ceiling must be below 2^64, where primality testing is exact")
     p = config.params
     cmd = config.command
     if cmd in ("verify-theorem11", "corollary11"):
@@ -339,7 +341,8 @@ def _validate(config: CampaignConfig) -> None:
     elif cmd == "window-check" and p["d"] < 4:
         raise ValueError(f"window check requires d >= 4, got {p['d']}")
     elif cmd == "discriminator":
-        HalfQuadratic(p["A"], p["B"])  # validates parity
+        # parity, then two terms that coincide exactly, which no modulus separates
+        _check_separable(HalfQuadratic(p["A"], p["B"]), config.n_to)
     elif cmd == "conjecture":
         cid = p["id"]
         if cid not in ("1.1", "1.2", "1.3", "1.4"):
@@ -384,18 +387,46 @@ def _key_for(command: str, params: dict, w: int) -> tuple:
     return record_key({"cmd": command, **_identity_for(command, params, w)})
 
 
-def _compute(task, pending: list[int], parallelism: int):
-    if not pending:
-        return iter(())
-    if parallelism <= 1 or len(pending) == 1:
-        return map(task, pending)
-    return _pool_iter(task, pending, parallelism)
+def _sweep(command: str, params: dict, items: list[int]):
+    """Records for an ascending slice of work items, in order.
+
+    D(n') <= D(n) for n' < n: terms pairwise distinct modulo m stay distinct
+    when fewer of them are taken.  So each scan starts at the larger of n and
+    the last least_m this slice computed, which holds across gaps in the
+    slice.  A record without least_m (a ceiling error) leaves the hint as it
+    was.  Hints come only from values computed here, never from records read
+    back from a file: a corrupt least_m that is too high would skip the answer.
+    """
+    hint = None
+    for w in items:
+        rec = _dispatch(command, params, w, None if hint is None else max(hint, w))
+        if rec["least_m"] is not None:
+            hint = rec["least_m"]
+        yield rec
 
 
-def _pool_iter(task, pending, parallelism):
-    chunk = max(1, len(pending) // (parallelism * 8))
+def _sweep_list(command: str, params: dict, items: list[int]) -> list[dict]:
+    return list(_sweep(command, params, items))
+
+
+def _compute(command: str, params: dict, pending: list[int], parallelism: int):
+    """Records for pending, in order: one sweep serially, or contiguous slices
+    swept by a pool of workers."""
+    if parallelism <= 1 or len(pending) <= 1:
+        yield from _sweep(command, params, pending)
+        return
+    size = max(1, len(pending) // (parallelism * 8))
+    slices = [pending[i:i + size] for i in range(0, len(pending), size)]
     with Pool(parallelism) as pool:
-        yield from pool.imap(task, pending, chunksize=chunk)
+        for records in pool.imap(partial(_sweep_list, command, params), slices):
+            yield from records
+
+
+def _available_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run(config: CampaignConfig) -> int:
@@ -408,25 +439,27 @@ def run(config: CampaignConfig) -> int:
         return EXIT_INVALID
 
     params = dict(config.params, ceiling=config.scan_ceiling)
-    parallelism = config.parallelism or os.cpu_count() or 1
-    task = partial(_dispatch, config.command, params)
+    parallelism = config.parallelism or _available_cores()
 
     t0 = time.perf_counter()
+    prior: dict[tuple, dict] = {}
     try:
+        if config.resume and Path(config.output).exists():
+            prior = _load_prior(Path(config.output))  # warns on a record cut mid-line
+            _drop_partial_tail(Path(config.output))
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    prior = _load_prior(Path(config.output)) if config.resume else {}
     keys = {w: _key_for(config.command, params, w) for w in work}
     pending = [w for w in work if keys[w] not in prior] if prior else list(work)
     pending_set = set(pending)
 
     records: list[dict] = []
     try:
-        results = _compute(task, pending, parallelism)
+        results = _compute(config.command, params, pending, parallelism)
         for w in work:
             if w in pending_set:
                 rec = next(results)

@@ -102,10 +102,11 @@ def first_prime_with_prime_gap(
 
 
 def conjecture11_check(
-    d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
+    d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
 ) -> ConjectureReport:
     """Least m making binomial(k,2) full-count modulo both m and m + 2d, versus
-    the first prime p >= 2n - 1 with p + 2d also prime."""
+    the first prime p >= 2n - 1 with p + 2d also prime.  start is the pair
+    scan's first modulus (see least_modulus_pair)."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
@@ -113,7 +114,7 @@ def conjecture11_check(
     t0 = time.perf_counter()
     seq = HalfQuadratic.choose_two()
     gap = 2 * d
-    observed = least_modulus_pair(seq, n, gap, ceiling=ceiling)
+    observed = least_modulus_pair(seq, n, gap, ceiling=ceiling, start=start)
     predicted = first_prime_with_prime_gap(2 * n - 1, gap, ceiling)
     agrees = observed == predicted
     cert = None if agrees else _pair_disagreement_certificate(seq, n, gap, observed, predicted)
@@ -121,14 +122,17 @@ def conjecture11_check(
     return ConjectureReport("1.1", {"d": d}, n, observed, predicted, agrees, cert, None, ms)
 
 
-def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
+def conjecture12_check(
+    n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+) -> ConjectureReport:
     """Least m making binomial(k,2) full-count modulo both m and m + 1; the claim
-    is that m and m + 1 are each a power of two or a prime times a power of two."""
+    is that m and m + 1 are each a power of two or a prime times a power of two.
+    start is the pair scan's first modulus (see least_modulus_pair)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     t0 = time.perf_counter()
     seq = HalfQuadratic.choose_two()
-    m = least_modulus_pair(seq, n, 1, ceiling=ceiling)
+    m = least_modulus_pair(seq, n, 1, ceiling=ceiling, start=start)
     flags = (classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1))
     agrees = flags[0] and flags[1]
     cert = None
@@ -141,14 +145,21 @@ def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
 
 
 def conjecture13_check(
-    form: str, n: int, variant: str = "choose2", ceiling: int = DEFAULT_SCAN_CEILING
+    form: str,
+    n: int,
+    variant: str = "choose2",
+    ceiling: int = DEFAULT_SCAN_CEILING,
+    *,
+    start: int | None = None,
 ) -> ConjectureReport:
     """Least modulus OF THE GIVEN POLYNOMIAL FORM making the variant sequence
     pairwise distinct, versus the first form prime >= 2n - 1.
 
     x ranges over integers >= 0, so the form value 1 is an admissible modulus
     exactly when n = 1; no lower threshold on n is imposed, and small-n
-    disagreements are reported rather than suppressed.
+    disagreements are reported rather than suppressed.  The scan tests form
+    values from start on (default n, the pigeonhole bound), which must be a
+    proven lower bound of the answer.
     """
     if form not in POLYNOMIAL_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {sorted(POLYNOMIAL_FORMS)}")
@@ -157,15 +168,15 @@ def conjecture13_check(
     t0 = time.perf_counter()
     seq = _variant_seq(variant)
     f = POLYNOMIAL_FORMS[form]
+    start = n if start is None else start
     observed = None
     for x in count(0):
         v = f(x)
         if v > ceiling:
             raise ScanCeilingError(f"form modulus {form} for n={n}", ceiling)
-        if v >= n or n == 1:
-            if pairwise_distinct(seq, n, v):
-                observed = v
-                break
+        if v >= start and pairwise_distinct(seq, n, v):
+            observed = v
+            break
     predicted = first_prime_of_form(form, max(2, 2 * n - 1), ceiling)
     agrees = observed == predicted
     cert = None
@@ -196,16 +207,19 @@ def _values_distinct(values: list[int], m: int) -> bool:
     return len({v % m for v in values}) == len(values)
 
 
-def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
+def conjecture14_check(
+    n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+) -> ConjectureReport:
     """Least m making 6*p_k*(p_k - 1) (k = 1..n) pairwise distinct, versus the
-    first prime >= p_n dividing none of the pair sums p_i + p_j - 1."""
+    first prime >= p_n dividing none of the pair sums p_i + p_j - 1.  The scan
+    starts at start (default n), a proven lower bound of the answer."""
     if n <= 2:
         raise ValueError(f"n must be > 2, got {n}")
     t0 = time.perf_counter()
     primes = nth_primes(n)
     values = [6 * p * (p - 1) for p in primes]
     observed = None
-    for m in count(n):
+    for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"prime-indexed discriminator at n={n}", ceiling)
         if _values_distinct(values, m):

@@ -252,12 +252,14 @@ def least_modulus(
     n: int,
     *,
     ceiling: int = DEFAULT_SCAN_CEILING,
-    from_one: bool = False,
+    start: int | None = None,
 ) -> int:
     """Least m >= 1 with f(1..n) pairwise distinct modulo m.
 
-    The scan starts at m = n (pigeonhole lower bound); from_one=True starts at
-    m = 1 instead, as a self-check of that optimization.
+    The scan starts at m = start, which must be a proven lower bound of the
+    answer.  It defaults to n, the pigeonhole bound; a sweep passes the least
+    modulus of a smaller n, since distinctness of n terms implies distinctness
+    of any fewer.  start=1 scans every m, as a self-check of both bounds.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -265,8 +267,7 @@ def least_modulus(
         return 1
     _check_separable(seq, n)
     terms = _terms_array(seq, n)
-    start = 1 if from_one else n
-    for m in count(start):
+    for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus for {seq} at n={n}", ceiling)
         if _distinct_hybrid(seq, n, m, terms):
@@ -279,11 +280,13 @@ def least_modulus_pair(
     gap: int,
     *,
     ceiling: int = DEFAULT_SCAN_CEILING,
+    start: int | None = None,
 ) -> int:
     """Least m >= 1 with f(1..n) pairwise distinct modulo both m and m + gap.
 
     Full residue count n at both moduli is equivalent to pairwise distinctness
-    at both.
+    at both.  The scan starts at start (default n), a proven lower bound as in
+    least_modulus.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -293,7 +296,7 @@ def least_modulus_pair(
         return 1
     _check_separable(seq, n)
     terms = _terms_array(seq, n)
-    for m in count(n):
+    for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus pair (gap {gap}) for {seq} at n={n}", ceiling)
         if _distinct_hybrid(seq, n, m, terms) and _distinct_hybrid(seq, n, m + gap, terms):

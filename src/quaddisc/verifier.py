@@ -153,14 +153,15 @@ def _record(descriptor, d, c, n, least_m, predicted, t0) -> VerificationRecord:
 
 
 def verify_theorem11(
-    d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
+    d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
 ) -> VerificationRecord:
     """Compare the discriminator of the canonical (d, c) sequence with the
     predicted progression prime; the match is certified for n above
-    PREDICTION_THRESHOLD[d] when 4 <= d <= 36."""
+    PREDICTION_THRESHOLD[d] when 4 <= d <= 36.  start is the discriminator
+    scan's first modulus (see least_modulus)."""
     t0 = time.perf_counter()
     case = APCase(d, c)
-    least = least_modulus(case.seq, n, ceiling=ceiling)
+    least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
     predicted = predicted_prime(d, c, n, ceiling)
     return _record("theorem11", d, c, n, least, predicted, t0)
 
@@ -298,33 +299,37 @@ REMARK12_CASES = {
 
 
 def _verify_case(
-    descriptor: str, case: SequenceCase, n: int, ceiling: int
+    descriptor: str, case: SequenceCase, n: int, ceiling: int, start: int | None
 ) -> VerificationRecord:
     t0 = time.perf_counter()
-    least = least_modulus(case.seq, n, ceiling=ceiling)
+    least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
     predicted = case.modulus_class.first_at_least(case.bound(n), ceiling)
     return _record(f"{descriptor}:{case.case_id}", None, None, n, least, predicted, t0)
 
 
 def verify_theorem12(
-    case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING
+    case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
 ) -> VerificationRecord:
     """Compare the discriminator of one of the six d = 2, 3 sequences with the
     first member of its prime-or-prime-power class above the stated bound;
-    certified for n >= the case threshold."""
+    certified for n >= the case threshold.  start is the discriminator scan's
+    first modulus (see least_modulus)."""
     if case_id not in THEOREM12_CASES:
         raise ValueError(f"unknown case {case_id!r}; expected one of {sorted(THEOREM12_CASES)}")
-    return _verify_case("theorem12", THEOREM12_CASES[case_id], n, ceiling)
+    return _verify_case("theorem12", THEOREM12_CASES[case_id], n, ceiling, start)
 
 
-def verify_remark12(sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> VerificationRecord:
+def verify_remark12(
+    sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+) -> VerificationRecord:
     """Same comparison for the two steeper product sequences whose target class
     is plain primes; certified for n >= 5 (minus) / n >= 9 (plus).  The minus
     case also holds at n = 3; n = 4 is its only failure in [3, 1000]
-    (discriminator 15, prediction 17)."""
+    (discriminator 15, prediction 17).  start is the discriminator scan's first
+    modulus (see least_modulus)."""
     if sign not in REMARK12_CASES:
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    return _verify_case("remark12", REMARK12_CASES[sign], n, ceiling)
+    return _verify_case("remark12", REMARK12_CASES[sign], n, ceiling, start)
 
 
 # Certified start of the corollary ranges for the specialized cases (d, c).

@@ -11,10 +11,10 @@ from quaddisc.campaigns import (
     EXIT_MISMATCH,
     EXIT_OK,
     CampaignConfig,
+    _load_prior,
     expected_match,
     parse_record,
     record_key,
-    resume_scan,
     run,
     serialize_record,
 )
@@ -55,8 +55,8 @@ def test_record_key_uses_identity_fields_only():
 def test_resume_scan_empty_and_valid(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text("")
-    assert resume_scan(path) == set()
-    assert resume_scan(tmp_path / "absent.jsonl") == set()
+    assert _load_prior(path).keys() == set()
+    assert _load_prior(tmp_path / "absent.jsonl").keys() == set()
 
     recs = [
         {"cmd": "verify-theorem11", "d": 4, "c": 1, "n": n, "least_m": 1,
@@ -64,7 +64,7 @@ def test_resume_scan_empty_and_valid(tmp_path, capsys):
         for n in (6, 7, 8)
     ]
     path.write_text("".join(serialize_record(r) + "\n" for r in recs))
-    assert len(resume_scan(path)) == 3
+    assert len(_load_prior(path).keys()) == 3
     assert capsys.readouterr().err == ""
 
 
@@ -74,7 +74,7 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
                              "predicted": None, "match": True, "ms": 0})
     lines = [good, good.replace('"n":79', '"n":80'), good[: len(good) // 2]]
     path.write_text("\n".join(lines) + "\n")
-    keys = resume_scan(path)
+    keys = _load_prior(path).keys()
     assert len(keys) == 2
     assert "corrupt record" in capsys.readouterr().err
 
@@ -142,6 +142,40 @@ def test_resume_completes_partial_file(tmp_path):
     assert ns == list(range(9, 17))  # 9..12 kept, 13..16 appended
 
 
+def test_resume_after_truncated_tail(tmp_path, capsys):
+    argv = ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "12", "--no-timing"]
+    rc, path = run_to_file(tmp_path, "cut.jsonl", argv)
+    assert rc == EXIT_OK
+    full = path.read_bytes()
+    path.write_bytes(full[: full.rindex(b'"n":12') + 5])  # cut inside the n = 12 record
+    assert main(argv + ["--out", str(path), "--resume"]) == EXIT_OK
+    assert "corrupt record" in capsys.readouterr().err
+    ns = [r["n"] for r in read_records(path)]  # every line parses
+    assert ns == list(range(4, 13))  # n = 12 once, after the eight kept records
+    assert path.read_bytes() == full
+
+
+def test_default_parallelism_follows_affinity(monkeypatch, capsys):
+    import os
+
+    import quaddisc.campaigns as campaigns
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert campaigns._available_cores() == 3
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process allowed one core started a pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    monkeypatch.setattr(campaigns, "Pool", no_pool)
+    assert run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 27
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert campaigns._available_cores() == 7
+
+
 def test_determinism_across_parallelism(tmp_path):
     base = ["verify-theorem11", "--d", "5", "--c", "-1", "--n-from", "15", "--n-to", "60",
             "--no-timing"]
@@ -161,6 +195,29 @@ def test_exit_invalid_configs(tmp_path, capsys):
     assert main(["discriminator", "--A", "2", "--B", "2"]) == EXIT_INVALID  # no n given
     assert main(["conjecture", "--id", "1.3", "--n-from", "2", "--n-to", "3"]) == EXIT_INVALID
     assert main(["no-such-command"]) == EXIT_INVALID
+    capsys.readouterr()
+
+
+def test_exit_invalid_inseparable_discriminator(capsys):
+    # k^2 - 3k: f(1) = f(2) = -2, which no modulus separates
+    assert main(["discriminator", "--A", "2", "--B", "-6",
+                 "--n-from", "1", "--n-to", "5"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid campaign:") and err.count("\n") == 1
+    assert "coincide" in err
+    # the coincidence lies beyond n = 1, so a single term is fine
+    assert main(["discriminator", "--A", "2", "--B", "-6", "--n", "1", "--no-timing"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["least_m"] == 1
+
+
+def test_exit_invalid_scan_ceiling_from_2_64(capsys):
+    # the Miller-Rabin witness set is exact only below 2^64
+    argv = ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "5", "--no-timing"]
+    for ceiling in (2**65, 2**64):
+        assert main(argv + ["--scan-ceiling", str(ceiling)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2^64" in err
+    assert main(argv + ["--scan-ceiling", str(2**64 - 1)]) == EXIT_OK
     capsys.readouterr()
 
 

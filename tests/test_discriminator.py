@@ -175,7 +175,7 @@ def test_least_modulus_scan_start_is_safe():
     for seq in (SEQ_4K4K1, CHOOSE2, APCase(9, 2).seq):
         for n in (2, 3, 7, 20, 55):
             m_star = least_modulus(seq, n)
-            assert m_star == least_modulus(seq, n, from_one=True)
+            assert m_star == least_modulus(seq, n, start=1)
             for m in range(n, m_star):
                 assert not pairwise_distinct(seq, n, m)
 
