@@ -40,6 +40,7 @@ from .verifier import (
     verify_remark12,
     verify_theorem11,
     verify_theorem12,
+    window_eps,
 )
 
 COMMANDS = (
@@ -277,8 +278,13 @@ def expected_match(command: str, params: dict, rec: dict) -> bool | None:
         thr = COROLLARY11_THRESHOLD.get((params["d"], params["c"]))
         return True if thr is not None and n >= thr else None
     if command == "window-check":
-        thr = WINDOW_THRESHOLD.get(params["d"])
-        return True if thr is not None and n >= thr else None
+        # The threshold certifies the default window; a wider one (larger eps)
+        # holds wherever it does, a narrower one is uncertified.
+        d, eps = params["d"], params.get("eps")
+        thr = WINDOW_THRESHOLD.get(d)
+        if thr is None or n < thr or (eps is not None and Fraction(eps) < window_eps(d)):
+            return None
+        return True
     if command == "conjecture":
         return _expected_conjecture(params, n)
     return None
@@ -338,8 +344,16 @@ def _validate(config: CampaignConfig) -> None:
         raise ValueError(f"unknown case {p['case']!r}")
     elif cmd == "verify-remark12" and p["sign"] not in REMARK12_CASES:
         raise ValueError(f"sign must be 'minus' or 'plus', got {p['sign']!r}")
-    elif cmd == "window-check" and p["d"] < 4:
-        raise ValueError(f"window check requires d >= 4, got {p['d']}")
+    elif cmd == "window-check":
+        if p["d"] < 4:
+            raise ValueError(f"window check requires d >= 4, got {p['d']}")
+        if p.get("eps") is not None:
+            try:
+                eps = Fraction(p["eps"])
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"--eps must be a fraction such as 2/9, got {p['eps']!r}") from None
+            if eps <= 0:
+                raise ValueError(f"--eps must be positive, got {p['eps']!r}")
     elif cmd == "discriminator":
         # parity, then two terms that coincide exactly, which no modulus separates
         _check_separable(HalfQuadratic(p["A"], p["B"]), config.n_to)

@@ -199,10 +199,6 @@ def conjecture13_check(
     )
 
 
-def _prime_sequence_values(n: int) -> list[int]:
-    return [6 * p * (p - 1) for p in nth_primes(n)]
-
-
 def _values_distinct(values: list[int], m: int) -> bool:
     return len({v % m for v in values}) == len(values)
 
@@ -225,9 +221,10 @@ def conjecture14_check(
         if _values_distinct(values, m):
             observed = m
             break
-    sums = [primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)]
+    sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
+    # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff s == q.
     q = first_prime_in_ap(PrimeQuery(0, 1, primes[-1]), ceiling)
-    while any(s % q == 0 for s in sums):
+    while q in sums:
         q = first_prime_in_ap(PrimeQuery(0, 1, q + 1), ceiling)
     predicted = q
     agrees = observed == predicted

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,9 +23,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic witness set for all n < 2^64 (the well-known 7-base set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-# Segment size for the segmented sieve; bool segments of this length stay
-# comfortably inside a 256 KiB cache block.
-_SIEVE_SEGMENT = 1 << 18
+# Width of one aligned sieve block, and how many sieved blocks are kept.  The
+# windows of consecutive n in a window-check campaign overlap almost entirely,
+# so one cached block answers thousands of calls; as int64 arrays, eight
+# blocks of primes take well under 1 MB.
+_SIEVE_BLOCK = 1 << 16
+_CACHED_BLOCKS = 8
 
 
 class ScanCeilingError(RuntimeError):
@@ -158,23 +162,33 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _sieve_block(index: int) -> np.ndarray:
+    """All primes in [index * _SIEVE_BLOCK, (index + 1) * _SIEVE_BLOCK) as a
+    read-only int64 array, by sieving the block with the primes up to its
+    square root."""
+    lo = index * _SIEVE_BLOCK
+    hi = lo + _SIEVE_BLOCK
+    flags = np.ones(_SIEVE_BLOCK, dtype=bool)
+    if index == 0:
+        flags[:2] = False
+    for p in simple_sieve(math.isqrt(hi - 1)).tolist():
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        flags[start - lo :: p] = False
+    primes = lo + np.flatnonzero(flags)
+    primes.flags.writeable = False
+    return primes
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p < hi, by segmented sieve."""
+    """All primes p with lo <= p < hi, from cached sieve blocks."""
     if hi <= lo or hi <= 2:
         return []
     lo = max(lo, 2)
-    base = simple_sieve(math.isqrt(hi - 1))
     out: list[int] = []
-    for seg_lo in range(lo, hi, _SIEVE_SEGMENT):
-        seg_hi = min(seg_lo + _SIEVE_SEGMENT, hi)
-        flags = np.ones(seg_hi - seg_lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start >= seg_hi:
-                continue
-            flags[start - seg_lo :: p] = False
-        out.extend((seg_lo + np.flatnonzero(flags)).tolist())
+    for index in range(lo // _SIEVE_BLOCK, (hi - 1) // _SIEVE_BLOCK + 1):
+        block = _sieve_block(index)
+        out.extend(block[block.searchsorted(lo) : block.searchsorted(hi)].tolist())
     return out
 
 
@@ -206,17 +220,6 @@ POLYNOMIAL_FORMS = {
     "x^2+x+1": lambda x: x * x + x + 1,
     "4x^2+1": lambda x: 4 * x * x + 1,
 }
-
-
-def polynomial_form_values(form: str, upto: int) -> list[int]:
-    """Values of the form at x = 0, 1, 2, ... that are <= upto."""
-    f = POLYNOMIAL_FORMS[form]
-    out = []
-    x = 0
-    while (v := f(x)) <= upto:
-        out.append(v)
-        x += 1
-    return out
 
 
 def first_prime_of_form(

@@ -18,7 +18,6 @@ from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     PrimeQuery,
-    euler_phi,
     first_prime_in_ap,
     is_prime,
     primes_in_range,
@@ -345,18 +344,19 @@ COROLLARY11_THRESHOLD = {
 
 def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bool:
     """True iff the open interval (2dn/(d-1), ((2+eps)n-2)d/(d-1)) contains a
-    prime in every residue class coprime to d.  Endpoints are compared as exact
-    rationals; both ends are open."""
+    prime in every residue class coprime to d.  Endpoints are exact (integer
+    floor and ceiling division); both ends are open."""
     if d < 4:
         raise ValueError(f"d must be >= 4, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if eps is None:
         eps = window_eps(d)
-    lo = Fraction(2 * d * n, d - 1)
-    hi = Fraction(((2 + eps) * n - 2) * d, d - 1)
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
+    # The integers strictly inside the window, with eps = num/den:
+    # ((2+eps)n - 2) d / (d-1) = ((2den + num)n - 2den) d / (den (d-1)).
+    num, den = eps.numerator, eps.denominator
+    first = 2 * d * n // (d - 1) + 1
+    last = _ceil_div(((2 * den + num) * n - 2 * den) * d, den * (d - 1)) - 1
     if last < first:
         return False
     wanted = {a for a in range(d) if math.gcd(a, d) == 1}

@@ -292,6 +292,38 @@ def test_cli_window_check_with_eps(tmp_path):
     assert all(r["match"] for r in recs) and recs[0]["eps"] == "2/9"
 
 
+def test_exit_invalid_malformed_eps(capsys):
+    # once a worker traceback and exit 1 without a summary
+    argv = ["window-check", "--d", "5", "--n-from", "206", "--n-to", "207", "--no-timing"]
+    for eps in ("abc", "1/0", "0", "-1/3", "", "nan"):
+        assert main(argv + [f"--eps={eps}"]) == EXIT_INVALID, eps
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid campaign: --eps") and captured.err.count("\n") == 1
+    assert main(argv + ["--eps", "0.25"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_window_expectation_only_for_certified_eps(capsys):
+    # WINDOW_THRESHOLD certifies the default window, eps = 2/(11-2) = 2/9 for
+    # d = 5 and 7; a narrower window may miss a class above it
+    assert main(["window-check", "--d", "5", "--eps", "1/100", "--n-from", "206", "--n-to", "210",
+                 "--no-timing"]) == EXIT_OK
+    assert "mismatch=5 unexpected=0" in capsys.readouterr().err
+    for eps in ("1/100", "1/5"):
+        assert expected_match("window-check", {"d": 5, "eps": eps}, {"n": 206}) is None
+    # a wider window holds wherever the default one does, so it stays asserted:
+    # at d = 7, n = 468 (above the bundled 333) the class 6 mod 7 has no prime
+    # in (1092, 1214.5) for eps = 8/35, which is then an unexpected miss
+    for eps in (None, "2/9", "8/35", "1", "7/3"):
+        params = {"d": 7, "eps": eps}
+        assert expected_match("window-check", params, {"n": 333}) is True
+        assert expected_match("window-check", params, {"n": 332}) is None
+    assert main(["window-check", "--d", "7", "--eps", "8/35", "--n-from", "468", "--n-to", "468",
+                 "--no-timing"]) == EXIT_MISMATCH
+    assert "mismatch=1 unexpected=1" in capsys.readouterr().err
+
+
 def test_cli_discriminator_single_n(capsys):
     assert main(["discriminator", "--A", "32", "--B", "-8", "--n", "6", "--no-timing"]) == 0
     out = capsys.readouterr().out

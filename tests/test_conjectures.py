@@ -1,5 +1,6 @@
 """Conjecture checker tests: frozen small cases plus certificate validity."""
 
+import numpy as np
 import pytest
 
 from quaddisc.conjectures import (
@@ -92,6 +93,21 @@ def test_conjecture14_examples():
     assert rep.agrees and rep.observed == rep.predicted == 37
     with pytest.raises(ValueError):
         conjecture14_check(2)
+
+
+def test_conjecture14_prediction_matches_divisibility_definition():
+    # the membership test against the first prime >= p_n dividing no pair sum;
+    # that prime is below 2 p_n, and p_200 = 1223
+    primes = [x for x in range(2, 2 * 1223) if all(x % f for f in range(2, int(x**0.5) + 1))]
+    observed = 3
+    for n in range(3, 201):
+        sums = np.array([primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)])
+        q = primes[n - 1]
+        while (sums % q == 0).any():
+            q = next(p for p in primes if p > q)
+        rep = conjecture14_check(n, start=observed)  # D(n-1) <= D(n)
+        assert rep.predicted == q, n
+        observed = rep.observed
 
 
 def test_prime_indexed_difference_identity():

@@ -218,6 +218,26 @@ def test_primes_in_range_crosses_segments():
     assert got == expected
 
 
+def test_primes_in_range_cached_blocks(prime_flags):
+    # edges of the aligned sieve blocks, degenerate ranges, and one span over
+    # more blocks than the cache keeps, each asked twice (the second a hit)
+    block = 1 << 16
+    cases = [(0, 2), (-5, 3), (1, 2), (2, 2), (7, 7), (9, 3), (-10, -1),
+             (block - 50, block + 50), (block - 1, block), (block, block + 1),
+             (2 * block - 3, 2 * block + 3), (3 * block - 7, 5 * block + 11), (0, 9 * block + 3)]
+    for lo, hi in cases:
+        expected = [x for x in range(max(lo, 0), hi) if prime_flags[x]]
+        got = primes_in_range(lo, hi)
+        assert got == expected, (lo, hi)
+        assert all(type(p) is int for p in got)
+        got[:] = [1] * len(got)  # a caller's edit must not reach the cache
+        assert primes_in_range(lo, hi) == expected, (lo, hi)
+    far = 10**9 // block * block  # a block boundary above the flag table
+    assert primes_in_range(far - 300, far + 300) == [
+        x for x in range(far - 300, far + 300) if trial_division_prime(x)
+    ]
+
+
 def test_simple_sieve_counts():
     assert len(simple_sieve(10**6)) == 78498
     assert simple_sieve(1).size == 0

@@ -286,14 +286,15 @@ def test_corollary_prediction_shape():
     assert rec.match and rec.least_m == 13
 
 
-def window_oracle(d, n):
+def window_oracle(d, n, eps=None):
     """Independent re-derivation: explicit rational bounds, per-integer primality."""
-    eps = Fraction(2, max(11, d) - 2)
+    if eps is None:
+        eps = Fraction(2, max(11, d) - 2)
     lo = Fraction(2 * d * n, d - 1)
     hi = (Fraction(2) + eps) * n - 2
     hi = hi * d / (d - 1)
     present = set()
-    x = 2
+    x = max(2, math.floor(lo))
     while True:
         if Fraction(x) >= hi:
             break
@@ -313,6 +314,30 @@ def test_window_matches_oracle():
     for d in (4, 5, 6, 7):
         for n in range(60, 130):
             assert prime_window_all_residues(d, n) == window_oracle(d, n), (d, n)
+
+
+def test_window_matches_oracle_for_all_d_and_eps():
+    # both ends are open, so the n include some where an end is a whole number:
+    # 2dn/(d-1) is whole when (d-1) | 2n
+    outcomes = set()
+    whole_hi = 0
+    for d in range(4, 37):
+        for eps in (None, Fraction(1, 200), Fraction(2, 9), Fraction(1), Fraction(7, 3)):
+            e = window_eps(d) if eps is None else eps
+            hi_whole = [n for n in range(60, 60 + e.denominator * (d - 1))
+                        if (((2 + e) * n - 2) * d / (d - 1)).denominator == 1]
+            whole_hi += bool(hi_whole)
+            for n in {60, 61, 62, 3 * (d - 1), 6 * (d - 1), *hi_whole[:2]}:
+                got = prime_window_all_residues(d, n, eps)
+                assert got == window_oracle(d, n, eps), (d, eps, n)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+    assert whole_hi > 100  # of the 165 (d, eps) pairs
+    # an open end that decides: at d = 4, eps = 1/200, n = 1850 the window is
+    # (4933.33.., 4943) and the prime 4943 would complete the classes
+    assert is_prime(4943)
+    assert prime_window_all_residues(4, 1850, Fraction(1, 200)) is False
+    assert window_oracle(4, 1850, Fraction(1, 200)) is False
 
 
 def test_window_thresholds_are_sharp_for_small_d():
