@@ -84,8 +84,12 @@ def record_key(rec: dict) -> tuple:
     return tuple((f, rec[f]) for f in _KEY_FIELDS if rec.get(f) is not None)
 
 
+# json.dumps with any option builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def serialize_record(rec: dict) -> str:
-    return json.dumps(rec, separators=(",", ":"))
+    return _ENCODER.encode(rec)
 
 
 def parse_record(line: str) -> dict:
@@ -467,8 +471,11 @@ def run(config: CampaignConfig) -> int:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    keys = {w: _key_for(config.command, params, w) for w in work}
-    pending = [w for w in work if keys[w] not in prior] if prior else list(work)
+    if prior:
+        keys = {w: _key_for(config.command, params, w) for w in work}
+        pending = [w for w in work if keys[w] not in prior]
+    else:
+        pending = list(work)
     pending_set = set(pending)
 
     records: list[dict] = []

@@ -29,6 +29,7 @@ from .ntcore import (
     first_prime_of_form,
     is_prime,
     nth_primes,
+    primes_in_range,
 )
 
 # Conjectured thresholds: for gap parameter d, agreement is expected from this n on.
@@ -222,11 +223,18 @@ def conjecture14_check(
             observed = m
             break
     sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
-    # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff s == q.
-    q = first_prime_in_ap(PrimeQuery(0, 1, primes[-1]), ceiling)
-    while q in sums:
-        q = first_prime_in_ap(PrimeQuery(0, 1, q + 1), ceiling)
-    predicted = q
+    # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
+    # s == q.  So the answer is the first prime from p_n on that is no sum, and
+    # every prime >= 2 p_n is none.
+    p_n = primes[-1]
+    walked = p_n  # the walk has passed every integer below this
+    for predicted in primes_in_range(p_n, min(2 * p_n, ceiling + 1)):
+        if predicted not in sums:
+            break
+        walked = predicted + 1
+    else:
+        # the first prime from walked on is >= 2 p_n, or above the ceiling
+        predicted = first_prime_in_ap(PrimeQuery(0, 1, walked), ceiling)
     agrees = observed == predicted
     cert = None
     if not agrees:

@@ -11,13 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical
 
-# Length of the interpreted early-exit pass before switching to the vectorized
-# full check.  Most composite candidate moduli collide within a few dozen terms.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Up to this many terms the interpreted early-exit pass is the whole check, in
+# exact integers: below it, numpy would cost more to import than it saves.
+_INTERPRETED_LIMIT = 1024
+
+# Longer sequences get this many terms of the interpreted pass before the
+# vectorized full check.  Most composite candidate moduli collide within a few
+# dozen terms.
 _PREFIX_LIMIT = 64
 
 # Residue arithmetic stays in int64 on the vectorized path as long as the raw
@@ -105,12 +112,16 @@ def _terms_array(seq: HalfQuadratic, n: int) -> np.ndarray | None:
     bound = abs(seq.a) * n * n + abs(seq.b) * n
     if bound >= _INT64_TERM_LIMIT:
         return None
+    import numpy as np
+
     k = np.arange(1, n + 1, dtype=np.int64)
     return (seq.a * k * k + seq.b * k) // 2
 
 
 def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | None) -> bool:
-    """Occupancy check with early exit: interpreted prefix, then vectorized rest."""
+    """Occupancy check with early exit: the interpreted pass over all n terms up
+    to _INTERPRETED_LIMIT, else over a prefix followed by the vectorized rest.
+    terms is f(1..n) from _terms_array, or None to build it when needed."""
     a, b = seq.a, seq.b
     h = (a + b) // 2  # f(1); exact, a + b is even
     val = h % m
@@ -118,7 +129,7 @@ def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | Non
     inc = a % m
     seen: set[int] = set()
     add = seen.add
-    for _ in range(n if n <= _PREFIX_LIMIT else _PREFIX_LIMIT):
+    for _ in range(n if n <= _INTERPRETED_LIMIT else _PREFIX_LIMIT):
         if val in seen:
             return False
         add(val)
@@ -128,7 +139,7 @@ def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | Non
         step += inc
         if step >= m:
             step -= m
-    if n <= _PREFIX_LIMIT:
+    if n <= _INTERPRETED_LIMIT:
         return True
     if terms is None:
         terms = _terms_array(seq, n)
@@ -137,6 +148,8 @@ def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | Non
         return len({(a * k * k + b * k) % m2 for k in range(1, n + 1)}) == n
     res = terms % m
     if m <= 8 * n:
+        import numpy as np
+
         return int(np.bincount(res, minlength=m).max()) <= 1
     res.sort()
     return bool((res[1:] != res[:-1]).all())
@@ -210,11 +223,8 @@ def residue_count(seq: HalfQuadratic, n: int, m: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    terms = _terms_array(seq, n)
-    if terms is None:
-        m2 = 2 * m
-        return len({(seq.a * k * k + seq.b * k) % m2 for k in range(1, n + 1)})
-    return int(np.unique(terms % m).size)
+    m2 = 2 * m  # f(k) mod m is (2 f(k) mod 2m) / 2
+    return len({(seq.a * k * k + seq.b * k) % m2 for k in range(1, n + 1)})
 
 
 def collision_witness(seq: HalfQuadratic, n: int, m: int) -> tuple[int, int] | None:
@@ -266,7 +276,7 @@ def least_modulus(
     if n == 1:
         return 1
     _check_separable(seq, n)
-    terms = _terms_array(seq, n)
+    terms = _terms_array(seq, n) if n > _INTERPRETED_LIMIT else None
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus for {seq} at n={n}", ceiling)
@@ -295,7 +305,7 @@ def least_modulus_pair(
     if n == 1:
         return 1
     _check_separable(seq, n)
-    terms = _terms_array(seq, n)
+    terms = _terms_array(seq, n) if n > _INTERPRETED_LIMIT else None
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus pair (gap {gap}) for {seq} at n={n}", ceiling)

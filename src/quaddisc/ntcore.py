@@ -8,10 +8,10 @@ top of it carry no probabilistic error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import compress
 
 #: Default ceiling for open-ended prime scans (first prime of a polynomial form,
 #: de Polignac pairs, ...).  Termination of those scans is not provable, so they
@@ -25,8 +25,8 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # Width of one aligned sieve block, and how many sieved blocks are kept.  The
 # windows of consecutive n in a window-check campaign overlap almost entirely,
-# so one cached block answers thousands of calls; as int64 arrays, eight
-# blocks of primes take well under 1 MB.
+# so one cached block answers thousands of calls; a block holds at most 6,542
+# primes, so eight cached blocks take about 2 MB.
 _SIEVE_BLOCK = 1 << 16
 _CACHED_BLOCKS = 8
 
@@ -150,34 +150,50 @@ def first_prime_in_ap(q: PrimeQuery, ceiling: int = DEFAULT_SCAN_CEILING) -> int
     raise ScanCeilingError(f"prime == {q.residue} (mod {m}) from {q.lower_bound}", ceiling)
 
 
-def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array."""
+def _strike(flags: bytearray, first: int, step: int) -> None:
+    """Clear flags[first::step].  Most base primes of a high block strike it
+    at most once, which a plain store does without building a bytes object."""
+    if first + step >= len(flags):
+        if first < len(flags):
+            flags[first] = 0
+    else:
+        flags[first::step] = bytes((len(flags) - 1 - first) // step + 1)
+
+
+def simple_sieve(limit: int) -> list[int]:
+    """All primes <= limit, in increasing order."""
     if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+        return []
+    # Odd numbers only: flags[i] stands for 2i + 1.
+    flags = bytearray([1]) * ((limit + 1) // 2)
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            _strike(flags, p * p // 2, p)
+    return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
 @lru_cache(maxsize=_CACHED_BLOCKS)
-def _sieve_block(index: int) -> np.ndarray:
-    """All primes in [index * _SIEVE_BLOCK, (index + 1) * _SIEVE_BLOCK) as a
-    read-only int64 array, by sieving the block with the primes up to its
-    square root."""
+def _sieve_block(index: int) -> tuple[int, ...]:
+    """All primes in [index * _SIEVE_BLOCK, (index + 1) * _SIEVE_BLOCK), in
+    increasing order, by sieving the block's odd numbers with the odd primes up
+    to its square root."""
     lo = index * _SIEVE_BLOCK
     hi = lo + _SIEVE_BLOCK
-    flags = np.ones(_SIEVE_BLOCK, dtype=bool)
+    # flags[i] stands for lo + 2i + 1; lo is even.
+    flags = bytearray([1]) * (_SIEVE_BLOCK // 2)
+    for p in simple_sieve(math.isqrt(hi - 1))[1:]:
+        # the first odd multiple of p from max(p * p, lo) on
+        if p * p >= lo:
+            _strike(flags, (p * p - lo) >> 1, p)
+        else:
+            r = -lo % p
+            _strike(flags, (r if r & 1 else r + p) >> 1, p)
     if index == 0:
-        flags[:2] = False
-    for p in simple_sieve(math.isqrt(hi - 1)).tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = False
-    primes = lo + np.flatnonzero(flags)
-    primes.flags.writeable = False
-    return primes
+        flags[0] = 0  # 1 is not prime
+    primes = tuple(compress(range(lo + 1, hi, 2), flags))
+    return (2, *primes) if index == 0 else primes
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -188,7 +204,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     out: list[int] = []
     for index in range(lo // _SIEVE_BLOCK, (hi - 1) // _SIEVE_BLOCK + 1):
         block = _sieve_block(index)
-        out.extend(block[block.searchsorted(lo) : block.searchsorted(hi)].tolist())
+        out += block[bisect_left(block, lo) : bisect_left(block, hi)]
     return out
 
 
@@ -204,7 +220,7 @@ def nth_primes(n: int) -> list[int]:
     while len(primes) < n:
         bound *= 2
         primes = simple_sieve(bound)
-    return primes[:n].tolist()
+    return primes[:n]
 
 
 def classify_two_power_times_prime(m: int) -> bool:

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
@@ -342,6 +343,12 @@ COROLLARY11_THRESHOLD = {
 }
 
 
+@lru_cache(maxsize=64)
+def _coprime_residues(d: int) -> frozenset[int]:
+    """The residues modulo d that are coprime to d."""
+    return frozenset(a for a in range(d) if math.gcd(a, d) == 1)
+
+
 def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bool:
     """True iff the open interval (2dn/(d-1), ((2+eps)n-2)d/(d-1)) contains a
     prime in every residue class coprime to d.  Endpoints are exact (integer
@@ -359,7 +366,7 @@ def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bo
     last = _ceil_div(((2 * den + num) * n - 2 * den) * d, den * (d - 1)) - 1
     if last < first:
         return False
-    wanted = {a for a in range(d) if math.gcd(a, d) == 1}
+    wanted = set(_coprime_residues(d))
     for p in primes_in_range(first, last + 1):
         wanted.discard(p % d)
         if not wanted:

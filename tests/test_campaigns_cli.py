@@ -1,6 +1,10 @@
 """Campaign runner and CLI: records, resume, ordering, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +349,39 @@ def test_remark12_minus_n4_counterexample(capsys):
     assert rc == EXIT_OK
     rec = parse_record(capsys.readouterr().out.splitlines()[0])
     assert rec["least_m"] == 15 and rec["predicted"] == 17 and rec["match"] is False
+
+
+# Runs the CLI in a fresh interpreter, then reports whether numpy was loaded.
+_NUMPY_PROBE = """
+import sys
+from quaddisc.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("exit", code, "numpy", "numpy" in sys.modules)
+"""
+
+_CAMPAIGN_FLAGS = ["--parallelism", "1", "--no-timing"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ([], False),
+        (["tables"], False),
+        (["window-check", "--d", "7", "--n-from", "471", "--n-to", "490", *_CAMPAIGN_FLAGS], False),
+        (["conjecture", "--id", "1.4", "--n-from", "3", "--n-to", "60", *_CAMPAIGN_FLAGS], False),
+        (["verify-theorem12", "--case", "3k-1", "--n-from", "1020", "--n-to", "1024",
+          *_CAMPAIGN_FLAGS], False),
+        (["verify-theorem12", "--case", "3k-1", "--n-from", "1025", "--n-to", "1025",
+          *_CAMPAIGN_FLAGS], True),
+    ],
+)
+def test_numpy_loaded_only_above_interpreted_limit(argv, loads_numpy):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"exit 0 numpy {loads_numpy}"

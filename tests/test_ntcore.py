@@ -240,7 +240,7 @@ def test_primes_in_range_cached_blocks(prime_flags):
 
 def test_simple_sieve_counts():
     assert len(simple_sieve(10**6)) == 78498
-    assert simple_sieve(1).size == 0
+    assert len(simple_sieve(1)) == 0
 
 
 def test_scan_ceiling_attributes():
