@@ -471,25 +471,21 @@ def run(config: CampaignConfig) -> int:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    if prior:
-        keys = {w: _key_for(config.command, params, w) for w in work}
-        pending = [w for w in work if keys[w] not in prior]
-    else:
-        pending = list(work)
-    pending_set = set(pending)
+    # prior records by work item; keyed only when resuming
+    done = {w: prior[k] for w in work if (k := _key_for(config.command, params, w)) in prior} \
+        if prior else {}
 
     records: list[dict] = []
     try:
-        results = _compute(config.command, params, pending, parallelism)
+        results = _compute(config.command, params, [w for w in work if w not in done], parallelism)
         for w in work:
-            if w in pending_set:
+            rec = done.get(w)
+            if rec is None:
                 rec = next(results)
                 if not config.timing:
                     rec["ms"] = 0
                 out.write(serialize_record(rec) + "\n")
                 out.flush()
-            else:
-                rec = prior[keys[w]]
             records.append(rec)
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)

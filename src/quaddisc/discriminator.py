@@ -11,25 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING
 
 from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# Up to this many terms the interpreted early-exit pass is the whole check, in
-# exact integers: below it, numpy would cost more to import than it saves.
-_INTERPRETED_LIMIT = 1024
-
-# Longer sequences get this many terms of the interpreted pass before the
-# vectorized full check.  Most composite candidate moduli collide within a few
-# dozen terms.
-_PREFIX_LIMIT = 64
-
-# Residue arithmetic stays in int64 on the vectorized path as long as the raw
-# terms fit; larger coefficients fall back to exact Python integers.
-_INT64_TERM_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -107,21 +90,10 @@ def eval_mod(seq: HalfQuadratic, k: int, m: int) -> int:
     return ((seq.a * kr * kr + seq.b * kr) % m2) // 2
 
 
-def _terms_array(seq: HalfQuadratic, n: int) -> np.ndarray | None:
-    """f(1..n) as int64, or None when the magnitudes would overflow int64."""
-    bound = abs(seq.a) * n * n + abs(seq.b) * n
-    if bound >= _INT64_TERM_LIMIT:
-        return None
-    import numpy as np
-
-    k = np.arange(1, n + 1, dtype=np.int64)
-    return (seq.a * k * k + seq.b * k) // 2
-
-
-def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | None) -> bool:
-    """Occupancy check with early exit: the interpreted pass over all n terms up
-    to _INTERPRETED_LIMIT, else over a prefix followed by the vectorized rest.
-    terms is f(1..n) from _terms_array, or None to build it when needed."""
+def _distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
+    """Occupancy pass over f(1..n) modulo m in exact integers, with early exit
+    on the first collision.  Each residue follows from the last by two
+    additions: f(k+1) - f(k) grows by a at every step."""
     a, b = seq.a, seq.b
     h = (a + b) // 2  # f(1); exact, a + b is even
     val = h % m
@@ -129,7 +101,7 @@ def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | Non
     inc = a % m
     seen: set[int] = set()
     add = seen.add
-    for _ in range(n if n <= _INTERPRETED_LIMIT else _PREFIX_LIMIT):
+    for _ in range(n):
         if val in seen:
             return False
         add(val)
@@ -139,20 +111,7 @@ def _distinct_hybrid(seq: HalfQuadratic, n: int, m: int, terms: np.ndarray | Non
         step += inc
         if step >= m:
             step -= m
-    if n <= _INTERPRETED_LIMIT:
-        return True
-    if terms is None:
-        terms = _terms_array(seq, n)
-    if terms is None:  # magnitudes beyond int64: exact fallback
-        m2 = 2 * m
-        return len({(a * k * k + b * k) % m2 for k in range(1, n + 1)}) == n
-    res = terms % m
-    if m <= 8 * n:
-        import numpy as np
-
-        return int(np.bincount(res, minlength=m).max()) <= 1
-    res.sort()
-    return bool((res[1:] != res[:-1]).all())
+    return True
 
 
 def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
@@ -169,7 +128,7 @@ def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
         return True
     if m < n:
         return False
-    return _distinct_hybrid(seq, n, m, None)
+    return _distinct(seq, n, m)
 
 
 def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
@@ -276,11 +235,10 @@ def least_modulus(
     if n == 1:
         return 1
     _check_separable(seq, n)
-    terms = _terms_array(seq, n) if n > _INTERPRETED_LIMIT else None
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus for {seq} at n={n}", ceiling)
-        if _distinct_hybrid(seq, n, m, terms):
+        if _distinct(seq, n, m):
             return m
 
 
@@ -305,9 +263,8 @@ def least_modulus_pair(
     if n == 1:
         return 1
     _check_separable(seq, n)
-    terms = _terms_array(seq, n) if n > _INTERPRETED_LIMIT else None
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus pair (gap {gap}) for {seq} at n={n}", ceiling)
-        if _distinct_hybrid(seq, n, m, terms) and _distinct_hybrid(seq, n, m + gap, terms):
+        if _distinct(seq, n, m) and _distinct(seq, n, m + gap):
             return m

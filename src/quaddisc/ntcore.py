@@ -150,16 +150,6 @@ def first_prime_in_ap(q: PrimeQuery, ceiling: int = DEFAULT_SCAN_CEILING) -> int
     raise ScanCeilingError(f"prime == {q.residue} (mod {m}) from {q.lower_bound}", ceiling)
 
 
-def _strike(flags: bytearray, first: int, step: int) -> None:
-    """Clear flags[first::step].  Most base primes of a high block strike it
-    at most once, which a plain store does without building a bytes object."""
-    if first + step >= len(flags):
-        if first < len(flags):
-            flags[first] = 0
-    else:
-        flags[first::step] = bytes((len(flags) - 1 - first) // step + 1)
-
-
 def simple_sieve(limit: int) -> list[int]:
     """All primes <= limit, in increasing order."""
     if limit < 2:
@@ -170,7 +160,8 @@ def simple_sieve(limit: int) -> list[int]:
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if flags[i]:
             p = 2 * i + 1
-            _strike(flags, p * p // 2, p)
+            first = p * p // 2
+            flags[first::p] = bytes(len(range(first, len(flags), p)))
     return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
@@ -186,10 +177,11 @@ def _sieve_block(index: int) -> tuple[int, ...]:
     for p in simple_sieve(math.isqrt(hi - 1))[1:]:
         # the first odd multiple of p from max(p * p, lo) on
         if p * p >= lo:
-            _strike(flags, (p * p - lo) >> 1, p)
+            first = (p * p - lo) >> 1
         else:
             r = -lo % p
-            _strike(flags, (r if r & 1 else r + p) >> 1, p)
+            first = (r if r & 1 else r + p) >> 1
+        flags[first::p] = bytes(len(range(first, len(flags), p)))
     if index == 0:
         flags[0] = 0  # 1 is not prime
     primes = tuple(compress(range(lo + 1, hi, 2), flags))

@@ -363,19 +363,18 @@ _CAMPAIGN_FLAGS = ["--parallelism", "1", "--no-timing"]
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv",
     [
-        ([], False),
-        (["tables"], False),
-        (["window-check", "--d", "7", "--n-from", "471", "--n-to", "490", *_CAMPAIGN_FLAGS], False),
-        (["conjecture", "--id", "1.4", "--n-from", "3", "--n-to", "60", *_CAMPAIGN_FLAGS], False),
-        (["verify-theorem12", "--case", "3k-1", "--n-from", "1020", "--n-to", "1024",
-          *_CAMPAIGN_FLAGS], False),
-        (["verify-theorem12", "--case", "3k-1", "--n-from", "1025", "--n-to", "1025",
-          *_CAMPAIGN_FLAGS], True),
+        [],
+        ["tables"],
+        ["window-check", "--d", "7", "--n-from", "471", "--n-to", "490", *_CAMPAIGN_FLAGS],
+        ["conjecture", "--id", "1.4", "--n-from", "3", "--n-to", "60", *_CAMPAIGN_FLAGS],
+        ["verify-theorem12", "--case", "3k-1", "--n-from", "1100", "--n-to", "1100",
+         *_CAMPAIGN_FLAGS],
     ],
 )
-def test_numpy_loaded_only_above_interpreted_limit(argv, loads_numpy):
+def test_cli_never_loads_numpy(argv):
+    # start-up is part of every CLI call; numpy alone would take about half of it
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
@@ -384,4 +383,4 @@ def test_numpy_loaded_only_above_interpreted_limit(argv, loads_numpy):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"exit 0 numpy {loads_numpy}"
+    assert proc.stdout.splitlines()[-1] == "exit 0 numpy False"

@@ -93,13 +93,13 @@ def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     # the warm start is really taken: each n after the first checks exactly the
     # candidates from max(D(previous n), n) up to D(n)
     checked = []
-    real = discriminator._distinct_hybrid
+    real = discriminator._distinct
 
-    def counting(seq, n, m, terms):
+    def counting(seq, n, m):
         checked.append(m)
-        return real(seq, n, m, terms)
+        return real(seq, n, m)
 
-    monkeypatch.setattr(discriminator, "_distinct_hybrid", counting)
+    monkeypatch.setattr(discriminator, "_distinct", counting)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     ns = holey_ns("count", 4, 200)
     recs = list(_sweep("verify-theorem12", params, ns))
