@@ -405,17 +405,17 @@ def _key_for(command: str, params: dict, w: int) -> tuple:
     return record_key({"cmd": command, **_identity_for(command, params, w)})
 
 
-def _sweep(command: str, params: dict, items: list[int]):
+def _sweep(command: str, params: dict, items: list[int], hint: int | None = None):
     """Records for an ascending slice of work items, in order.
 
     D(n') <= D(n) for n' < n: terms pairwise distinct modulo m stay distinct
     when fewer of them are taken.  So each scan starts at the larger of n and
-    the last least_m this slice computed, which holds across gaps in the
+    the last least_m computed for a smaller n: hint, given for one below the
+    slice, then the last this slice computed, which holds across gaps in the
     slice.  A record without least_m (a ceiling error) leaves the hint as it
     was.  Hints come only from values computed here, never from records read
     back from a file: a corrupt least_m that is too high would skip the answer.
     """
-    hint = None
     for w in items:
         rec = _dispatch(command, params, w, None if hint is None else max(hint, w))
         if rec["least_m"] is not None:
@@ -423,8 +423,29 @@ def _sweep(command: str, params: dict, items: list[int]):
         yield rec
 
 
+# The last (command, params, work item, least_m) that _sweep_list computed in
+# this process.  Pool.imap hands a worker its slices in ascending order, so a
+# worker's next slice of the same campaign starts above it.  The entry is a
+# computed D(w) of the sequence that command and params name, so one left by
+# an earlier campaign in the same process is as sound a lower bound.
+_last_computed: tuple | None = None
+
+
 def _sweep_list(command: str, params: dict, items: list[int]) -> list[dict]:
-    return list(_sweep(command, params, items))
+    """_sweep for one pool slice, warm-started from this process's last slice
+    of the same command and params when that lay below it."""
+    global _last_computed
+    hint = None
+    if _last_computed is not None:
+        cmd, prm, w, least_m = _last_computed
+        if (cmd, prm) == (command, params) and w < items[0]:
+            hint = least_m
+    records = list(_sweep(command, params, items, hint))
+    for w, rec in zip(reversed(items), reversed(records)):
+        if rec["least_m"] is not None:
+            _last_computed = (command, params, w, rec["least_m"])
+            break
+    return records
 
 
 def _compute(command: str, params: dict, pending: list[int], parallelism: int):

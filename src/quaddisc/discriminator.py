@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from functools import lru_cache
+from itertools import chain, count
 
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical
+from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical, simple_sieve
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
     """True iff f(1..n) are pairwise distinct modulo m.
 
     Single O(n) occupancy pass with early exit on the first collision; always
-    False when m < n by pigeonhole.
+    False when m < n by pigeonhole.  The scans use the divisor-class test of
+    _separates instead; this pass is the oracle it is tested against.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -132,13 +134,8 @@ def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
 
 
 def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
-    """Distinctness for an APCase sequence via the factored term difference.
-
-    f(l) - f(k) = 2*rad * (l-k) * (d*(k+l) - c) exactly, so a collision modulo
-    m is a pair u = l-k, s = k+l with m | 2*rad*u*(d*s - c), s == u (mod 2) and
-    u+2 <= s <= 2n-u.  The search runs over u and solves for s directly instead
-    of filling a residue table.
-    """
+    """Distinctness for an APCase sequence by the divisor-class test of
+    _separates, with the n == 1 and pigeonhole shortcuts of pairwise_distinct."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
@@ -147,32 +144,85 @@ def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
         return True
     if m < n:
         return False
-    d, c = case.d, case.c
-    two_rad = 2 * case.rad
-    gcd = math.gcd
-    for u in range(1, n):
-        m1 = m // gcd(two_rad * u, m)
-        hi = 2 * n - u
-        if m1 == 1:
-            # every s of the right parity collides, and u+2 <= 2n-u holds here
-            return False
-        if gcd(d, m1) != 1:
-            # d*s == c (mod m1) unsolvable: any common factor would divide c
+    return _separates(case.seq, n, m)
+
+
+@lru_cache(maxsize=1)
+def _trial_primes() -> list[int]:
+    """Primes below 2^12: they factor every 2m < 2^24 without a further trial
+    divisor, and take about 20 kB.  Built on first use, not at import."""
+    return simple_sieve(1 << 12)
+
+
+def _divisors_upto(x: int, limit: int) -> list[int]:
+    """The divisors g <= limit of x, unordered, for x, limit >= 1.
+
+    Only primes up to limit can divide such a g, so x is trial-divided by the
+    primes up to min(limit, sqrt(x)); what is left of x is then 1, a prime, or
+    a product of primes above limit.
+    """
+    divs = [1]
+    bound = min(limit, math.isqrt(x))
+    table = _trial_primes()
+    for p in chain(table, range(table[-1] + 2, bound + 1, 2)):
+        if p > bound:
+            break
+        if x % p:
             continue
-        s = (c * pow(d, -1, m1)) % m1
-        if m1 & 1:
-            stride = 2 * m1
-            if (s ^ u) & 1:
-                s += m1
-        else:
-            if (s ^ u) & 1:
-                continue
-            stride = m1
-        lo = u + 2
-        if s < lo:
-            s += (lo - s + stride - 1) // stride * stride
-        if s <= hi:
-            return False
+        new: list[int] = []
+        pk = p
+        while x % p == 0:
+            x //= p
+            new += [g * pk for g in divs if g * pk <= limit]
+            pk *= p
+        divs += new
+        bound = min(bound, math.isqrt(x))
+    if 1 < x <= limit:
+        divs += [g * x for g in divs if g * x <= limit]
+    return divs
+
+
+def _class_collides(a: int, b: int, g: int, big_m: int, n: int) -> bool:
+    """Whether some s == g (mod 2) in [g + 2, 2n - g] has big_m | a*s + b."""
+    h = math.gcd(a, big_m)
+    if b % h:
+        return False
+    step = big_m // h
+    if step == 1:
+        return True  # every s, and g + 2 <= 2n - g holds for g <= n - 1
+    s = (-(b // h) * pow(a // h, -1, step)) % step
+    if step & 1:
+        if (s ^ g) & 1:
+            s += step  # the solution of the right parity modulo 2*step
+        step *= 2
+    elif (s ^ g) & 1:
+        return False  # all solutions have the parity of s
+    lo = g + 2
+    return lo + (s - lo) % step <= 2 * n - g
+
+
+def _separates(seq: HalfQuadratic, n: int, m: int) -> bool:
+    """True iff f(1..n) are pairwise distinct modulo m, for any n, m >= 1, by a
+    test whose cost does not grow with the number of terms.
+
+    With u = l - k and s = l + k, 2(f(l) - f(k)) = u (a s + b), where
+    s == u (mod 2) and u + 2 <= s <= 2n - u.  So f(l) == f(k) (mod m) iff
+    2m / g divides a s + b, where g = gcd(2m, u).  Every u with
+    gcd(2m, u) = g has the parity of g and is at least g, so u = g has the
+    widest s-range of its class: m separates the terms iff no divisor
+    g <= n - 1 of 2m admits such an s for u = g.  g = 1 and g = 2 divide every
+    2m and reject most candidates, so they are tested before 2m is factored.
+    """
+    a, b = seq.a, seq.b
+    m2 = 2 * m
+    if n >= 2 and _class_collides(a, b, 1, m2, n):
+        return False
+    if n >= 3 and _class_collides(a, b, 2, m, n):
+        return False
+    if n >= 4:
+        for g in _divisors_upto(m2, n - 1):
+            if g > 2 and _class_collides(a, b, g, m2 // g, n):
+                return False
     return True
 
 
@@ -238,7 +288,7 @@ def least_modulus(
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus for {seq} at n={n}", ceiling)
-        if _distinct(seq, n, m):
+        if _separates(seq, n, m):
             return m
 
 
@@ -266,5 +316,5 @@ def least_modulus_pair(
     for m in count(n if start is None else start):
         if m > ceiling:
             raise ScanCeilingError(f"least modulus pair (gap {gap}) for {seq} at n={n}", ceiling)
-        if _distinct(seq, n, m) and _distinct(seq, n, m + gap):
+        if _separates(seq, n, m) and _separates(seq, n, m + gap):
             return m

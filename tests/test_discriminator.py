@@ -1,6 +1,7 @@
 """Discriminator checks against a brute-force residue oracle."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from quaddisc.discriminator import (
     APCase,
     HalfQuadratic,
+    _distinct,
+    _divisors_upto,
+    _separates,
     collision_witness,
     eval_mod,
     least_modulus,
@@ -231,6 +235,65 @@ def test_fast_path_equals_baseline_small_grid(d):
         for n in (1, 2, 3, 5, 12, 30):
             for m in range(1, 130):
                 assert pairwise_distinct_fast(case, n, m) == pairwise_distinct(seq, n, m)
+
+
+def test_separates_matches_occupancy_on_random_sequences():
+    # the divisor-class kernel against the occupancy oracle on seeded
+    # (a, b, n, m) with n <= m, including a = 0, negative a and b, and
+    # sequences with two exactly equal terms
+    rng = random.Random(20261018)
+    bad = []
+    seen = {"a=0": 0, "a<0": 0, "b<0": 0, "h does not divide b": 0, "M/h odd": 0, "M/h even": 0}
+    for _ in range(200_000):
+        a = rng.randint(-40, 40)
+        b = rng.randint(-30, 30) * 2 + (a & 1)  # a + b even
+        n = rng.randint(1, 60)
+        m = rng.randint(n, 400)
+        seq = HalfQuadratic(a, b)
+        if _separates(seq, n, m) != _distinct(seq, n, m):
+            bad.append((a, b, n, m))
+        seen["a=0"] += a == 0
+        seen["a<0"] += a < 0
+        seen["b<0"] += b < 0
+        for big_m in (2 * m, m):  # the classes g = 1 and g = 2
+            h = math.gcd(a, big_m)
+            if b % h:
+                seen["h does not divide b"] += 1
+            else:
+                seen["M/h even" if big_m // h % 2 == 0 else "M/h odd"] += 1
+    assert bad == []
+    assert min(seen.values()) > 1000, seen
+
+
+def test_separates_matches_occupancy_on_apcase_grid():
+    for d in range(4, 37):
+        for c in coprime_cs(d):
+            seq = APCase(d, c).seq
+            for n in (2, 3, 8, 25):
+                for m in range(n, 3 * n + 10):
+                    assert _separates(seq, n, m) == _distinct(seq, n, m), (d, c, n, m)
+
+
+def test_least_modulus_pair_matches_occupancy_oracle():
+    def oracle_pair(seq, n, gap):
+        m = n
+        while not (_distinct(seq, n, m) and _distinct(seq, n, m + gap)):
+            m += 1
+        return m
+
+    for gap in (1, *(2 * d for d in range(1, 11))):
+        for n in range(2, 41):
+            assert least_modulus_pair(CHOOSE2, n, gap) == oracle_pair(CHOOSE2, n, gap), (n, gap)
+
+
+def test_divisors_upto_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = [*range(1, 2001), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2**41,
+          65537 * 65539, 2 * 65537 * 65539, 2 * 4294967311]  # 4294967311 is prime
+    for x in xs:
+        divisors = sympy.divisors(x)
+        for limit in (1, 2, 3, 10, 97, 5000, 10**6, x):
+            assert sorted(_divisors_upto(x, limit)) == [g for g in divisors if g <= limit], (x, limit)
 
 
 def test_collision_witness():

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import quaddisc.campaigns as campaigns
 import quaddisc.discriminator as discriminator
 from quaddisc.campaigns import (
     EXIT_CEILING,
@@ -18,6 +19,7 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _dispatch,
     _sweep,
+    _sweep_list,
     parse_record,
     run,
     serialize_record,
@@ -93,13 +95,13 @@ def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     # the warm start is really taken: each n after the first checks exactly the
     # candidates from max(D(previous n), n) up to D(n)
     checked = []
-    real = discriminator._distinct
+    real = discriminator._separates
 
     def counting(seq, n, m):
         checked.append(m)
         return real(seq, n, m)
 
-    monkeypatch.setattr(discriminator, "_distinct", counting)
+    monkeypatch.setattr(discriminator, "_separates", counting)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     ns = holey_ns("count", 4, 200)
     recs = list(_sweep("verify-theorem12", params, ns))
@@ -109,6 +111,35 @@ def test_sweep_starts_at_previous_least_modulus(monkeypatch):
         lower = r["least_m"]
     assert len(checked) == expected
     assert expected < sum(r["least_m"] - r["n"] + 1 for r in recs) / 10
+
+
+def test_sweep_list_starts_at_last_slice_least_modulus(monkeypatch):
+    # a pool worker's next slice starts where its last slice of the same
+    # campaign ended, and a slice that does not lie above it starts cold
+    monkeypatch.setattr(campaigns, "_last_computed", None)
+    checked = []
+    real = discriminator._separates
+
+    def counting(seq, n, m):
+        checked.append((n, m))
+        return real(seq, n, m)
+
+    monkeypatch.setattr(discriminator, "_separates", counting)
+    params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
+    first = _sweep_list("verify-theorem12", params, list(range(4, 60)))
+    checked.clear()
+    second = _sweep_list("verify-theorem12", params, list(range(80, 120)))
+    assert checked[0] == (80, first[-1]["least_m"]) and first[-1]["least_m"] > 80
+    for recs, ns in ((first, range(4, 60)), (second, range(80, 120))):
+        assert [r["least_m"] for r in recs] == [
+            _dispatch("verify-theorem12", params, n)["least_m"] for n in ns
+        ]
+    checked.clear()
+    _sweep_list("verify-theorem12", params, list(range(100, 110)))
+    assert checked[0] == (100, 100)  # below the last slice: no hint
+    checked.clear()
+    _sweep_list("verify-theorem12", dict(params, case="3k+1"), list(range(150, 160)))
+    assert checked[0] == (150, 150)  # other params: no hint
 
 
 def test_ceiling_crossed_mid_slice_matches_cold():
