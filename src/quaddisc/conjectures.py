@@ -93,21 +93,13 @@ def first_prime_with_prime_gap(
     """Least prime p >= lower_bound with p + gap also prime.
 
     Existence for every even gap is the open de Polignac question, hence the
-    ceiling.  The walk takes the primes from sieved windows that double in
-    width, so that a hit near lower_bound sieves little.
+    ceiling.
     """
-    lo = walked = max(2, lower_bound)  # the walk has passed every integer below walked
-    width = 64
-    while lo <= ceiling:
-        hi = min(lo + width, ceiling + 1)
-        for p in primes_in_range(lo, hi):
-            if is_prime(p + gap):
-                return p
-            walked = p + 1
-        lo = hi
-        width *= 2
-    # the message of the prime scan first_prime_in_ap that ran out
-    raise ScanCeilingError(f"prime == 0 (mod 1) from {walked}", ceiling)
+    p = first_prime_in_ap(PrimeQuery(0, 1, max(2, lower_bound)), ceiling)
+    while True:
+        if is_prime(p + gap):
+            return p
+        p = first_prime_in_ap(PrimeQuery(0, 1, p + 1), ceiling)
 
 
 def conjecture11_check(

@@ -202,8 +202,8 @@ def _class_collides(a: int, b: int, g: int, big_m: int, n: int) -> bool:
 
 
 def _separates(seq: HalfQuadratic, n: int, m: int) -> bool:
-    """True iff f(1..n) are pairwise distinct modulo m, for any n, m >= 1, by a
-    test whose cost does not grow with the number of terms.
+    """True iff f(1..n) are pairwise distinct modulo m, for any n, m >= 1, by
+    divisor class instead of an O(n) occupancy pass.
 
     With u = l - k and s = l + k, 2(f(l) - f(k)) = u (a s + b), where
     s == u (mod 2) and u + 2 <= s <= 2n - u.  So f(l) == f(k) (mod m) iff
@@ -212,6 +212,8 @@ def _separates(seq: HalfQuadratic, n: int, m: int) -> bool:
     widest s-range of its class: m separates the terms iff no divisor
     g <= n - 1 of 2m admits such an s for u = g.  g = 1 and g = 2 divide every
     2m and reject most candidates, so they are tested before 2m is factored.
+    Those two cost O(1); any other candidate costs a trial division up to
+    min(n - 1, sqrt(2m)) plus one range test per divisor g <= n - 1.
     """
     a, b = seq.a, seq.b
     m2 = 2 * m

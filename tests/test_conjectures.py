@@ -12,7 +12,7 @@ from quaddisc.conjectures import (
     first_prime_with_prime_gap,
 )
 from quaddisc.discriminator import HalfQuadratic, eval_mod
-from quaddisc.ntcore import PrimeQuery, ScanCeilingError, first_prime_in_ap, is_prime, nth_primes
+from quaddisc.ntcore import is_prime, nth_primes
 
 
 def test_pair_threshold_table():
@@ -23,36 +23,6 @@ def test_first_prime_with_prime_gap():
     assert first_prime_with_prime_gap(9, 2) == 11
     assert first_prime_with_prime_gap(11, 4) == 13
     assert first_prime_with_prime_gap(17, 10) == 19
-
-
-def integer_walk(lower_bound, gap, ceiling):
-    """first_prime_with_prime_gap as a walk over every integer."""
-    p = first_prime_in_ap(PrimeQuery(0, 1, max(2, lower_bound)), ceiling)
-    while True:
-        if is_prime(p + gap):
-            return p
-        p = first_prime_in_ap(PrimeQuery(0, 1, p + 1), ceiling)
-
-
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except ScanCeilingError as e:
-        return str(e)
-
-
-def test_first_prime_with_prime_gap_matches_integer_walk():
-    for gap in range(2, 21, 2):
-        for lower_bound in range(2, 5001):
-            assert first_prime_with_prime_gap(lower_bound, gap) == integer_walk(
-                lower_bound, gap, 1 << 40
-            ), (lower_bound, gap)
-    # past the ceiling: the same error, naming the same point the walk reached
-    for ceiling in (2, 3, 30, 97, 1000, 1009):
-        for lower_bound in (1, 2, 5, 29, 90, 500, 1000, 1010):
-            for gap in (2, 6, 20):
-                args = (lower_bound, gap, ceiling)
-                assert outcome(first_prime_with_prime_gap, *args) == outcome(integer_walk, *args)
 
 
 def test_conjecture11_examples():
