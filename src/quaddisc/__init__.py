@@ -16,7 +16,6 @@ from .ntcore import (
     PrimeQuery,
     ScanCeilingError,
     classify_two_power_times_prime,
-    euler_phi,
     first_prime_in_ap,
     first_prime_of_form,
     is_prime,
@@ -28,12 +27,10 @@ from .verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
     PREDICTION_THRESHOLD,
-    TABLES,
     THETA_ERROR_BOUND,
     WINDOW_THRESHOLD,
     ModulusClass,
     VerificationRecord,
-    class_member,
     predicted_prime,
     prime_window_all_residues,
     verify_remark11,

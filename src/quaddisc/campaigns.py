@@ -18,16 +18,18 @@ from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
+from typing import Callable
 
 from .conjectures import (
     PAIR_THRESHOLD,
+    VARIANTS,
     conjecture11_check,
     conjecture12_check,
     conjecture13_check,
     conjecture14_check,
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form
+from .ntcore import DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, first_prime_of_form
 from .verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -41,17 +43,6 @@ from .verifier import (
     verify_theorem11,
     verify_theorem12,
     window_eps,
-)
-
-COMMANDS = (
-    "verify-theorem11",
-    "verify-remark11",
-    "verify-theorem12",
-    "verify-remark12",
-    "corollary11",
-    "window-check",
-    "conjecture",
-    "discriminator",
 )
 
 # Identity fields; together with cmd and n they key a record for resume.
@@ -135,171 +126,131 @@ def _drop_partial_tail(path: Path) -> None:
             fh.truncate(end)
 
 
-def _base_record(cmd: str, identity: dict, n: int, least_m, predicted, match, ms) -> dict:
-    rec: dict = {"cmd": cmd}
-    for f in _KEY_FIELDS[1:-1]:
-        if identity.get(f) is not None:
-            rec[f] = identity[f]
-    rec["n"] = n
-    rec["least_m"] = least_m
-    rec["predicted"] = predicted
-    rec["match"] = match
-    rec["ms"] = ms
-    return rec
+# --- the commands: one spec each, from CLI options to expectation ---------------
 
 
-# --- per-command task functions (top-level for pickling) -------------------------
+@dataclass(frozen=True)
+class Command:
+    """One campaign command.  options are (flag, argparse kwargs) pairs whose
+    dest is a params key.  check(config) raises ValueError for an invalid
+    config, else returns the params that identify its records: with the scan
+    ceiling, all that compute and expect read.  compute(params, n, start), start
+    being the scan's first modulus (None: n), returns least_m, predicted,
+    match, ms and extra record fields (a dict or None).  expect(params, n) is
+    the match the certified ranges assert, or None outside them."""
+
+    help: str
+    options: tuple
+    check: Callable
+    compute: Callable
+    expect: Callable
+    one_of: bool = False  # the options exclude each other; one is required
 
 
-def _from_verification(cmd: str, identity: dict, vrec) -> dict:
-    return _base_record(
-        cmd, identity, vrec.n, vrec.least_m, vrec.predicted, vrec.match, vrec.elapsed_ms
-    )
+def _from_threshold(threshold: int | None, n: int) -> bool | None:
+    return True if threshold is not None and n >= threshold else None
 
 
-# Each task takes the scan's first modulus as its last argument (None: from n).
+def _verified(vrec) -> tuple:
+    return vrec.least_m, vrec.predicted, vrec.match, vrec.elapsed_ms, None
 
 
-def _task_theorem11(params: dict, n: int, start: int | None) -> dict:
-    d, c = params["d"], params["c"]
-    vrec = verify_theorem11(d, c, n, params["ceiling"], start=start)
-    return _from_verification("verify-theorem11", {"d": d, "c": c}, vrec)
+def _check_apcase(config: CampaignConfig) -> dict:
+    p = config.params
+    APCase(p["d"], p["c"])  # validates coprimality and range
+    return {"d": p["d"], "c": p["c"]}
 
 
-def _task_corollary11(params: dict, n: int, start: int | None) -> dict:
-    d, c = params["d"], params["c"]
-    vrec = verify_theorem11(d, c, n, params["ceiling"], start=start)
-    return _from_verification("corollary11", {"d": d, "c": c}, vrec)
+def _theorem11(p: dict, n: int, start: int | None) -> tuple:
+    return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"], start=start))
 
 
-def _task_remark11(params: dict, d: int, _start: int | None) -> dict:
-    # one sequence per d: a least_m of another d bounds nothing here
-    vrec = verify_remark11(d, params["ceiling"])
-    return _from_verification("verify-remark11", {"d": d, "c": vrec.c}, vrec)
+def _check_remark11(config: CampaignConfig) -> dict:
+    p = config.params
+    if not p.get("all") and p["d"] not in PREDICTION_THRESHOLD:
+        raise ValueError(f"d must be in [4, 36], got {p['d']}")
+    return {}
 
 
-def _task_theorem12(params: dict, n: int, start: int | None) -> dict:
-    case = params["case"]
-    vrec = verify_theorem12(case, n, params["ceiling"], start=start)
-    return _from_verification("verify-theorem12", {"case": case}, vrec)
+def _check_member(config: CampaignConfig, key: str, table: dict, message: str) -> dict:
+    value = config.params[key]
+    if value not in table:
+        raise ValueError(message.format(value))
+    return {key: value}
 
 
-def _task_remark12(params: dict, n: int, start: int | None) -> dict:
-    sign = params["sign"]
-    vrec = verify_remark12(sign, n, params["ceiling"], start=start)
-    return _from_verification("verify-remark12", {"sign": sign}, vrec)
+def _check_window(config: CampaignConfig) -> dict:
+    d, eps = config.params["d"], config.params.get("eps")
+    if d < 4:
+        raise ValueError(f"window check requires d >= 4, got {d}")
+    if eps is not None:
+        try:
+            value = Fraction(eps)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
+        if value <= 0:
+            raise ValueError(f"--eps must be positive, got {eps!r}")
+    return {"d": d, "eps": eps}
 
 
-def _task_window(params: dict, n: int, _start: int | None) -> dict:
-    d = params["d"]
-    eps = params.get("eps")
+def _window(p: dict, n: int, _start: int | None) -> tuple:
+    eps = p.get("eps")
     t0 = time.perf_counter()
-    ok = prime_window_all_residues(d, n, Fraction(eps) if eps else None)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return _base_record("window-check", {"d": d, "eps": eps}, n, None, None, ok, ms)
+    ok = prime_window_all_residues(p["d"], n, Fraction(eps) if eps else None)
+    return None, None, ok, int((time.perf_counter() - t0) * 1000), None
 
 
-def _task_discriminator(params: dict, n: int, start: int | None) -> dict:
-    a, b = params["A"], params["B"]
-    t0 = time.perf_counter()
-    m = least_modulus(HalfQuadratic(a, b), n, ceiling=params["ceiling"], start=start)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return _base_record("discriminator", {"A": a, "B": b}, n, m, None, None, ms)
+def _expect_window(p: dict, n: int) -> bool | None:
+    # The threshold certifies the default window; a wider one (larger eps)
+    # holds wherever it does, a narrower one is uncertified.
+    eps = p.get("eps")
+    if eps is not None and Fraction(eps) < window_eps(p["d"]):
+        return None
+    return _from_threshold(WINDOW_THRESHOLD.get(p["d"]), n)
 
 
-def _task_conjecture(params: dict, n: int, start: int | None) -> dict:
-    cid = params["id"]
-    ceiling = params["ceiling"]
-    if cid == "1.1":
-        rep = conjecture11_check(params["d"], n, ceiling, start=start)
-        identity = {"id": cid, "d": params["d"]}
-    elif cid == "1.2":
-        rep = conjecture12_check(n, ceiling, start=start)
-        identity = {"id": cid}
-    elif cid == "1.3":
-        rep = conjecture13_check(params["form"], n, params["variant"], ceiling, start=start)
-        identity = {"id": cid, "form": params["form"], "variant": params["variant"]}
-    else:
-        rep = conjecture14_check(n, ceiling, start=start)
-        identity = {"id": cid}
-    rec = _base_record(
-        "conjecture", identity, n, rep.observed, rep.predicted, rep.agrees, rep.elapsed_ms
-    )
-    if rep.class_flags is not None:
-        rec["flags"] = list(rep.class_flags)
-    if rep.certificate is not None:
-        rec["certificate"] = rep.certificate
-    return rec
-
-
-_TASKS = {
-    "verify-theorem11": _task_theorem11,
-    "verify-remark11": _task_remark11,
-    "verify-theorem12": _task_theorem12,
-    "verify-remark12": _task_remark12,
-    "corollary11": _task_corollary11,
-    "window-check": _task_window,
-    "conjecture": _task_conjecture,
-    "discriminator": _task_discriminator,
+_CONJECTURES = {
+    "1.1": lambda p, n, start: conjecture11_check(p["d"], n, p["ceiling"], start=start),
+    "1.2": lambda p, n, start: conjecture12_check(n, p["ceiling"], start=start),
+    "1.3": lambda p, n, start: conjecture13_check(
+        p["form"], n, p["variant"], p["ceiling"], start=start
+    ),
+    "1.4": lambda p, n, start: conjecture14_check(n, p["ceiling"], start=start),
 }
 
 
-def _dispatch(command: str, params: dict, key: int, start: int | None = None) -> dict:
-    try:
-        return _TASKS[command](params, key, start)
-    except ScanCeilingError as e:
-        identity = _identity_for(command, params, key)
-        n = identity.pop("n")
-        rec = _base_record(command, identity, n, None, None, None, 0)
-        rec["error"] = "scan_ceiling"
-        rec["detail"] = str(e)
-        return rec
-
-
-# --- expectations: what the certified ranges assert about each record ------------
-
-
-def expected_match(command: str, params: dict, rec: dict) -> bool | None:
-    """The asserted match value for this record, or None outside certified ranges.
-
-    A record whose match differs from a non-None expectation makes the campaign
-    exit with EXIT_MISMATCH: either an implementation bug, or a genuine
-    counterexample worth publishing.
-    """
-    n = rec["n"]
-    if command == "verify-theorem11":
-        d = params["d"]
-        if d in PREDICTION_THRESHOLD and n > PREDICTION_THRESHOLD[d]:
-            return True
-        return None
-    if command == "verify-remark11":
-        return False
-    if command == "verify-theorem12":
-        return True if n >= THEOREM12_CASES[params["case"]].threshold else None
-    if command == "verify-remark12":
-        return True if n >= REMARK12_CASES[params["sign"]].threshold else None
-    if command == "corollary11":
-        thr = COROLLARY11_THRESHOLD.get((params["d"], params["c"]))
-        return True if thr is not None and n >= thr else None
-    if command == "window-check":
-        # The threshold certifies the default window; a wider one (larger eps)
-        # holds wherever it does, a narrower one is uncertified.
-        d, eps = params["d"], params.get("eps")
-        thr = WINDOW_THRESHOLD.get(d)
-        if thr is None or n < thr or (eps is not None and Fraction(eps) < window_eps(d)):
-            return None
-        return True
-    if command == "conjecture":
-        return _expected_conjecture(params, n)
-    return None
-
-
-def _expected_conjecture(params: dict, n: int) -> bool | None:
-    cid = params["id"]
+def _check_conjecture(config: CampaignConfig) -> dict:
+    p = config.params
+    cid = p["id"]
+    if cid not in _CONJECTURES:
+        raise ValueError(f"unknown conjecture id {cid!r}")
     if cid == "1.1":
-        thr = PAIR_THRESHOLD.get(params["d"])
-        return True if thr is not None and n >= thr else None
-    if cid == "1.2" or cid == "1.4":
+        if (p.get("d") or 0) < 1:
+            raise ValueError("conjecture 1.1 needs --d >= 1")
+        return {"id": cid, "d": p["d"]}
+    if cid == "1.3":
+        if p.get("form") not in POLYNOMIAL_FORMS:
+            raise ValueError("conjecture 1.3 needs --form x^2+x+1 or 4x^2+1")
+        if p.get("variant") not in VARIANTS:
+            raise ValueError("conjecture 1.3 needs --variant choose2 or squares")
+        return {"id": cid, "form": p["form"], "variant": p["variant"]}
+    if cid == "1.4" and config.n_from <= 2:
+        raise ValueError("conjecture 1.4 needs n > 2")
+    return {"id": cid}
+
+
+def _conjecture(p: dict, n: int, start: int | None) -> tuple:
+    rep = _CONJECTURES[p["id"]](p, n, start)
+    extra = {} if rep.class_flags is None else {"flags": list(rep.class_flags)}
+    if rep.certificate is not None:
+        extra["certificate"] = rep.certificate
+    return rep.observed, rep.predicted, rep.agrees, rep.elapsed_ms, extra
+
+
+def _expect_conjecture(p: dict, n: int) -> bool | None:
+    if p["id"] == "1.1":
+        return _from_threshold(PAIR_THRESHOLD.get(p["d"]), n)
+    if p["id"] != "1.3":
         return True
     # 1.3: the literal prediction bound 2n-1 provably fails for the squares
     # variant whenever the first form prime >= 2n-1 is exactly 2n-1 (that prime
@@ -307,29 +258,147 @@ def _expected_conjecture(params: dict, n: int) -> bool | None:
     # n = 1 where the form value 1 is an admissible modulus.
     if n == 1:
         return False
-    if params["variant"] == "squares" and n >= 2:
-        if first_prime_of_form(params["form"], 2 * n - 1) == 2 * n - 1:
-            return False
-    return True
+    return not (p["variant"] == "squares" and n >= 2
+                and first_prime_of_form(p["form"], 2 * n - 1) == 2 * n - 1)
+
+
+def _check_discriminator(config: CampaignConfig) -> dict:
+    a, b = config.params["A"], config.params["B"]
+    # parity, then two terms that coincide exactly, which no modulus separates
+    _check_separable(HalfQuadratic(a, b), config.n_to)
+    return {"A": a, "B": b}
+
+
+def _discriminator(p: dict, n: int, start: int | None) -> tuple:
+    t0 = time.perf_counter()
+    m = least_modulus(HalfQuadratic(p["A"], p["B"]), n, ceiling=p["ceiling"], start=start)
+    return m, None, None, int((time.perf_counter() - t0) * 1000), None
+
+
+_INT = {"type": int, "required": True}
+
+COMMANDS = {
+    "verify-theorem11": Command(
+        help="discriminator vs predicted progression prime",
+        options=(("--d", _INT), ("--c", _INT)),
+        check=_check_apcase,
+        compute=_theorem11,
+        expect=lambda p, n: (
+            True if p["d"] in PREDICTION_THRESHOLD and n > PREDICTION_THRESHOLD[p["d"]] else None
+        ),
+    ),
+    "verify-remark11": Command(
+        help="bundled counterexample rows (expected mismatch)",
+        options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
+                 ("--d", {"type": int})),
+        check=_check_remark11,
+        # one sequence per work item d: a least_m of another d bounds nothing
+        compute=lambda p, d, _start: _verified(verify_remark11(d, p["ceiling"])),
+        expect=lambda p, n: False,
+        one_of=True,
+    ),
+    "verify-theorem12": Command(
+        help="d = 2, 3 sequences vs prime-or-prime-power targets",
+        options=(("--case", {"required": True, "choices": tuple(THEOREM12_CASES)}),),
+        check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
+        compute=lambda p, n, start: _verified(
+            verify_theorem12(p["case"], n, p["ceiling"], start=start)
+        ),
+        expect=lambda p, n: _from_threshold(THEOREM12_CASES[p["case"]].threshold, n),
+    ),
+    "verify-remark12": Command(
+        help="8k(2k-/+1) sequences vs plain primes",
+        options=(("--sign", {"required": True, "choices": tuple(REMARK12_CASES)}),),
+        check=lambda config: _check_member(
+            config, "sign", REMARK12_CASES, "sign must be 'minus' or 'plus', got {!r}"
+        ),
+        compute=lambda p, n, start: _verified(
+            verify_remark12(p["sign"], n, p["ceiling"], start=start)
+        ),
+        expect=lambda p, n: _from_threshold(REMARK12_CASES[p["sign"]].threshold, n),
+    ),
+    "corollary11": Command(
+        help="d = 4, 5 specializations with certified thresholds",
+        options=(("--d", dict(_INT, choices=[4, 5])),
+                 ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
+        check=_check_apcase,
+        compute=_theorem11,
+        expect=lambda p, n: _from_threshold(COROLLARY11_THRESHOLD.get((p["d"], p["c"])), n),
+    ),
+    "window-check": Command(
+        help="prime in every coprime class inside the scan window",
+        options=(("--d", _INT), ("--eps", {"help": "override window parameter, e.g. 2/9"})),
+        check=_check_window,
+        compute=_window,
+        expect=_expect_window,
+    ),
+    "conjecture": Command(
+        help="run one conjecture checker over a range of n",
+        options=(("--id", {"required": True, "choices": tuple(_CONJECTURES)}),
+                 ("--d", {"type": int, "help": "gap parameter for 1.1"}),
+                 ("--form", {"choices": tuple(POLYNOMIAL_FORMS), "help": "for 1.3"}),
+                 ("--variant", {"choices": VARIANTS, "default": "choose2",
+                                "help": "sequence variant for 1.3"})),
+        check=_check_conjecture,
+        compute=_conjecture,
+        expect=_expect_conjecture,
+    ),
+    "discriminator": Command(
+        help="raw least modulus for a (A k^2 + B k)/2 sequence",
+        options=(("--A", _INT), ("--B", _INT)),
+        check=_check_discriminator,
+        compute=_discriminator,
+        expect=lambda p, n: None,
+    ),
+}
+
+
+def _identity(command: str, params: dict, w: int) -> dict:
+    """The identity fields, in key order, of the record work item w produces:
+    the key fields of params, then n = w.  verify-remark11's work items are d,
+    each naming its bundled row."""
+    if command == "verify-remark11":
+        return {"cmd": command, "d": w, "c": COUNTEREXAMPLE_RESIDUE[w],
+                "n": PREDICTION_THRESHOLD[w]}
+    rec = {"cmd": command}
+    for f in _KEY_FIELDS[1:-1]:
+        if params.get(f) is not None:
+            rec[f] = params[f]
+    rec["n"] = w
+    return rec
+
+
+def _key_for(command: str, params: dict, w: int) -> tuple:
+    """Key a work item exactly the way its record will be keyed."""
+    return record_key(_identity(command, params, w))
+
+
+def _dispatch(command: str, params: dict, key: int, start: int | None = None) -> dict:
+    rec = _identity(command, params, key)
+    try:
+        least_m, predicted, match, ms, extra = COMMANDS[command].compute(params, key, start)
+    except ScanCeilingError as e:
+        least_m = predicted = match = None
+        ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
+    rec["least_m"] = least_m
+    rec["predicted"] = predicted
+    rec["match"] = match
+    rec["ms"] = ms
+    if extra:
+        rec.update(extra)
+    return rec
+
+
+def expected_match(command: str, params: dict, rec: dict) -> bool | None:
+    """The asserted match value for this record, or None outside certified ranges."""
+    return COMMANDS[command].expect(params, rec["n"])
 
 
 # --- the campaign runner ----------------------------------------------------------
 
 
-def _work_items(config: CampaignConfig) -> list[int]:
-    if config.command == "verify-remark11":
-        if config.params.get("all"):
-            return sorted(PREDICTION_THRESHOLD)
-        d = config.params["d"]
-        if d not in PREDICTION_THRESHOLD:
-            raise ValueError(f"d must be in [4, 36], got {d}")
-        return [d]
-    if config.n_from > config.n_to:
-        raise ValueError(f"n_from {config.n_from} exceeds n_to {config.n_to}")
-    return list(range(config.n_from, config.n_to + 1))
-
-
-def _validate(config: CampaignConfig) -> None:
+def _validate(config: CampaignConfig) -> dict:
+    """Reject an invalid config; return the params that identify its records."""
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     if config.parallelism < 0:
@@ -340,69 +409,17 @@ def _validate(config: CampaignConfig) -> None:
         raise ValueError("scan ceiling must be >= 2")
     if config.scan_ceiling >= 2**64:
         raise ValueError("scan ceiling must be below 2^64, where primality testing is exact")
-    p = config.params
-    cmd = config.command
-    if cmd in ("verify-theorem11", "corollary11"):
-        APCase(p["d"], p["c"])  # validates coprimality and range
-    elif cmd == "verify-theorem12" and p["case"] not in THEOREM12_CASES:
-        raise ValueError(f"unknown case {p['case']!r}")
-    elif cmd == "verify-remark12" and p["sign"] not in REMARK12_CASES:
-        raise ValueError(f"sign must be 'minus' or 'plus', got {p['sign']!r}")
-    elif cmd == "window-check":
-        if p["d"] < 4:
-            raise ValueError(f"window check requires d >= 4, got {p['d']}")
-        if p.get("eps") is not None:
-            try:
-                eps = Fraction(p["eps"])
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"--eps must be a fraction such as 2/9, got {p['eps']!r}") from None
-            if eps <= 0:
-                raise ValueError(f"--eps must be positive, got {p['eps']!r}")
-    elif cmd == "discriminator":
-        # parity, then two terms that coincide exactly, which no modulus separates
-        _check_separable(HalfQuadratic(p["A"], p["B"]), config.n_to)
-    elif cmd == "conjecture":
-        cid = p["id"]
-        if cid not in ("1.1", "1.2", "1.3", "1.4"):
-            raise ValueError(f"unknown conjecture id {cid!r}")
-        if cid == "1.1" and p.get("d", 0) < 1:
-            raise ValueError("conjecture 1.1 needs --d >= 1")
-        if cid == "1.3":
-            if p.get("form") not in ("x^2+x+1", "4x^2+1"):
-                raise ValueError("conjecture 1.3 needs --form x^2+x+1 or 4x^2+1")
-            if p.get("variant") not in ("choose2", "squares"):
-                raise ValueError("conjecture 1.3 needs --variant choose2 or squares")
-        if cid == "1.4" and config.n_from <= 2:
-            raise ValueError("conjecture 1.4 needs n > 2")
+    return COMMANDS[config.command].check(config)
 
 
-def _identity_for(command: str, params: dict, w: int) -> dict:
-    """Identity fields of the record a work item will produce."""
-    identity: dict = {"n": w}
-    if command in ("verify-theorem11", "corollary11"):
-        identity.update(d=params["d"], c=params["c"])
-    elif command == "verify-remark11":
-        identity.update(d=w, c=COUNTEREXAMPLE_RESIDUE[w], n=PREDICTION_THRESHOLD[w])
-    elif command == "verify-theorem12":
-        identity["case"] = params["case"]
-    elif command == "verify-remark12":
-        identity["sign"] = params["sign"]
-    elif command == "window-check":
-        identity.update(d=params["d"], eps=params.get("eps"))
-    elif command == "discriminator":
-        identity.update(A=params["A"], B=params["B"])
-    elif command == "conjecture":
-        identity["id"] = params["id"]
-        if params["id"] == "1.1":
-            identity["d"] = params["d"]
-        elif params["id"] == "1.3":
-            identity.update(form=params["form"], variant=params["variant"])
-    return identity
-
-
-def _key_for(command: str, params: dict, w: int) -> tuple:
-    """Key a work item exactly the way its record will be keyed."""
-    return record_key({"cmd": command, **_identity_for(command, params, w)})
+def _work_items(config: CampaignConfig) -> list[int]:
+    if config.command == "verify-remark11":
+        return sorted(PREDICTION_THRESHOLD) if config.params.get("all") else [config.params["d"]]
+    if config.n_from > config.n_to:
+        raise ValueError(f"n_from {config.n_from} exceeds n_to {config.n_to}")
+    if config.n_from < 1:
+        raise ValueError(f"n must be >= 1, got {config.n_from}")
+    return list(range(config.n_from, config.n_to + 1))
 
 
 def _sweep(command: str, params: dict, items: list[int], hint: int | None = None):
@@ -471,13 +488,13 @@ def _available_cores() -> int:
 def run(config: CampaignConfig) -> int:
     """Execute a campaign; stream records in work order; return the exit status."""
     try:
-        _validate(config)
+        identity = _validate(config)
         work = _work_items(config)
     except (ValueError, KeyError) as e:
         print(f"error: invalid campaign: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    params = dict(config.params, ceiling=config.scan_ceiling)
+    params = dict(identity, ceiling=config.scan_ceiling)
     parallelism = config.parallelism or _available_cores()
 
     t0 = time.perf_counter()

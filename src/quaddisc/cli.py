@@ -12,23 +12,11 @@ import argparse
 import json
 import sys
 
-from .campaigns import EXIT_INVALID, CampaignConfig, run
+from .campaigns import COMMANDS, EXIT_INVALID, CampaignConfig, run
 from .ntcore import DEFAULT_SCAN_CEILING
-from .verifier import TABLES
-
-
-def _add_common(sub: argparse.ArgumentParser, n_range: bool = True) -> None:
-    if n_range:
-        sub.add_argument("--n-from", type=int, required=True)
-        sub.add_argument("--n-to", type=int, required=True)
-    sub.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    sub.add_argument("--resume", action="store_true",
-                     help="skip keys already present in --out")
-    sub.add_argument("--parallelism", type=int, default=0, metavar="K",
-                     help="worker processes (default: all cores)")
-    sub.add_argument("--scan-ceiling", type=int, default=DEFAULT_SCAN_CEILING)
-    sub.add_argument("--no-timing", action="store_true",
-                     help="zero the ms fields for byte-reproducible streams")
+from .verifier import (
+    COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD, THETA_ERROR_BOUND, WINDOW_THRESHOLD,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,56 +26,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "checked against first primes in arithmetic progressions.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("verify-theorem11", help="discriminator vs predicted progression prime")
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--c", type=int, required=True)
-    _add_common(s)
-
-    s = subs.add_parser("verify-remark11", help="bundled counterexample rows (expected mismatch)")
-    g = s.add_mutually_exclusive_group(required=True)
-    g.add_argument("--all", action="store_true", help="all d = 4..36")
-    g.add_argument("--d", type=int)
-    _add_common(s, n_range=False)
-
-    s = subs.add_parser("verify-theorem12", help="d = 2, 3 sequences vs prime-or-prime-power targets")
-    s.add_argument("--case", required=True,
-                   choices=["2k-1", "2k+1", "3k-1", "3k+1", "3k-2", "3k+2"])
-    _add_common(s)
-
-    s = subs.add_parser("verify-remark12", help="8k(2k-/+1) sequences vs plain primes")
-    s.add_argument("--sign", required=True, choices=["minus", "plus"])
-    _add_common(s)
-
-    s = subs.add_parser("corollary11", help="d = 4, 5 specializations with certified thresholds")
-    s.add_argument("--d", type=int, required=True, choices=[4, 5])
-    s.add_argument("--r", type=int, required=True, help="residue class (maps to c)")
-    _add_common(s)
-
-    s = subs.add_parser("window-check", help="prime in every coprime class inside the scan window")
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--eps", help="override window parameter, e.g. 2/9")
-    _add_common(s)
-
-    s = subs.add_parser("conjecture", help="run one conjecture checker over a range of n")
-    s.add_argument("--id", required=True, choices=["1.1", "1.2", "1.3", "1.4"])
-    s.add_argument("--d", type=int, help="gap parameter for 1.1")
-    s.add_argument("--form", choices=["x^2+x+1", "4x^2+1"], help="for 1.3")
-    s.add_argument("--variant", choices=["choose2", "squares"], default="choose2",
-                   help="sequence variant for 1.3")
-    _add_common(s)
-
-    s = subs.add_parser("discriminator", help="raw least modulus for a (A k^2 + B k)/2 sequence")
-    s.add_argument("--A", type=int, required=True)
-    s.add_argument("--B", type=int, required=True)
-    s.add_argument("--n", type=int, help="single n (alternative to --n-from/--n-to)")
-    s.add_argument("--n-from", type=int)
-    s.add_argument("--n-to", type=int)
-    s.add_argument("--out", metavar="PATH")
-    s.add_argument("--resume", action="store_true")
-    s.add_argument("--parallelism", type=int, default=0, metavar="K")
-    s.add_argument("--scan-ceiling", type=int, default=DEFAULT_SCAN_CEILING)
-    s.add_argument("--no-timing", action="store_true")
+    for name, spec in COMMANDS.items():
+        s = subs.add_parser(name, help=spec.help)
+        options = s.add_mutually_exclusive_group(required=True) if spec.one_of else s
+        for flag, kwargs in spec.options:
+            options.add_argument(flag, **kwargs)
+        if name == "discriminator":
+            s.add_argument("--n", type=int, help="single n (alternative to --n-from/--n-to)")
+        if name != "verify-remark11":  # its work items are d
+            s.add_argument("--n-from", type=int, required=name != "discriminator")
+            s.add_argument("--n-to", type=int, required=name != "discriminator")
+        s.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+        s.add_argument("--resume", action="store_true",
+                       help="skip keys already present in --out")
+        s.add_argument("--parallelism", type=int, default=0, metavar="K",
+                       help="worker processes (default: all cores)")
+        s.add_argument("--scan-ceiling", type=int, default=DEFAULT_SCAN_CEILING)
+        s.add_argument("--no-timing", action="store_true",
+                       help="zero the ms fields for byte-reproducible streams")
 
     subs.add_parser("tables", help="print the bundled constant tables, one JSON row per d")
     return parser
@@ -95,33 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace) -> CampaignConfig | None:
     cmd = args.command
-    params: dict = {}
+    dests = (kwargs.get("dest", flag[2:]) for flag, kwargs in COMMANDS[cmd].options)
+    params = {dest: getattr(args, dest) for dest in dests}
     n_from, n_to = getattr(args, "n_from", 1), getattr(args, "n_to", 1)
-    if cmd == "verify-theorem11":
-        params = {"d": args.d, "c": args.c}
-    elif cmd == "verify-remark11":
-        params = {"all": args.all, "d": args.d}
-        n_from = n_to = 1
-    elif cmd == "verify-theorem12":
-        params = {"case": args.case}
-    elif cmd == "verify-remark12":
-        params = {"sign": args.sign}
-    elif cmd == "corollary11":
-        params = {"d": args.d, "c": args.r}
-    elif cmd == "window-check":
-        params = {"d": args.d, "eps": args.eps}
-    elif cmd == "conjecture":
-        params = {"id": args.id, "d": args.d, "form": args.form, "variant": args.variant}
-    elif cmd == "discriminator":
-        params = {"A": args.A, "B": args.B}
+    if cmd == "discriminator":
         if args.n is not None:
-            if args.n_from is not None or args.n_to is not None:
+            if n_from is not None or n_to is not None:
                 print("error: give either --n or --n-from/--n-to", file=sys.stderr)
                 return None
             n_from = n_to = args.n
-        elif args.n_from is not None and args.n_to is not None:
-            n_from, n_to = args.n_from, args.n_to
-        else:
+        elif n_from is None or n_to is None:
             print("error: discriminator needs --n or --n-from/--n-to", file=sys.stderr)
             return None
     return CampaignConfig(
@@ -144,7 +83,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     if args.command == "tables":
-        for row in TABLES.rows():
+        for d in sorted(PREDICTION_THRESHOLD):
+            row = {
+                "d": d,
+                "prediction_threshold": PREDICTION_THRESHOLD[d],
+                "counterexample_residue": COUNTEREXAMPLE_RESIDUE[d],
+                "theta_error": THETA_ERROR_BOUND[d],
+                "window_threshold": WINDOW_THRESHOLD[d],
+            }
             print(json.dumps(row, separators=(",", ":")))
         return 0
     config = _config_from(args)

@@ -62,6 +62,19 @@ def _variant_seq(variant: str) -> HalfQuadratic:
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def _collision_certificate(seq: HalfQuadratic, n: int, m: int) -> dict:
+    """The first pair of f(1..n) that collides modulo m, as a certificate."""
+    k, l = collision_witness(seq, n, m)
+    return {
+        "kind": "predicted_modulus_collides",
+        "modulus": m,
+        "k": k,
+        "l": l,
+        "term_k": seq.term(k),
+        "term_l": seq.term(l),
+    }
+
+
 def _pair_disagreement_certificate(
     seq: HalfQuadratic, n: int, gap: int, observed: int, predicted: int
 ) -> dict:
@@ -70,15 +83,7 @@ def _pair_disagreement_certificate(
     if observed > predicted:
         for m in (predicted, predicted + gap):
             if residue_count(seq, n, m) != n:
-                k, l = collision_witness(seq, n, m)
-                return {
-                    "kind": "predicted_modulus_collides",
-                    "modulus": m,
-                    "k": k,
-                    "l": l,
-                    "term_k": seq.term(k),
-                    "term_l": seq.term(l),
-                }
+                return _collision_certificate(seq, n, m)
         return {"kind": "inconsistent", "observed": observed, "predicted": predicted}
     return {
         "kind": "unexpected_smaller_modulus",
@@ -183,15 +188,7 @@ def conjecture13_check(
     cert = None
     if not agrees:
         if observed > predicted:
-            k, l = collision_witness(seq, n, predicted)
-            cert = {
-                "kind": "predicted_modulus_collides",
-                "modulus": predicted,
-                "k": k,
-                "l": l,
-                "term_k": seq.term(k),
-                "term_l": seq.term(l),
-            }
+            cert = _collision_certificate(seq, n, predicted)
         else:
             cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
     ms = int((time.perf_counter() - t0) * 1000)

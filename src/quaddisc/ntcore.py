@@ -90,28 +90,6 @@ def radical(d: int) -> int:
     return r
 
 
-def euler_phi(d: int) -> int:
-    """Count of 1 <= a <= d with gcd(a, d) == 1."""
-    if d < 1:
-        raise ValueError(f"euler_phi requires d >= 1, got {d}")
-    res = d
-    x = d
-    if x % 2 == 0:
-        res //= 2
-        while x % 2 == 0:
-            x //= 2
-    p = 3
-    while p * p <= x:
-        if x % p == 0:
-            res -= res // p
-            while x % p == 0:
-                x //= p
-        p += 2
-    if x > 1:
-        res -= res // x
-    return res
-
-
 @dataclass(frozen=True)
 class PrimeQuery:
     """A request for the first prime >= lower_bound in a residue class.

@@ -75,33 +75,6 @@ WINDOW_THRESHOLD = {
 }
 
 
-@dataclass(frozen=True)
-class ConstantTables:
-    """The four bundled d-indexed tables, d = 4..36."""
-
-    prediction_threshold: dict[int, int]
-    counterexample_residue: dict[int, int]
-    theta_error: dict[int, float]
-    window_threshold: dict[int, int]
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "d": d,
-                "prediction_threshold": self.prediction_threshold[d],
-                "counterexample_residue": self.counterexample_residue[d],
-                "theta_error": self.theta_error[d],
-                "window_threshold": self.window_threshold[d],
-            }
-            for d in sorted(self.prediction_threshold)
-        ]
-
-
-TABLES = ConstantTables(
-    PREDICTION_THRESHOLD, COUNTEREXAMPLE_RESIDUE, THETA_ERROR_BOUND, WINDOW_THRESHOLD
-)
-
-
 def window_eps(d: int) -> Fraction:
     """Default window width parameter 2 / (max(11, d) - 2)."""
     return Fraction(2, max(11, d) - 2)
@@ -131,7 +104,6 @@ def predicted_prime(
 class VerificationRecord:
     """Outcome of one discriminator-versus-prediction comparison."""
 
-    descriptor: str
     d: int | None
     c: int | None
     n: int
@@ -145,11 +117,9 @@ class VerificationRecord:
             raise ValueError("match flag inconsistent with least_m/predicted")
 
 
-def _record(descriptor, d, c, n, least_m, predicted, t0) -> VerificationRecord:
+def _record(d, c, n, least_m, predicted, t0) -> VerificationRecord:
     ms = int((time.perf_counter() - t0) * 1000)
-    return VerificationRecord(
-        descriptor, d, c, n, least_m, predicted, least_m == predicted, ms
-    )
+    return VerificationRecord(d, c, n, least_m, predicted, least_m == predicted, ms)
 
 
 def verify_theorem11(
@@ -163,7 +133,7 @@ def verify_theorem11(
     case = APCase(d, c)
     least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
     predicted = predicted_prime(d, c, n, ceiling)
-    return _record("theorem11", d, c, n, least, predicted, t0)
+    return _record(d, c, n, least, predicted, t0)
 
 
 def verify_remark11(d: int, ceiling: int = DEFAULT_SCAN_CEILING) -> VerificationRecord:
@@ -171,10 +141,7 @@ def verify_remark11(d: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Verification
     the bundled residue, the match is expected to FAIL."""
     if d not in PREDICTION_THRESHOLD:
         raise ValueError(f"d must be in [4, 36], got {d}")
-    rec = verify_theorem11(d, COUNTEREXAMPLE_RESIDUE[d], PREDICTION_THRESHOLD[d], ceiling)
-    return VerificationRecord(
-        "remark11", rec.d, rec.c, rec.n, rec.least_m, rec.predicted, rec.match, rec.elapsed_ms
-    )
+    return verify_theorem11(d, COUNTEREXAMPLE_RESIDUE[d], PREDICTION_THRESHOLD[d], ceiling)
 
 
 # --- admissible modulus classes -------------------------------------------------
@@ -246,10 +213,6 @@ def _next_power(base: int, bound: int) -> int:
     return p
 
 
-def class_member(mc: ModulusClass, x: int) -> bool:
-    return mc.member(x)
-
-
 # --- the d = 2, 3 sequence cases and their prime-or-prime-power targets ----------
 
 
@@ -299,12 +262,12 @@ REMARK12_CASES = {
 
 
 def _verify_case(
-    descriptor: str, case: SequenceCase, n: int, ceiling: int, start: int | None
+    case: SequenceCase, n: int, ceiling: int, start: int | None
 ) -> VerificationRecord:
     t0 = time.perf_counter()
     least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
     predicted = case.modulus_class.first_at_least(case.bound(n), ceiling)
-    return _record(f"{descriptor}:{case.case_id}", None, None, n, least, predicted, t0)
+    return _record(None, None, n, least, predicted, t0)
 
 
 def verify_theorem12(
@@ -316,7 +279,7 @@ def verify_theorem12(
     first modulus (see least_modulus)."""
     if case_id not in THEOREM12_CASES:
         raise ValueError(f"unknown case {case_id!r}; expected one of {sorted(THEOREM12_CASES)}")
-    return _verify_case("theorem12", THEOREM12_CASES[case_id], n, ceiling, start)
+    return _verify_case(THEOREM12_CASES[case_id], n, ceiling, start)
 
 
 def verify_remark12(
@@ -329,7 +292,7 @@ def verify_remark12(
     modulus (see least_modulus)."""
     if sign not in REMARK12_CASES:
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    return _verify_case("remark12", REMARK12_CASES[sign], n, ceiling, start)
+    return _verify_case(REMARK12_CASES[sign], n, ceiling, start)
 
 
 # Certified start of the corollary ranges for the specialized cases (d, c).

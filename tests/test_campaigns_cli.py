@@ -9,13 +9,17 @@ from pathlib import Path
 import pytest
 
 from quaddisc.campaigns import (
+    COMMANDS,
     EXIT_CEILING,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     CampaignConfig,
+    _dispatch,
+    _key_for,
     _load_prior,
+    _validate,
     expected_match,
     parse_record,
     record_key,
@@ -23,6 +27,7 @@ from quaddisc.campaigns import (
     serialize_record,
 )
 from quaddisc.cli import main
+from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError
 
 
 def read_records(path):
@@ -200,6 +205,24 @@ def test_exit_invalid_configs(tmp_path, capsys):
     assert main(["conjecture", "--id", "1.3", "--n-from", "2", "--n-to", "3"]) == EXIT_INVALID
     assert main(["no-such-command"]) == EXIT_INVALID
     capsys.readouterr()
+    # once a worker traceback for n < 1, and a TypeError for 1.1 without --d
+    for argv in (
+        ["verify-theorem12", "--case", "3k-1", "--n-from", "0", "--n-to", "3"],
+        ["window-check", "--d", "5", "--n-from", "-2", "--n-to", "2", "--parallelism", "2"],
+        ["discriminator", "--A", "2", "--B", "2", "--n", "0"],
+        ["conjecture", "--id", "1.1", "--n-from", "1", "--n-to", "3"],
+    ):
+        assert main(argv) == EXIT_INVALID, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid campaign:") and err.count("\n") == 1
+
+
+def test_remark11_all_and_d_exclude_each_other(capsys):
+    assert main(["verify-remark11", "--no-timing"]) == EXIT_INVALID
+    assert "one of the arguments --all --d is required" in capsys.readouterr().err
+    assert main(["verify-remark11", "--all", "--d", "5", "--no-timing"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
 
 
 def test_exit_invalid_inseparable_discriminator(capsys):
@@ -277,6 +300,54 @@ def test_expected_match_windows():
     assert expected_match("conjecture", c13, {"n": 3}) is True
     assert expected_match("conjecture", dict(c13, variant="choose2"), {"n": 4}) is True
     assert expected_match("conjecture", c13, {"n": 1}) is False
+
+
+# (command, params, work item): every command, each conjecture id
+REGISTRY_SAMPLES = [
+    ("verify-theorem11", {"d": 4, "c": -3}, 20),
+    ("verify-remark11", {"all": False, "d": 7}, 7),
+    ("verify-theorem12", {"case": "3k-1"}, 20),
+    ("verify-remark12", {"sign": "plus"}, 20),
+    ("corollary11", {"d": 5, "c": -1}, 20),
+    ("window-check", {"d": 5, "eps": "1/3"}, 206),
+    ("conjecture", {"id": "1.1", "d": 2, "form": None, "variant": "choose2"}, 20),
+    ("conjecture", {"id": "1.2", "d": None, "form": None, "variant": "choose2"}, 20),
+    ("conjecture", {"id": "1.3", "d": None, "form": "x^2+x+1", "variant": "squares"}, 20),
+    ("conjecture", {"id": "1.4", "d": None, "form": None, "variant": "choose2"}, 20),
+    ("discriminator", {"A": 32, "B": -8}, 20),
+]
+
+
+def test_registry_samples_cover_every_command():
+    assert {command for command, _, _ in REGISTRY_SAMPLES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command,params,w", REGISTRY_SAMPLES)
+def test_resume_key_matches_record_key(monkeypatch, command, params, w):
+    # --resume keys work items by _key_for; a drift from the records it writes
+    # would silently recompute or skip records
+    import quaddisc.campaigns as campaigns
+
+    identity = _validate(CampaignConfig(command, params, w, w))
+    normal = dict(identity, ceiling=DEFAULT_SCAN_CEILING)
+    rec = _dispatch(command, normal, w)
+    assert "error" not in rec
+    assert record_key(rec) == _key_for(command, normal, w)
+
+    def no_prime(*args):  # the window check scans nothing a ceiling could stop
+        raise ScanCeilingError("a prime window", 10)
+
+    monkeypatch.setattr(campaigns, "prime_window_all_residues", no_prime)
+    small = dict(identity, ceiling=10)
+    rec = _dispatch(command, small, w)
+    assert rec["error"] == "scan_ceiling"
+    assert record_key(rec) == _key_for(command, small, w)
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "tables"])
+def test_command_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: quaddisc {command}")
 
 
 def test_cli_tables_output(capsys):

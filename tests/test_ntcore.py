@@ -1,4 +1,4 @@
-"""Primality, radical, totient, and prime-search checks against independent oracles."""
+"""Primality, radical, and prime-search checks against independent oracles."""
 
 import math
 
@@ -10,7 +10,6 @@ from quaddisc.ntcore import (
     PrimeQuery,
     ScanCeilingError,
     classify_two_power_times_prime,
-    euler_phi,
     first_prime_in_ap,
     first_prime_of_form,
     is_prime,
@@ -121,17 +120,6 @@ def test_radical_exhaustive_small(smallest_factor):
             while x % p == 0:
                 x //= p
         assert radical(d) == prod
-
-
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(97) == 96
-
-
-def test_euler_phi_by_gcd_count():
-    for d in range(1, 501):
-        assert euler_phi(d) == sum(1 for a in range(1, d + 1) if math.gcd(a, d) == 1)
 
 
 def test_prime_query_validation():

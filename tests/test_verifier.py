@@ -1,10 +1,12 @@
 """Verifier checks: constant tables, predictions, class targets, prime windows."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from quaddisc.cli import main
 from quaddisc.discriminator import APCase, least_modulus
 from quaddisc.ntcore import is_prime
 from quaddisc.verifier import (
@@ -12,13 +14,11 @@ from quaddisc.verifier import (
     COUNTEREXAMPLE_RESIDUE,
     PREDICTION_THRESHOLD,
     REMARK12_CASES,
-    TABLES,
     THEOREM12_CASES,
     THETA_ERROR_BOUND,
     WINDOW_THRESHOLD,
     ModulusClass,
     VerificationRecord,
-    class_member,
     predicted_prime,
     prime_window_all_residues,
     verify_remark11,
@@ -46,8 +46,9 @@ def test_counterexample_residues_are_coprime_in_range():
         assert -d < c < d and math.gcd(c, d) == 1
 
 
-def test_tables_rows_export():
-    rows = TABLES.rows()
+def test_tables_rows_export(capsys):
+    assert main(["tables"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 33
     assert rows[0] == {
         "d": 4,
@@ -95,7 +96,7 @@ def test_predicted_prime_exact_boundary():
 
 def test_verification_record_consistency_guard():
     with pytest.raises(ValueError):
-        VerificationRecord("x", 4, 1, 6, 17, 19, True, 0)
+        VerificationRecord(4, 1, 6, 17, 19, True, 0)
 
 
 def test_verify_theorem11_examples():
@@ -186,9 +187,9 @@ def test_remark12_minus_threshold_correction_certificate():
 
 
 def test_class_member_examples():
-    assert class_member(ModulusClass("prime_or_pow2"), 16) is True
-    assert class_member(ModulusClass("prime_1mod3_or_pow3"), 13) is True
-    assert class_member(ModulusClass("prime_2mod3_or_pow3"), 13) is False
+    assert ModulusClass("prime_or_pow2").member(16) is True
+    assert ModulusClass("prime_1mod3_or_pow3").member(13) is True
+    assert ModulusClass("prime_2mod3_or_pow3").member(13) is False
 
 
 def test_class_member_power_reading():
