@@ -91,14 +91,20 @@ def parse_record(line: str) -> dict:
 
 
 def _load_prior(path: Path) -> dict[tuple, dict]:
-    """Valid records already present at path, keyed; corrupt lines warned."""
+    """Records already present at path, keyed.  Only newline-terminated lines
+    are records: a corrupt one is warned about and skipped, and a last line
+    without its newline, cut mid-write, is warned about and truncated away, so
+    its record is recomputed and appended records start on a line of their own."""
     prior: dict[tuple, dict] = {}
     if not path.exists():
         return prior
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "r+", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.endswith("\n"):
+                print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
+                fh.truncate(fh.seek(0, os.SEEK_END) - len(line.encode("utf-8")))
+                break
+            if line.isspace():
                 continue
             try:
                 rec = parse_record(line)
@@ -109,23 +115,6 @@ def _load_prior(path: Path) -> dict[tuple, dict]:
     return prior
 
 
-def _drop_partial_tail(path: Path) -> None:
-    """Truncate path after its last newline, so that appended records start on
-    a line of their own instead of being glued onto a record cut mid-line."""
-    with open(path, "rb+") as fh:
-        size = end = fh.seek(0, os.SEEK_END)
-        while end > 0:
-            block = max(0, end - 4096)
-            fh.seek(block)
-            newline = fh.read(end - block).rfind(b"\n")
-            if newline >= 0:
-                end = block + newline + 1
-                break
-            end = block
-        if end < size:
-            fh.truncate(end)
-
-
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
@@ -133,11 +122,11 @@ def _drop_partial_tail(path: Path) -> None:
 class Command:
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
-    config, else returns the params that identify its records: with the scan
-    ceiling, all that compute and expect read.  compute(params, n, start), start
-    being the scan's first modulus (None: n), returns least_m, predicted,
-    match, ms and extra record fields (a dict or None).  expect(params, n) is
-    the match the certified ranges assert, or None outside them."""
+    config, else returns the params that, with the scan ceiling, compute and
+    expect read; those in _KEY_FIELDS identify its records.  compute(params, n,
+    start), start being the scan's first modulus (None: n), returns least_m,
+    predicted, match and extra record fields (a dict or None).  expect(params,
+    n) is the match the certified ranges assert, or None outside them."""
 
     help: str
     options: tuple
@@ -152,7 +141,7 @@ def _from_threshold(threshold: int | None, n: int) -> bool | None:
 
 
 def _verified(vrec) -> tuple:
-    return vrec.least_m, vrec.predicted, vrec.match, vrec.elapsed_ms, None
+    return vrec.least_m, vrec.predicted, vrec.match, None
 
 
 def _check_apcase(config: CampaignConfig) -> dict:
@@ -183,28 +172,24 @@ def _check_window(config: CampaignConfig) -> dict:
     d, eps = config.params["d"], config.params.get("eps")
     if d < 4:
         raise ValueError(f"window check requires d >= 4, got {d}")
-    if eps is not None:
-        try:
-            value = Fraction(eps)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
-        if value <= 0:
-            raise ValueError(f"--eps must be positive, got {eps!r}")
-    return {"d": d, "eps": eps}
+    try:
+        value = None if eps is None else Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
+    if value is not None and value <= 0:
+        raise ValueError(f"--eps must be positive, got {eps!r}")
+    return {"d": d, "eps": eps, "eps_fraction": value}
 
 
 def _window(p: dict, n: int, _start: int | None) -> tuple:
-    eps = p.get("eps")
-    t0 = time.perf_counter()
-    ok = prime_window_all_residues(p["d"], n, Fraction(eps) if eps else None)
-    return None, None, ok, int((time.perf_counter() - t0) * 1000), None
+    return None, None, prime_window_all_residues(p["d"], n, p.get("eps_fraction")), None
 
 
 def _expect_window(p: dict, n: int) -> bool | None:
     # The threshold certifies the default window; a wider one (larger eps)
     # holds wherever it does, a narrower one is uncertified.
-    eps = p.get("eps")
-    if eps is not None and Fraction(eps) < window_eps(p["d"]):
+    eps = p.get("eps_fraction")
+    if eps is not None and eps < window_eps(p["d"]):
         return None
     return _from_threshold(WINDOW_THRESHOLD.get(p["d"]), n)
 
@@ -244,7 +229,7 @@ def _conjecture(p: dict, n: int, start: int | None) -> tuple:
     extra = {} if rep.class_flags is None else {"flags": list(rep.class_flags)}
     if rep.certificate is not None:
         extra["certificate"] = rep.certificate
-    return rep.observed, rep.predicted, rep.agrees, rep.elapsed_ms, extra
+    return rep.observed, rep.predicted, rep.agrees, extra
 
 
 def _expect_conjecture(p: dict, n: int) -> bool | None:
@@ -270,9 +255,8 @@ def _check_discriminator(config: CampaignConfig) -> dict:
 
 
 def _discriminator(p: dict, n: int, start: int | None) -> tuple:
-    t0 = time.perf_counter()
     m = least_modulus(HalfQuadratic(p["A"], p["B"]), n, ceiling=p["ceiling"], start=start)
-    return m, None, None, int((time.perf_counter() - t0) * 1000), None
+    return m, None, None, None
 
 
 _INT = {"type": int, "required": True}
@@ -375,8 +359,10 @@ def _key_for(command: str, params: dict, w: int) -> tuple:
 
 def _dispatch(command: str, params: dict, key: int, start: int | None = None) -> dict:
     rec = _identity(command, params, key)
+    t0 = time.perf_counter()
     try:
-        least_m, predicted, match, ms, extra = COMMANDS[command].compute(params, key, start)
+        least_m, predicted, match, extra = COMMANDS[command].compute(params, key, start)
+        ms = int((time.perf_counter() - t0) * 1000)
     except ScanCeilingError as e:
         least_m = predicted = match = None
         ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
@@ -422,47 +408,41 @@ def _work_items(config: CampaignConfig) -> list[int]:
     return list(range(config.n_from, config.n_to + 1))
 
 
-def _sweep(command: str, params: dict, items: list[int], hint: int | None = None):
+# The last (command, params, work item, least_m) that _sweep computed in this
+# process.  The entry is a computed D(w) of the sequence that command and
+# params name, so it bounds every later work item of theirs, in this slice, in
+# a pool worker's next slice (Pool.imap hands a worker its slices in ascending
+# order) or in a later campaign in the same process.
+_last_computed: tuple | None = None
+
+
+def _sweep(command: str, params: dict, items: list[int]):
     """Records for an ascending slice of work items, in order.
 
     D(n') <= D(n) for n' < n: terms pairwise distinct modulo m stay distinct
     when fewer of them are taken.  So each scan starts at the larger of n and
-    the last least_m computed for a smaller n: hint, given for one below the
-    slice, then the last this slice computed, which holds across gaps in the
-    slice.  A record without least_m (a ceiling error) leaves the hint as it
-    was.  Hints come only from values computed here, never from records read
-    back from a file: a corrupt least_m that is too high would skip the answer.
+    _last_computed's least_m, when that is of the same command and params and
+    of a smaller n; this holds across gaps in the slice.  A record without
+    least_m (a ceiling error) leaves _last_computed as it was.  Hints come only
+    from values computed here, never from records read back from a file: a
+    corrupt least_m that is too high would skip the answer.
     """
+    global _last_computed
     for w in items:
-        rec = _dispatch(command, params, w, None if hint is None else max(hint, w))
+        start = None
+        if _last_computed is not None:
+            cmd, prm, below, least_m = _last_computed
+            if (cmd, prm) == (command, params) and below < w:
+                start = max(least_m, w)
+        rec = _dispatch(command, params, w, start)
         if rec["least_m"] is not None:
-            hint = rec["least_m"]
+            _last_computed = (command, params, w, rec["least_m"])
         yield rec
 
 
-# The last (command, params, work item, least_m) that _sweep_list computed in
-# this process.  Pool.imap hands a worker its slices in ascending order, so a
-# worker's next slice of the same campaign starts above it.  The entry is a
-# computed D(w) of the sequence that command and params name, so one left by
-# an earlier campaign in the same process is as sound a lower bound.
-_last_computed: tuple | None = None
-
-
 def _sweep_list(command: str, params: dict, items: list[int]) -> list[dict]:
-    """_sweep for one pool slice, warm-started from this process's last slice
-    of the same command and params when that lay below it."""
-    global _last_computed
-    hint = None
-    if _last_computed is not None:
-        cmd, prm, w, least_m = _last_computed
-        if (cmd, prm) == (command, params) and w < items[0]:
-            hint = least_m
-    records = list(_sweep(command, params, items, hint))
-    for w, rec in zip(reversed(items), reversed(records)):
-        if rec["least_m"] is not None:
-            _last_computed = (command, params, w, rec["least_m"])
-            break
-    return records
+    """_sweep for one pool slice, as a list: generators do not pickle."""
+    return list(_sweep(command, params, items))
 
 
 def _compute(command: str, params: dict, pending: list[int], parallelism: int):
@@ -500,9 +480,8 @@ def run(config: CampaignConfig) -> int:
     t0 = time.perf_counter()
     prior: dict[tuple, dict] = {}
     try:
-        if config.resume and Path(config.output).exists():
-            prior = _load_prior(Path(config.output))  # warns on a record cut mid-line
-            _drop_partial_tail(Path(config.output))
+        if config.resume:
+            prior = _load_prior(Path(config.output))
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:

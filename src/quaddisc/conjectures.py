@@ -8,7 +8,6 @@ modulus) precise enough to reproduce the finding independently.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import count
 
@@ -51,7 +50,6 @@ class ConjectureReport:
     agrees: bool
     certificate: dict | None = None
     class_flags: tuple[bool, bool] | None = None
-    elapsed_ms: int = 0
 
 
 def _variant_seq(variant: str) -> HalfQuadratic:
@@ -117,15 +115,13 @@ def conjecture11_check(
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0 = time.perf_counter()
     seq = HalfQuadratic.choose_two()
     gap = 2 * d
     observed = least_modulus_pair(seq, n, gap, ceiling=ceiling, start=start)
     predicted = first_prime_with_prime_gap(2 * n - 1, gap, ceiling)
     agrees = observed == predicted
     cert = None if agrees else _pair_disagreement_certificate(seq, n, gap, observed, predicted)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return ConjectureReport("1.1", {"d": d}, n, observed, predicted, agrees, cert, None, ms)
+    return ConjectureReport("1.1", {"d": d}, n, observed, predicted, agrees, cert)
 
 
 def conjecture12_check(
@@ -136,7 +132,6 @@ def conjecture12_check(
     start is the pair scan's first modulus (see least_modulus_pair)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0 = time.perf_counter()
     seq = HalfQuadratic.choose_two()
     m = least_modulus_pair(seq, n, 1, ceiling=ceiling, start=start)
     flags = (classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1))
@@ -146,8 +141,7 @@ def conjecture12_check(
         offender = m if not flags[0] else m + 1
         q = offender >> ((offender & -offender).bit_length() - 1)
         cert = {"kind": "classification_failure", "modulus": offender, "odd_part": q}
-    ms = int((time.perf_counter() - t0) * 1000)
-    return ConjectureReport("1.2", {}, n, m, None, agrees, cert, flags, ms)
+    return ConjectureReport("1.2", {}, n, m, None, agrees, cert, flags)
 
 
 def conjecture13_check(
@@ -171,7 +165,6 @@ def conjecture13_check(
         raise ValueError(f"unknown form {form!r}; expected one of {sorted(POLYNOMIAL_FORMS)}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t0 = time.perf_counter()
     seq = _variant_seq(variant)
     f = POLYNOMIAL_FORMS[form]
     start = n if start is None else start
@@ -191,9 +184,8 @@ def conjecture13_check(
             cert = _collision_certificate(seq, n, predicted)
         else:
             cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
-    ms = int((time.perf_counter() - t0) * 1000)
     return ConjectureReport(
-        "1.3", {"form": form, "variant": variant}, n, observed, predicted, agrees, cert, None, ms
+        "1.3", {"form": form, "variant": variant}, n, observed, predicted, agrees, cert
     )
 
 
@@ -209,7 +201,6 @@ def conjecture14_check(
     starts at start (default n), a proven lower bound of the answer."""
     if n <= 2:
         raise ValueError(f"n must be > 2, got {n}")
-    t0 = time.perf_counter()
     primes = nth_primes(n)
     values = [6 * p * (p - 1) for p in primes]
     observed = None
@@ -252,5 +243,4 @@ def conjecture14_check(
                 seen[r] = i
         else:
             cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
-    ms = int((time.perf_counter() - t0) * 1000)
-    return ConjectureReport("1.4", {}, n, observed, predicted, agrees, cert, None, ms)
+    return ConjectureReport("1.4", {}, n, observed, predicted, agrees, cert)

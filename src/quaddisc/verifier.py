@@ -10,7 +10,6 @@ n-ranges of the campaigns.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,17 +108,10 @@ class VerificationRecord:
     n: int
     least_m: int
     predicted: int
-    match: bool
-    elapsed_ms: int
 
-    def __post_init__(self):
-        if self.match != (self.least_m == self.predicted):
-            raise ValueError("match flag inconsistent with least_m/predicted")
-
-
-def _record(d, c, n, least_m, predicted, t0) -> VerificationRecord:
-    ms = int((time.perf_counter() - t0) * 1000)
-    return VerificationRecord(d, c, n, least_m, predicted, least_m == predicted, ms)
+    @property
+    def match(self) -> bool:
+        return self.least_m == self.predicted
 
 
 def verify_theorem11(
@@ -129,11 +121,8 @@ def verify_theorem11(
     predicted progression prime; the match is certified for n above
     PREDICTION_THRESHOLD[d] when 4 <= d <= 36.  start is the discriminator
     scan's first modulus (see least_modulus)."""
-    t0 = time.perf_counter()
-    case = APCase(d, c)
-    least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
-    predicted = predicted_prime(d, c, n, ceiling)
-    return _record(d, c, n, least, predicted, t0)
+    least = least_modulus(APCase(d, c).seq, n, ceiling=ceiling, start=start)
+    return VerificationRecord(d, c, n, least, predicted_prime(d, c, n, ceiling))
 
 
 def verify_remark11(d: int, ceiling: int = DEFAULT_SCAN_CEILING) -> VerificationRecord:
@@ -145,14 +134,6 @@ def verify_remark11(d: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Verification
 
 
 # --- admissible modulus classes -------------------------------------------------
-
-_CLASS_KINDS = (
-    "prime_in_ap",
-    "prime_or_pow2",
-    "prime_1mod3_or_pow3",
-    "prime_2mod3_or_pow3",
-    "prime_any",
-)
 
 
 def _is_power_of(base: int, x: int) -> bool:
@@ -166,51 +147,35 @@ def _is_power_of(base: int, x: int) -> bool:
 
 @dataclass(frozen=True)
 class ModulusClass:
-    """A decidable set of admissible target moduli."""
+    """Admissible target moduli: the primes == residue (mod modulus), plus the
+    powers power_base^a (a >= 1) when power_base is set."""
 
-    kind: str
-    residue: int | None = None
-    modulus: int | None = None
+    residue: int = 0
+    modulus: int = 1
+    power_base: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _CLASS_KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind == "prime_in_ap" and (self.residue is None or self.modulus is None):
-            raise ValueError("prime_in_ap needs residue and modulus")
+        PrimeQuery(self.residue, self.modulus, 2)  # validates residue and modulus
+        if self.power_base is not None and self.power_base < 2:
+            raise ValueError(f"power_base must be >= 2, got {self.power_base}")
 
     def member(self, x: int) -> bool:
         if x < 1:
             raise ValueError(f"membership requires x >= 1, got {x}")
-        if self.kind == "prime_in_ap":
-            return is_prime(x) and x % self.modulus == self.residue % self.modulus
-        if self.kind == "prime_or_pow2":
-            return is_prime(x) or _is_power_of(2, x)
-        if self.kind == "prime_1mod3_or_pow3":
-            return (is_prime(x) and x % 3 == 1) or _is_power_of(3, x)
-        if self.kind == "prime_2mod3_or_pow3":
-            return (is_prime(x) and x % 3 == 2) or _is_power_of(3, x)
-        return is_prime(x)
+        if is_prime(x) and x % self.modulus == self.residue % self.modulus:
+            return True
+        return self.power_base is not None and _is_power_of(self.power_base, x)
 
     def first_at_least(self, bound: int, ceiling: int = DEFAULT_SCAN_CEILING) -> int:
         """Least class member >= bound."""
         bound = max(bound, 2)
-        if self.kind == "prime_in_ap":
-            return first_prime_in_ap(PrimeQuery(self.residue, self.modulus, bound), ceiling)
-        if self.kind == "prime_any":
-            return first_prime_in_ap(PrimeQuery(0, 1, bound), ceiling)
-        if self.kind == "prime_or_pow2":
-            prime = first_prime_in_ap(PrimeQuery(0, 1, bound), ceiling)
-            return min(prime, _next_power(2, bound))
-        residue = 1 if self.kind == "prime_1mod3_or_pow3" else 2
-        prime = first_prime_in_ap(PrimeQuery(residue, 3, bound), ceiling)
-        return min(prime, _next_power(3, bound))
-
-
-def _next_power(base: int, bound: int) -> int:
-    p = base
-    while p < bound:
-        p *= base
-    return p
+        prime = first_prime_in_ap(PrimeQuery(self.residue, self.modulus, bound), ceiling)
+        if self.power_base is None:
+            return prime
+        power = self.power_base
+        while power < bound:
+            power *= self.power_base
+        return min(prime, power)
 
 
 # --- the d = 2, 3 sequence cases and their prime-or-prime-power targets ----------
@@ -241,12 +206,12 @@ class SequenceCase:
 THEOREM12_CASES = {
     case.case_id: case
     for case in (
-        SequenceCase("2k-1", 4, 2, -1, 5, ModulusClass("prime_or_pow2"), 4, -1),
-        SequenceCase("2k+1", 4, 2, 1, 7, ModulusClass("prime_or_pow2"), 4, 0),
-        SequenceCase("3k-1", 6, 3, -1, 4, ModulusClass("prime_1mod3_or_pow3"), 3, 0),
-        SequenceCase("3k+1", 6, 3, 1, 5, ModulusClass("prime_2mod3_or_pow3"), 3, 0),
-        SequenceCase("3k-2", 6, 3, -2, 3, ModulusClass("prime_2mod3_or_pow3"), 3, -1),
-        SequenceCase("3k+2", 6, 3, 2, 8, ModulusClass("prime_1mod3_or_pow3"), 3, 0),
+        SequenceCase("2k-1", 4, 2, -1, 5, ModulusClass(power_base=2), 4, -1),
+        SequenceCase("2k+1", 4, 2, 1, 7, ModulusClass(power_base=2), 4, 0),
+        SequenceCase("3k-1", 6, 3, -1, 4, ModulusClass(1, 3, power_base=3), 3, 0),
+        SequenceCase("3k+1", 6, 3, 1, 5, ModulusClass(2, 3, power_base=3), 3, 0),
+        SequenceCase("3k-2", 6, 3, -2, 3, ModulusClass(2, 3, power_base=3), 3, -1),
+        SequenceCase("3k+2", 6, 3, 2, 8, ModulusClass(1, 3, power_base=3), 3, 0),
     )
 }
 
@@ -255,8 +220,8 @@ REMARK12_CASES = {
     for case in (
         # threshold published as 3; n = 4 fails (8, 48, 120, 224 are distinct
         # mod 15 while the prediction is 17), so the certified range starts at 5
-        SequenceCase("minus", 8, 2, -1, 5, ModulusClass("prime_any"), 4, -1),
-        SequenceCase("plus", 8, 2, 1, 9, ModulusClass("prime_any"), 4, 1),
+        SequenceCase("minus", 8, 2, -1, 5, ModulusClass(), 4, -1),
+        SequenceCase("plus", 8, 2, 1, 9, ModulusClass(), 4, 1),
     )
 }
 
@@ -264,10 +229,9 @@ REMARK12_CASES = {
 def _verify_case(
     case: SequenceCase, n: int, ceiling: int, start: int | None
 ) -> VerificationRecord:
-    t0 = time.perf_counter()
     least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
     predicted = case.modulus_class.first_at_least(case.bound(n), ceiling)
-    return _record(None, None, n, least, predicted, t0)
+    return VerificationRecord(None, None, n, least, predicted)
 
 
 def verify_theorem12(

@@ -164,6 +164,21 @@ def test_resume_after_truncated_tail(tmp_path, capsys):
     assert path.read_bytes() == full
 
 
+def test_resume_recomputes_last_record_without_newline(tmp_path, capsys):
+    # a complete last record whose newline never reached the file is not done:
+    # it is warned about, truncated and written again, newline and all
+    argv = ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "12", "--no-timing"]
+    rc, path = run_to_file(tmp_path, "nonl.jsonl", argv)
+    assert rc == EXIT_OK
+    full = path.read_bytes()
+    assert full.count(b"\n") == 9
+    path.write_bytes(full[:-1])
+    assert main(argv + ["--out", str(path), "--resume"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "corrupt record" in err and "records=9" in err
+    assert path.read_bytes() == full
+
+
 def test_default_parallelism_follows_affinity(monkeypatch, capsys):
     import os
 
@@ -385,13 +400,15 @@ def test_window_expectation_only_for_certified_eps(capsys):
     assert main(["window-check", "--d", "5", "--eps", "1/100", "--n-from", "206", "--n-to", "210",
                  "--no-timing"]) == EXIT_OK
     assert "mismatch=5 unexpected=0" in capsys.readouterr().err
+    # an expectation reads the params the command's check returns, as run does
     for eps in ("1/100", "1/5"):
-        assert expected_match("window-check", {"d": 5, "eps": eps}, {"n": 206}) is None
+        params = _validate(CampaignConfig("window-check", {"d": 5, "eps": eps}))
+        assert expected_match("window-check", params, {"n": 206}) is None
     # a wider window holds wherever the default one does, so it stays asserted:
     # at d = 7, n = 468 (above the bundled 333) the class 6 mod 7 has no prime
     # in (1092, 1214.5) for eps = 8/35, which is then an unexpected miss
     for eps in (None, "2/9", "8/35", "1", "7/3"):
-        params = {"d": 7, "eps": eps}
+        params = _validate(CampaignConfig("window-check", {"d": 7, "eps": eps}))
         assert expected_match("window-check", params, {"n": 333}) is True
         assert expected_match("window-check", params, {"n": 332}) is None
     assert main(["window-check", "--d", "7", "--eps", "8/35", "--n-from", "468", "--n-to", "468",

@@ -1,9 +1,10 @@
 """Warm-started sweeps against cold scans on the same inputs.
 
-A campaign worker starts each scan at the larger of n and the least modulus it
-computed for a smaller n of its slice.  Every record must come out exactly as
-the cold scan from n gives it, for each sequence family, across gaps in the
-n-set, past a scan ceiling and at any parallelism.
+A campaign process starts each scan at the larger of n and the least modulus
+it last computed, when that was for a smaller n of the same command and
+params.  Every record must come out exactly as the cold scan from n gives it,
+for each sequence family, across gaps in the n-set, past a scan ceiling and
+at any parallelism.
 """
 
 import math
@@ -94,6 +95,7 @@ def test_discriminator_sweep_matches_cold():
 def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     # the warm start is really taken: each n after the first checks exactly the
     # candidates from max(D(previous n), n) up to D(n)
+    monkeypatch.setattr(campaigns, "_last_computed", None)
     checked = []
     real = discriminator._separates
 
@@ -138,8 +140,18 @@ def test_sweep_list_starts_at_last_slice_least_modulus(monkeypatch):
     _sweep_list("verify-theorem12", params, list(range(100, 110)))
     assert checked[0] == (100, 100)  # below the last slice: no hint
     checked.clear()
-    _sweep_list("verify-theorem12", dict(params, case="3k+1"), list(range(150, 160)))
+    other = dict(params, case="3k+1")
+    third = _sweep_list("verify-theorem12", other, list(range(150, 160)))
     assert checked[0] == (150, 150)  # other params: no hint
+    # the hint is process-wide: a serial sweep after a slice of the same
+    # command and params starts warm, one with other params starts cold
+    checked.clear()
+    (rec,) = _sweep("verify-theorem12", other, [170])
+    assert checked[0] == (170, third[-1]["least_m"]) and third[-1]["least_m"] > 170
+    assert rec["least_m"] == _dispatch("verify-theorem12", other, 170)["least_m"]
+    checked.clear()
+    next(_sweep("verify-theorem12", params, [200]))
+    assert checked[0] == (200, 200)
 
 
 def test_ceiling_crossed_mid_slice_matches_cold():

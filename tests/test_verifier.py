@@ -18,7 +18,6 @@ from quaddisc.verifier import (
     THETA_ERROR_BOUND,
     WINDOW_THRESHOLD,
     ModulusClass,
-    VerificationRecord,
     predicted_prime,
     prime_window_all_residues,
     verify_remark11,
@@ -92,11 +91,6 @@ def test_predicted_prime_exact_boundary():
     assert predicted_prime(6, 1, 13) == 31  # (156 - 1)/5 = 31 exactly
     rec = verify_theorem11(6, 1, 13)
     assert rec.match and rec.least_m == 31
-
-
-def test_verification_record_consistency_guard():
-    with pytest.raises(ValueError):
-        VerificationRecord(4, 1, 6, 17, 19, True, 0)
 
 
 def test_verify_theorem11_examples():
@@ -187,33 +181,43 @@ def test_remark12_minus_threshold_correction_certificate():
 
 
 def test_class_member_examples():
-    assert ModulusClass("prime_or_pow2").member(16) is True
-    assert ModulusClass("prime_1mod3_or_pow3").member(13) is True
-    assert ModulusClass("prime_2mod3_or_pow3").member(13) is False
+    assert ModulusClass(power_base=2).member(16) is True
+    assert ModulusClass(1, 3, power_base=3).member(13) is True
+    assert ModulusClass(2, 3, power_base=3).member(13) is False
 
 
 def test_class_member_power_reading():
     # powers enter with exponent >= 1; 1 = 2^0 = 3^0 is not a member
-    assert not ModulusClass("prime_or_pow2").member(1)
-    assert ModulusClass("prime_or_pow2").member(2)
-    assert ModulusClass("prime_1mod3_or_pow3").member(3)
-    assert ModulusClass("prime_2mod3_or_pow3").member(27)
-    assert not ModulusClass("prime_1mod3_or_pow3").member(7 * 9)
-    assert ModulusClass("prime_in_ap", residue=-3, modulus=4).member(13)
+    assert not ModulusClass(power_base=2).member(1)
+    assert ModulusClass(power_base=2).member(2)
+    assert ModulusClass(1, 3, power_base=3).member(3)
+    assert ModulusClass(2, 3, power_base=3).member(27)
+    assert not ModulusClass(1, 3, power_base=3).member(7 * 9)
+    assert ModulusClass(-3, 4).member(13)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        {"residue": 2, "modulus": 4},
+        {"residue": 1, "modulus": 0},
+        {"power_base": 1},
+        {"power_base": -2},
+    ],
+)
+def test_modulus_class_validation(args):
     with pytest.raises(ValueError):
-        ModulusClass("prime_in_ap")
-    with pytest.raises(ValueError):
-        ModulusClass("evens")
+        ModulusClass(**args)
 
 
 @pytest.mark.parametrize(
     "mc",
     [
-        ModulusClass("prime_any"),
-        ModulusClass("prime_or_pow2"),
-        ModulusClass("prime_1mod3_or_pow3"),
-        ModulusClass("prime_2mod3_or_pow3"),
-        ModulusClass("prime_in_ap", residue=3, modulus=7),
+        ModulusClass(),
+        ModulusClass(power_base=2),
+        ModulusClass(1, 3, power_base=3),
+        ModulusClass(2, 3, power_base=3),
+        ModulusClass(3, 7),
     ],
 )
 def test_first_at_least_matches_linear_scan(mc):
@@ -238,19 +242,19 @@ def test_verify_theorem12_examples():
 def test_theorem12_case_table():
     # sequence factors, thresholds, and target bounds for the six cases
     spec = {
-        "2k-1": (4, 2, -1, 5, "prime_or_pow2", 4, -1),
-        "2k+1": (4, 2, 1, 7, "prime_or_pow2", 4, 0),
-        "3k-1": (6, 3, -1, 4, "prime_1mod3_or_pow3", 3, 0),
-        "3k+1": (6, 3, 1, 5, "prime_2mod3_or_pow3", 3, 0),
-        "3k-2": (6, 3, -2, 3, "prime_2mod3_or_pow3", 3, -1),
-        "3k+2": (6, 3, 2, 8, "prime_1mod3_or_pow3", 3, 0),
+        "2k-1": (4, 2, -1, 5, ModulusClass(power_base=2), 4, -1),
+        "2k+1": (4, 2, 1, 7, ModulusClass(power_base=2), 4, 0),
+        "3k-1": (6, 3, -1, 4, ModulusClass(1, 3, power_base=3), 3, 0),
+        "3k+1": (6, 3, 1, 5, ModulusClass(2, 3, power_base=3), 3, 0),
+        "3k-2": (6, 3, -2, 3, ModulusClass(2, 3, power_base=3), 3, -1),
+        "3k+2": (6, 3, 2, 8, ModulusClass(1, 3, power_base=3), 3, 0),
     }
     assert set(THEOREM12_CASES) == set(spec)
-    for cid, (outer, slope, shift, thr, kind, bs, bo) in spec.items():
+    for cid, (outer, slope, shift, thr, modulus_class, bs, bo) in spec.items():
         case = THEOREM12_CASES[cid]
         assert (case.outer, case.slope, case.shift) == (outer, slope, shift)
         assert case.threshold == thr
-        assert case.modulus_class.kind == kind
+        assert case.modulus_class == modulus_class
         assert (case.bound_slope, case.bound_shift) == (bs, bo)
 
 
