@@ -98,11 +98,13 @@ def _load_prior(path: Path) -> dict[tuple, dict]:
     prior: dict[tuple, dict] = {}
     if not path.exists():
         return prior
-    with open(path, "r+", encoding="utf-8", newline="\n") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
+    # itself, so it cannot stop the run, and a cut tail's byte count stays exact.
+    with open(path, "r+", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.endswith("\n"):
                 print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
-                fh.truncate(fh.seek(0, os.SEEK_END) - len(line.encode("utf-8")))
+                fh.truncate(fh.seek(0, os.SEEK_END) - len(line.encode("utf-8", "surrogateescape")))
                 break
             if line.isspace():
                 continue
@@ -123,10 +125,10 @@ class Command:
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
     config, else returns the params that, with the scan ceiling, compute and
-    expect read; those in _KEY_FIELDS identify its records.  compute(params, n,
-    start), start being the scan's first modulus (None: n), returns least_m,
-    predicted, match and extra record fields (a dict or None).  expect(params,
-    n) is the match the certified ranges assert, or None outside them."""
+    expect read; those in _KEY_FIELDS identify its records.  compute(params, n)
+    returns least_m, predicted, match and extra record fields (a dict or None).
+    expect(params, n) is the match the certified ranges assert, or None outside
+    them."""
 
     help: str
     options: tuple
@@ -150,8 +152,8 @@ def _check_apcase(config: CampaignConfig) -> dict:
     return {"d": p["d"], "c": p["c"]}
 
 
-def _theorem11(p: dict, n: int, start: int | None) -> tuple:
-    return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"], start=start))
+def _theorem11(p: dict, n: int) -> tuple:
+    return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"]))
 
 
 def _check_remark11(config: CampaignConfig) -> dict:
@@ -181,7 +183,7 @@ def _check_window(config: CampaignConfig) -> dict:
     return {"d": d, "eps": eps, "eps_fraction": value}
 
 
-def _window(p: dict, n: int, _start: int | None) -> tuple:
+def _window(p: dict, n: int) -> tuple:
     return None, None, prime_window_all_residues(p["d"], n, p.get("eps_fraction")), None
 
 
@@ -195,12 +197,10 @@ def _expect_window(p: dict, n: int) -> bool | None:
 
 
 _CONJECTURES = {
-    "1.1": lambda p, n, start: conjecture11_check(p["d"], n, p["ceiling"], start=start),
-    "1.2": lambda p, n, start: conjecture12_check(n, p["ceiling"], start=start),
-    "1.3": lambda p, n, start: conjecture13_check(
-        p["form"], n, p["variant"], p["ceiling"], start=start
-    ),
-    "1.4": lambda p, n, start: conjecture14_check(n, p["ceiling"], start=start),
+    "1.1": lambda p, n: conjecture11_check(p["d"], n, p["ceiling"]),
+    "1.2": lambda p, n: conjecture12_check(n, p["ceiling"]),
+    "1.3": lambda p, n: conjecture13_check(p["form"], n, p["variant"], p["ceiling"]),
+    "1.4": lambda p, n: conjecture14_check(n, p["ceiling"]),
 }
 
 
@@ -212,6 +212,9 @@ def _check_conjecture(config: CampaignConfig) -> dict:
     if cid == "1.1":
         if (p.get("d") or 0) < 1:
             raise ValueError("conjecture 1.1 needs --d >= 1")
+        if 2 * p["d"] + config.scan_ceiling >= 2**64:
+            raise ValueError("conjecture 1.1 tests p + 2d for primality, which is exact only "
+                             "below 2^64: 2d + scan ceiling must be below 2^64")
         return {"id": cid, "d": p["d"]}
     if cid == "1.3":
         if p.get("form") not in POLYNOMIAL_FORMS:
@@ -224,8 +227,8 @@ def _check_conjecture(config: CampaignConfig) -> dict:
     return {"id": cid}
 
 
-def _conjecture(p: dict, n: int, start: int | None) -> tuple:
-    rep = _CONJECTURES[p["id"]](p, n, start)
+def _conjecture(p: dict, n: int) -> tuple:
+    rep = _CONJECTURES[p["id"]](p, n)
     extra = {} if rep.class_flags is None else {"flags": list(rep.class_flags)}
     if rep.certificate is not None:
         extra["certificate"] = rep.certificate
@@ -254,8 +257,8 @@ def _check_discriminator(config: CampaignConfig) -> dict:
     return {"A": a, "B": b}
 
 
-def _discriminator(p: dict, n: int, start: int | None) -> tuple:
-    m = least_modulus(HalfQuadratic(p["A"], p["B"]), n, ceiling=p["ceiling"], start=start)
+def _discriminator(p: dict, n: int) -> tuple:
+    m = least_modulus(HalfQuadratic(p["A"], p["B"]), n, ceiling=p["ceiling"])
     return m, None, None, None
 
 
@@ -276,8 +279,7 @@ COMMANDS = {
         options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
                  ("--d", {"type": int})),
         check=_check_remark11,
-        # one sequence per work item d: a least_m of another d bounds nothing
-        compute=lambda p, d, _start: _verified(verify_remark11(d, p["ceiling"])),
+        compute=lambda p, d: _verified(verify_remark11(d, p["ceiling"])),
         expect=lambda p, n: False,
         one_of=True,
     ),
@@ -285,9 +287,7 @@ COMMANDS = {
         help="d = 2, 3 sequences vs prime-or-prime-power targets",
         options=(("--case", {"required": True, "choices": tuple(THEOREM12_CASES)}),),
         check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
-        compute=lambda p, n, start: _verified(
-            verify_theorem12(p["case"], n, p["ceiling"], start=start)
-        ),
+        compute=lambda p, n: _verified(verify_theorem12(p["case"], n, p["ceiling"])),
         expect=lambda p, n: _from_threshold(THEOREM12_CASES[p["case"]].threshold, n),
     ),
     "verify-remark12": Command(
@@ -296,9 +296,7 @@ COMMANDS = {
         check=lambda config: _check_member(
             config, "sign", REMARK12_CASES, "sign must be 'minus' or 'plus', got {!r}"
         ),
-        compute=lambda p, n, start: _verified(
-            verify_remark12(p["sign"], n, p["ceiling"], start=start)
-        ),
+        compute=lambda p, n: _verified(verify_remark12(p["sign"], n, p["ceiling"])),
         expect=lambda p, n: _from_threshold(REMARK12_CASES[p["sign"]].threshold, n),
     ),
     "corollary11": Command(
@@ -357,11 +355,11 @@ def _key_for(command: str, params: dict, w: int) -> tuple:
     return record_key(_identity(command, params, w))
 
 
-def _dispatch(command: str, params: dict, key: int, start: int | None = None) -> dict:
+def _dispatch(command: str, params: dict, key: int) -> dict:
     rec = _identity(command, params, key)
     t0 = time.perf_counter()
     try:
-        least_m, predicted, match, extra = COMMANDS[command].compute(params, key, start)
+        least_m, predicted, match, extra = COMMANDS[command].compute(params, key)
         ms = int((time.perf_counter() - t0) * 1000)
     except ScanCeilingError as e:
         least_m = predicted = match = None
@@ -408,54 +406,16 @@ def _work_items(config: CampaignConfig) -> list[int]:
     return list(range(config.n_from, config.n_to + 1))
 
 
-# The last (command, params, work item, least_m) that _sweep computed in this
-# process.  The entry is a computed D(w) of the sequence that command and
-# params name, so it bounds every later work item of theirs, in this slice, in
-# a pool worker's next slice (Pool.imap hands a worker its slices in ascending
-# order) or in a later campaign in the same process.
-_last_computed: tuple | None = None
-
-
-def _sweep(command: str, params: dict, items: list[int]):
-    """Records for an ascending slice of work items, in order.
-
-    D(n') <= D(n) for n' < n: terms pairwise distinct modulo m stay distinct
-    when fewer of them are taken.  So each scan starts at the larger of n and
-    _last_computed's least_m, when that is of the same command and params and
-    of a smaller n; this holds across gaps in the slice.  A record without
-    least_m (a ceiling error) leaves _last_computed as it was.  Hints come only
-    from values computed here, never from records read back from a file: a
-    corrupt least_m that is too high would skip the answer.
-    """
-    global _last_computed
-    for w in items:
-        start = None
-        if _last_computed is not None:
-            cmd, prm, below, least_m = _last_computed
-            if (cmd, prm) == (command, params) and below < w:
-                start = max(least_m, w)
-        rec = _dispatch(command, params, w, start)
-        if rec["least_m"] is not None:
-            _last_computed = (command, params, w, rec["least_m"])
-        yield rec
-
-
-def _sweep_list(command: str, params: dict, items: list[int]) -> list[dict]:
-    """_sweep for one pool slice, as a list: generators do not pickle."""
-    return list(_sweep(command, params, items))
-
-
 def _compute(command: str, params: dict, pending: list[int], parallelism: int):
-    """Records for pending, in order: one sweep serially, or contiguous slices
-    swept by a pool of workers."""
+    """Records for pending, in order.  A pool worker takes contiguous chunks in
+    ascending order, so its scans start warm from its previous chunk's."""
+    work = partial(_dispatch, command, params)
     if parallelism <= 1 or len(pending) <= 1:
-        yield from _sweep(command, params, pending)
+        yield from map(work, pending)
         return
     size = max(1, len(pending) // (parallelism * 8))
-    slices = [pending[i:i + size] for i in range(0, len(pending), size)]
     with Pool(parallelism) as pool:
-        for records in pool.imap(partial(_sweep_list, command, params), slices):
-            yield from records
+        yield from pool.imap(work, pending, chunksize=size)
 
 
 def _available_cores() -> int:

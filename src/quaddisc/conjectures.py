@@ -11,18 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .discriminator import (
-    HalfQuadratic,
-    _separates,
-    collision_witness,
-    least_modulus_pair,
-    residue_count,
-)
+from .discriminator import HalfQuadratic, _scan, _separates, collision_witness, least_modulus_pair
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
     PrimeQuery,
-    ScanCeilingError,
     classify_two_power_times_prime,
     first_prime_in_ap,
     first_prime_of_form,
@@ -60,9 +53,13 @@ def _variant_seq(variant: str) -> HalfQuadratic:
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _collision_certificate(seq: HalfQuadratic, n: int, m: int) -> dict:
-    """The first pair of f(1..n) that collides modulo m, as a certificate."""
-    k, l = collision_witness(seq, n, m)
+def _collision_certificate(seq: HalfQuadratic, n: int, m: int) -> dict | None:
+    """The first pair of f(1..n) that collides modulo m, as a certificate, or
+    None when f(1..n) are distinct modulo m."""
+    pair = collision_witness(seq, n, m)
+    if pair is None:
+        return None
+    k, l = pair
     return {
         "kind": "predicted_modulus_collides",
         "modulus": m,
@@ -80,8 +77,9 @@ def _pair_disagreement_certificate(
     modulus (or its partner) collides, or a smaller modulus already works."""
     if observed > predicted:
         for m in (predicted, predicted + gap):
-            if residue_count(seq, n, m) != n:
-                return _collision_certificate(seq, n, m)
+            cert = _collision_certificate(seq, n, m)
+            if cert is not None:
+                return cert
         return {"kind": "inconsistent", "observed": observed, "predicted": predicted}
     return {
         "kind": "unexpected_smaller_modulus",
@@ -105,35 +103,29 @@ def first_prime_with_prime_gap(
         p = first_prime_in_ap(PrimeQuery(0, 1, p + 1), ceiling)
 
 
-def conjecture11_check(
-    d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
-) -> ConjectureReport:
+def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
     """Least m making binomial(k,2) full-count modulo both m and m + 2d, versus
-    the first prime p >= 2n - 1 with p + 2d also prime.  start is the pair
-    scan's first modulus (see least_modulus_pair)."""
+    the first prime p >= 2n - 1 with p + 2d also prime."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     seq = HalfQuadratic.choose_two()
     gap = 2 * d
-    observed = least_modulus_pair(seq, n, gap, ceiling=ceiling, start=start)
+    observed = least_modulus_pair(seq, n, gap, ceiling=ceiling)
     predicted = first_prime_with_prime_gap(2 * n - 1, gap, ceiling)
     agrees = observed == predicted
     cert = None if agrees else _pair_disagreement_certificate(seq, n, gap, observed, predicted)
     return ConjectureReport("1.1", {"d": d}, n, observed, predicted, agrees, cert)
 
 
-def conjecture12_check(
-    n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
-) -> ConjectureReport:
+def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
     """Least m making binomial(k,2) full-count modulo both m and m + 1; the claim
-    is that m and m + 1 are each a power of two or a prime times a power of two.
-    start is the pair scan's first modulus (see least_modulus_pair)."""
+    is that m and m + 1 are each a power of two or a prime times a power of two."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     seq = HalfQuadratic.choose_two()
-    m = least_modulus_pair(seq, n, 1, ceiling=ceiling, start=start)
+    m = least_modulus_pair(seq, n, 1, ceiling=ceiling)
     flags = (classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1))
     agrees = flags[0] and flags[1]
     cert = None
@@ -149,17 +141,13 @@ def conjecture13_check(
     n: int,
     variant: str = "choose2",
     ceiling: int = DEFAULT_SCAN_CEILING,
-    *,
-    start: int | None = None,
 ) -> ConjectureReport:
     """Least modulus OF THE GIVEN POLYNOMIAL FORM making the variant sequence
     pairwise distinct, versus the first form prime >= 2n - 1.
 
     x ranges over integers >= 0, so the form value 1 is an admissible modulus
     exactly when n = 1; no lower threshold on n is imposed, and small-n
-    disagreements are reported rather than suppressed.  The scan tests form
-    values from start on (default n, the pigeonhole bound), which must be a
-    proven lower bound of the answer.
+    disagreements are reported rather than suppressed.
     """
     if form not in POLYNOMIAL_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {sorted(POLYNOMIAL_FORMS)}")
@@ -167,15 +155,8 @@ def conjecture13_check(
         raise ValueError(f"n must be >= 1, got {n}")
     seq = _variant_seq(variant)
     f = POLYNOMIAL_FORMS[form]
-    start = n if start is None else start
-    observed = None
-    for x in count(0):
-        v = f(x)
-        if v > ceiling:
-            raise ScanCeilingError(f"form modulus {form} for n={n}", ceiling)
-        if v >= start and _separates(seq, n, v):
-            observed = v
-            break
+    observed = _scan((form, seq), n, lambda lower: (v for v in map(f, count(0)) if v >= lower),
+                     lambda v: _separates(seq, n, v), ceiling, f"form modulus {form} for n={n}")
     predicted = first_prime_of_form(form, max(2, 2 * n - 1), ceiling)
     agrees = observed == predicted
     cert = None
@@ -193,23 +174,15 @@ def _values_distinct(values: list[int], m: int) -> bool:
     return len({v % m for v in values}) == len(values)
 
 
-def conjecture14_check(
-    n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
-) -> ConjectureReport:
+def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
     """Least m making 6*p_k*(p_k - 1) (k = 1..n) pairwise distinct, versus the
-    first prime >= p_n dividing none of the pair sums p_i + p_j - 1.  The scan
-    starts at start (default n), a proven lower bound of the answer."""
+    first prime >= p_n dividing none of the pair sums p_i + p_j - 1."""
     if n <= 2:
         raise ValueError(f"n must be > 2, got {n}")
     primes = nth_primes(n)
     values = [6 * p * (p - 1) for p in primes]
-    observed = None
-    for m in count(n if start is None else start):
-        if m > ceiling:
-            raise ScanCeilingError(f"prime-indexed discriminator at n={n}", ceiling)
-        if _values_distinct(values, m):
-            observed = m
-            break
+    observed = _scan("1.4", n, count, lambda m: _values_distinct(values, m), ceiling,
+                     f"prime-indexed discriminator at n={n}")
     sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
     # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
     # s == q.  So the answer is the first prime from p_n on that is no sum, and

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
+from typing import Callable
 
 from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical, simple_sieve
 
@@ -268,45 +269,50 @@ def _check_separable(seq: HalfQuadratic, n: int) -> None:
             )
 
 
-def least_modulus(
-    seq: HalfQuadratic,
-    n: int,
-    *,
-    ceiling: int = DEFAULT_SCAN_CEILING,
-    start: int | None = None,
-) -> int:
-    """Least m >= 1 with f(1..n) pairwise distinct modulo m.
+# The last (key, n, least modulus) that _scan found in this process.  Taking
+# fewer terms keeps distinct terms distinct, so D(n') <= D(n) for n' < n, and
+# any answer for the same key at a smaller n bounds the next one.  Only values
+# computed here are kept: a bound above the true answer would skip it.
+_last_scan: tuple | None = None
 
-    The scan starts at m = start, which must be a proven lower bound of the
-    answer.  It defaults to n, the pigeonhole bound; a sweep passes the least
-    modulus of a smaller n, since distinctness of n terms implies distinctness
-    of any fewer.  start=1 scans every m, as a self-check of both bounds.
-    """
+
+def _scan(
+    key: object, n: int, candidates: Callable, accept: Callable, ceiling: int, what: str
+) -> int:
+    """The first of candidates(lower), an ascending iterator of the candidate
+    moduli >= lower, that accept passes.  lower is n, the pigeonhole bound, or
+    the least modulus last found for key when that was at a smaller n.  Raises
+    ScanCeilingError at the first candidate above ceiling, leaving the hint."""
+    global _last_scan
+    lower = n
+    if _last_scan is not None and _last_scan[0] == key and _last_scan[1] < n:
+        lower = max(n, _last_scan[2])
+    for m in candidates(lower):
+        if m > ceiling:
+            raise ScanCeilingError(what, ceiling)
+        if accept(m):
+            _last_scan = (key, n, m)
+            return m
+
+
+def least_modulus(seq: HalfQuadratic, n: int, *, ceiling: int = DEFAULT_SCAN_CEILING) -> int:
+    """Least m >= 1 with f(1..n) pairwise distinct modulo m."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return 1
     _check_separable(seq, n)
-    for m in count(n if start is None else start):
-        if m > ceiling:
-            raise ScanCeilingError(f"least modulus for {seq} at n={n}", ceiling)
-        if _separates(seq, n, m):
-            return m
+    return _scan(seq, n, count, lambda m: _separates(seq, n, m), ceiling,
+                 f"least modulus for {seq} at n={n}")
 
 
 def least_modulus_pair(
-    seq: HalfQuadratic,
-    n: int,
-    gap: int,
-    *,
-    ceiling: int = DEFAULT_SCAN_CEILING,
-    start: int | None = None,
+    seq: HalfQuadratic, n: int, gap: int, *, ceiling: int = DEFAULT_SCAN_CEILING
 ) -> int:
     """Least m >= 1 with f(1..n) pairwise distinct modulo both m and m + gap.
 
     Full residue count n at both moduli is equivalent to pairwise distinctness
-    at both.  The scan starts at start (default n), a proven lower bound as in
-    least_modulus.
+    at both.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -315,8 +321,6 @@ def least_modulus_pair(
     if n == 1:
         return 1
     _check_separable(seq, n)
-    for m in count(n if start is None else start):
-        if m > ceiling:
-            raise ScanCeilingError(f"least modulus pair (gap {gap}) for {seq} at n={n}", ceiling)
-        if _separates(seq, n, m) and _separates(seq, n, m + gap):
-            return m
+    return _scan((seq, gap), n, count,
+                 lambda m: _separates(seq, n, m) and _separates(seq, n, m + gap), ceiling,
+                 f"least modulus pair (gap {gap}) for {seq} at n={n}")

@@ -87,12 +87,7 @@ def predicted_prime(
     d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
 ) -> int:
     """First prime p == c (mod d) with p >= (2dn - c) / (d - 1), exact arithmetic."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if not -d < c < d:
-        raise ValueError(f"c must lie in (-{d}, {d}), got {c}")
-    if math.gcd(c, d) != 1:
-        raise ValueError(f"c={c} and d={d} must be coprime")
+    APCase(d, c)  # validates d, the range of c and coprimality
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bound = max(2, _ceil_div(2 * d * n - c, d - 1))
@@ -115,13 +110,12 @@ class VerificationRecord:
 
 
 def verify_theorem11(
-    d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+    d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
 ) -> VerificationRecord:
     """Compare the discriminator of the canonical (d, c) sequence with the
     predicted progression prime; the match is certified for n above
-    PREDICTION_THRESHOLD[d] when 4 <= d <= 36.  start is the discriminator
-    scan's first modulus (see least_modulus)."""
-    least = least_modulus(APCase(d, c).seq, n, ceiling=ceiling, start=start)
+    PREDICTION_THRESHOLD[d] when 4 <= d <= 36."""
+    least = least_modulus(APCase(d, c).seq, n, ceiling=ceiling)
     return VerificationRecord(d, c, n, least, predicted_prime(d, c, n, ceiling))
 
 
@@ -226,37 +220,33 @@ REMARK12_CASES = {
 }
 
 
-def _verify_case(
-    case: SequenceCase, n: int, ceiling: int, start: int | None
-) -> VerificationRecord:
-    least = least_modulus(case.seq, n, ceiling=ceiling, start=start)
+def _verify_case(case: SequenceCase, n: int, ceiling: int) -> VerificationRecord:
+    least = least_modulus(case.seq, n, ceiling=ceiling)
     predicted = case.modulus_class.first_at_least(case.bound(n), ceiling)
     return VerificationRecord(None, None, n, least, predicted)
 
 
 def verify_theorem12(
-    case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+    case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING
 ) -> VerificationRecord:
     """Compare the discriminator of one of the six d = 2, 3 sequences with the
     first member of its prime-or-prime-power class above the stated bound;
-    certified for n >= the case threshold.  start is the discriminator scan's
-    first modulus (see least_modulus)."""
+    certified for n >= the case threshold."""
     if case_id not in THEOREM12_CASES:
         raise ValueError(f"unknown case {case_id!r}; expected one of {sorted(THEOREM12_CASES)}")
-    return _verify_case(THEOREM12_CASES[case_id], n, ceiling, start)
+    return _verify_case(THEOREM12_CASES[case_id], n, ceiling)
 
 
 def verify_remark12(
-    sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING, *, start: int | None = None
+    sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING
 ) -> VerificationRecord:
     """Same comparison for the two steeper product sequences whose target class
     is plain primes; certified for n >= 5 (minus) / n >= 9 (plus).  The minus
     case also holds at n = 3; n = 4 is its only failure in [3, 1000]
-    (discriminator 15, prediction 17).  start is the discriminator scan's first
-    modulus (see least_modulus)."""
+    (discriminator 15, prediction 17)."""
     if sign not in REMARK12_CASES:
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    return _verify_case(REMARK12_CASES[sign], n, ceiling, start)
+    return _verify_case(REMARK12_CASES[sign], n, ceiling)
 
 
 # Certified start of the corollary ranges for the specialized cases (d, c).

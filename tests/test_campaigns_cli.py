@@ -164,6 +164,22 @@ def test_resume_after_truncated_tail(tmp_path, capsys):
     assert path.read_bytes() == full
 
 
+def test_resume_skips_lines_that_are_not_utf8(tmp_path, capsys):
+    # such a line is warned about and skipped like any corrupt record, and a
+    # tail cut after such a byte is truncated to the byte
+    argv = ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "6", "--no-timing"]
+    rc, path = run_to_file(tmp_path, "fresh.jsonl", argv)
+    assert rc == EXIT_OK
+    fresh = path.read_bytes()
+    garbage = b"\xff\xfe garbage\n"
+    for prior in (garbage, garbage + b'{"cmd":"x\xff'):
+        path.write_bytes(prior)
+        assert main(argv + ["--out", str(path), "--resume"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert f"skipping corrupt record at {path}:1" in err and "records=3" in err
+        assert path.read_bytes() == garbage + fresh
+
+
 def test_resume_recomputes_last_record_without_newline(tmp_path, capsys):
     # a complete last record whose newline never reached the file is not done:
     # it is warned about, truncated and written again, newline and all
@@ -226,6 +242,8 @@ def test_exit_invalid_configs(tmp_path, capsys):
         ["window-check", "--d", "5", "--n-from", "-2", "--n-to", "2", "--parallelism", "2"],
         ["discriminator", "--A", "2", "--B", "2", "--n", "0"],
         ["conjecture", "--id", "1.1", "--n-from", "1", "--n-to", "3"],
+        # p + 2d is tested for primality, exact only below 2^64
+        ["conjecture", "--id", "1.1", "--d", str(2**63), "--n-from", "5", "--n-to", "6"],
     ):
         assert main(argv) == EXIT_INVALID, argv
         out, err = capsys.readouterr()

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quaddisc.conjectures as conjectures
+import quaddisc.discriminator as discriminator
+from quaddisc.conjectures import conjecture13_check
 from quaddisc.discriminator import (
     APCase,
     HalfQuadratic,
@@ -175,11 +178,12 @@ def test_least_modulus_examples():
 
 
 def test_least_modulus_scan_start_is_safe():
-    # the pigeonhole start at m = n returns the same value as scanning from 1
+    # the pigeonhole start at m = n, and the warm start from an earlier n,
+    # return the same value as scanning every m from 1
     for seq in (SEQ_4K4K1, CHOOSE2, APCase(9, 2).seq):
         for n in (2, 3, 7, 20, 55):
             m_star = least_modulus(seq, n)
-            assert m_star == least_modulus(seq, n, start=1)
+            assert m_star == brute_least(seq, n)
             for m in range(n, m_star):
                 assert not pairwise_distinct(seq, n, m)
 
@@ -196,6 +200,57 @@ def test_least_modulus_rejects_inseparable_sequences():
 def test_least_modulus_ceiling():
     with pytest.raises(ScanCeilingError):
         least_modulus(CHOOSE2, 10, ceiling=5)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The (n, m) of every candidate modulus the scans test, from no hint on."""
+    monkeypatch.setattr(discriminator, "_last_scan", None)
+    checked = []
+    real = discriminator._separates
+
+    def counting(seq, n, m):
+        checked.append((n, m))
+        return real(seq, n, m)
+
+    monkeypatch.setattr(discriminator, "_separates", counting)
+    monkeypatch.setattr(conjectures, "_separates", counting)
+    return checked
+
+
+def test_scan_starts_at_last_least_modulus(scanned):
+    seq = APCase(9, 2).seq
+    d40 = least_modulus(seq, 40)
+    assert d40 > 50
+    scanned.clear()
+    assert least_modulus(seq, 50) == brute_least(seq, 50)
+    assert scanned[0] == (50, d40)  # D(40) <= D(50): nothing below it is tested
+
+
+def test_scan_ceiling_error_keeps_hint(scanned):
+    seq = APCase(9, 2).seq
+    least_modulus(seq, 40)
+    hint = discriminator._last_scan
+    with pytest.raises(ScanCeilingError):
+        least_modulus(seq, 60, ceiling=120)  # D(60) = 137
+    assert scanned and discriminator._last_scan == hint
+    assert least_modulus(seq, 60) == brute_least(seq, 60)
+
+
+def test_scan_starts_at_n_below_last_or_for_another_key(scanned):
+    seq = APCase(9, 2).seq
+    least_modulus(seq, 60)
+    scanned.clear()
+    least_modulus(seq, 50)
+    assert scanned[0] == (50, 50)  # D(60) bounds no smaller n
+    least_modulus_pair(CHOOSE2, 60, 2)
+    scanned.clear()
+    least_modulus_pair(CHOOSE2, 70, 4)
+    assert scanned[0] == (70, 70)  # another gap
+    conjecture13_check("x^2+x+1", 60)
+    scanned.clear()
+    conjecture13_check("4x^2+1", 70)
+    assert scanned[0] == (70, 101)  # another form: its first value from 70 on
 
 
 def test_least_modulus_pair_examples():

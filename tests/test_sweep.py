@@ -1,10 +1,9 @@
 """Warm-started sweeps against cold scans on the same inputs.
 
-A campaign process starts each scan at the larger of n and the least modulus
-it last computed, when that was for a smaller n of the same command and
-params.  Every record must come out exactly as the cold scan from n gives it,
-for each sequence family, across gaps in the n-set, past a scan ceiling and
-at any parallelism.
+A process starts each scan at the larger of n and the least modulus it last
+found, when that was for a smaller n of the same sequence.  Every record must
+come out exactly as the cold scan from n gives it, for each sequence family,
+across gaps in the n-set, past a scan ceiling and at any parallelism.
 """
 
 import math
@@ -12,15 +11,13 @@ import random
 
 import pytest
 
-import quaddisc.campaigns as campaigns
 import quaddisc.discriminator as discriminator
 from quaddisc.campaigns import (
     EXIT_CEILING,
     EXIT_OK,
     CampaignConfig,
+    _compute,
     _dispatch,
-    _sweep,
-    _sweep_list,
     parse_record,
     run,
     serialize_record,
@@ -37,10 +34,20 @@ def holey_ns(seed, lo, hi, share=0.3):
     return sorted(rng.sample(ns, len(ns) - round(share * len(ns))))
 
 
+def cold_dispatch(command, params, n):
+    """The record of a scan that starts at n: no hint from an earlier scan."""
+    discriminator._last_scan = None
+    return _dispatch(command, params, n)
+
+
+def sweep(command, params, ns):
+    return list(_compute(command, params, ns, 1))
+
+
 def assert_sweep_matches_cold(command, params, ns):
     params = dict(params, ceiling=params.get("ceiling", DEFAULT_SCAN_CEILING))
-    warm = [dict(r, ms=0) for r in _sweep(command, params, ns)]
-    cold = [dict(_dispatch(command, params, n), ms=0) for n in ns]
+    warm = [dict(r, ms=0) for r in sweep(command, params, ns)]
+    cold = [dict(cold_dispatch(command, params, n), ms=0) for n in ns]
     assert warm == cold
     return warm
 
@@ -95,7 +102,7 @@ def test_discriminator_sweep_matches_cold():
 def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     # the warm start is really taken: each n after the first checks exactly the
     # candidates from max(D(previous n), n) up to D(n)
-    monkeypatch.setattr(campaigns, "_last_computed", None)
+    monkeypatch.setattr(discriminator, "_last_scan", None)
     checked = []
     real = discriminator._separates
 
@@ -106,7 +113,7 @@ def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     monkeypatch.setattr(discriminator, "_separates", counting)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     ns = holey_ns("count", 4, 200)
-    recs = list(_sweep("verify-theorem12", params, ns))
+    recs = sweep("verify-theorem12", params, ns)
     expected, lower = 0, ns[0]
     for r in recs:
         expected += r["least_m"] - max(lower, r["n"]) + 1
@@ -115,10 +122,11 @@ def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     assert expected < sum(r["least_m"] - r["n"] + 1 for r in recs) / 10
 
 
-def test_sweep_list_starts_at_last_slice_least_modulus(monkeypatch):
-    # a pool worker's next slice starts where its last slice of the same
-    # campaign ended, and a slice that does not lie above it starts cold
-    monkeypatch.setattr(campaigns, "_last_computed", None)
+def test_later_sweep_starts_at_last_least_modulus(monkeypatch):
+    # a pool worker's next chunk, or a later campaign in the same process,
+    # starts where the last scan of the same sequence ended, and one that does
+    # not lie above it starts cold
+    monkeypatch.setattr(discriminator, "_last_scan", None)
     checked = []
     real = discriminator._separates
 
@@ -128,29 +136,29 @@ def test_sweep_list_starts_at_last_slice_least_modulus(monkeypatch):
 
     monkeypatch.setattr(discriminator, "_separates", counting)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
-    first = _sweep_list("verify-theorem12", params, list(range(4, 60)))
+    first = sweep("verify-theorem12", params, list(range(4, 60)))
     checked.clear()
-    second = _sweep_list("verify-theorem12", params, list(range(80, 120)))
+    second = sweep("verify-theorem12", params, list(range(80, 120)))
     assert checked[0] == (80, first[-1]["least_m"]) and first[-1]["least_m"] > 80
     for recs, ns in ((first, range(4, 60)), (second, range(80, 120))):
         assert [r["least_m"] for r in recs] == [
-            _dispatch("verify-theorem12", params, n)["least_m"] for n in ns
+            cold_dispatch("verify-theorem12", params, n)["least_m"] for n in ns
         ]
     checked.clear()
-    _sweep_list("verify-theorem12", params, list(range(100, 110)))
-    assert checked[0] == (100, 100)  # below the last slice: no hint
+    sweep("verify-theorem12", params, list(range(100, 110)))
+    assert checked[0] == (100, 100)  # below the last scan: no hint
     checked.clear()
     other = dict(params, case="3k+1")
-    third = _sweep_list("verify-theorem12", other, list(range(150, 160)))
-    assert checked[0] == (150, 150)  # other params: no hint
-    # the hint is process-wide: a serial sweep after a slice of the same
-    # command and params starts warm, one with other params starts cold
+    third = sweep("verify-theorem12", other, list(range(150, 160)))
+    assert checked[0] == (150, 150)  # another sequence: no hint
+    # the hint is process-wide: a sweep after one of the same sequence starts
+    # warm, one of another sequence starts cold
     checked.clear()
-    (rec,) = _sweep("verify-theorem12", other, [170])
+    (rec,) = sweep("verify-theorem12", other, [170])
     assert checked[0] == (170, third[-1]["least_m"]) and third[-1]["least_m"] > 170
-    assert rec["least_m"] == _dispatch("verify-theorem12", other, 170)["least_m"]
+    assert rec["least_m"] == cold_dispatch("verify-theorem12", other, 170)["least_m"]
     checked.clear()
-    next(_sweep("verify-theorem12", params, [200]))
+    sweep("verify-theorem12", params, [200])
     assert checked[0] == (200, 200)
 
 
@@ -172,7 +180,7 @@ def test_ceiling_crossed_mid_slice_matches_cold():
 def cold_stream(command, params, ns, ceiling=DEFAULT_SCAN_CEILING):
     params = dict(params, ceiling=ceiling)
     return "".join(
-        serialize_record(dict(_dispatch(command, params, n), ms=0)) + "\n" for n in ns
+        serialize_record(dict(cold_dispatch(command, params, n), ms=0)) + "\n" for n in ns
     ).encode()
 
 
