@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable
 
@@ -90,12 +89,13 @@ def parse_record(line: str) -> dict:
     return rec
 
 
-def _load_prior(path: Path) -> dict[tuple, dict]:
-    """Records already present at path, keyed.  Only newline-terminated lines
-    are records: a corrupt one is warned about and skipped, and a last line
-    without its newline, cut mid-write, is warned about and truncated away, so
-    its record is recomputed and appended records start on a line of their own."""
-    prior: dict[tuple, dict] = {}
+def _load_prior(path: Path) -> dict[tuple, tuple]:
+    """(match, error) of each record already present at path, keyed: all the
+    summary reads of it.  Only newline-terminated lines are records: a corrupt
+    one is warned about and skipped, and a last line without its newline, cut
+    mid-write, is warned about and truncated away, so its record is recomputed
+    and appended records start on a line of their own."""
+    prior: dict[tuple, tuple] = {}
     if not path.exists():
         return prior
     # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
@@ -110,10 +110,9 @@ def _load_prior(path: Path) -> dict[tuple, dict]:
                 continue
             try:
                 rec = parse_record(line)
-            except (ValueError, KeyError):
+                prior[record_key(rec)] = (rec.get("match"), rec.get("error"))
+            except (ValueError, KeyError, TypeError):  # TypeError: an unhashable key field
                 print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
-                continue
-            prior[record_key(rec)] = rec
     return prior
 
 
@@ -128,7 +127,8 @@ class Command:
     expect read; those in _KEY_FIELDS identify its records.  compute(params, n)
     returns least_m, predicted, match and extra record fields (a dict or None).
     expect(params, n) is the match the certified ranges assert, or None outside
-    them."""
+    them.  Both take the work item as n; verify-remark11's work items are d, and
+    it expects a mismatch at each."""
 
     help: str
     options: tuple
@@ -355,6 +355,15 @@ def _key_for(command: str, params: dict, w: int) -> tuple:
     return record_key(_identity(command, params, w))
 
 
+def _keyer(command: str, params: dict) -> Callable[[int], tuple]:
+    """_key_for as one function of the work item: the campaign's identity
+    fields, then ("n", w).  verify-remark11 keys each d by its own row."""
+    if command == "verify-remark11":
+        return partial(_key_for, command, params)
+    prefix = _key_for(command, params, 0)[:-1]
+    return lambda w: (*prefix, ("n", w))
+
+
 def _dispatch(command: str, params: dict, key: int) -> dict:
     rec = _identity(command, params, key)
     t0 = time.perf_counter()
@@ -371,6 +380,19 @@ def _dispatch(command: str, params: dict, key: int) -> dict:
     if extra:
         rec.update(extra)
     return rec
+
+
+def _chunk(command: str, params: dict, timing: bool, items: list[int]) -> tuple[str, list]:
+    """The records of items as JSONL text, ms zeroed unless timing, and the
+    (match, error) of each, which is all the summary reads of it."""
+    lines, outcomes = [], []
+    for w in items:
+        rec = _dispatch(command, params, w)
+        if not timing:
+            rec["ms"] = 0
+        lines.append(serialize_record(rec) + "\n")
+        outcomes.append((rec["match"], rec.get("error")))
+    return "".join(lines), outcomes
 
 
 def expected_match(command: str, params: dict, rec: dict) -> bool | None:
@@ -406,16 +428,22 @@ def _work_items(config: CampaignConfig) -> list[int]:
     return list(range(config.n_from, config.n_to + 1))
 
 
-def _compute(command: str, params: dict, pending: list[int], parallelism: int):
-    """Records for pending, in order.  A pool worker takes contiguous chunks in
+def _compute(command: str, params: dict, pending: list[int], parallelism: int,
+             timing: bool = True):
+    """(items, (text, outcomes)) for chunks of pending, in order: _chunk of each.
+    Serially a chunk is one item.  A pool hands each worker contiguous chunks in
     ascending order, so its scans start warm from its previous chunk's."""
-    work = partial(_dispatch, command, params)
+    work = partial(_chunk, command, params, timing)
     if parallelism <= 1 or len(pending) <= 1:
-        yield from map(work, pending)
+        chunks = [[w] for w in pending]
+        yield from zip(chunks, map(work, chunks))
         return
     size = max(1, len(pending) // (parallelism * 8))
+    chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
+    from multiprocessing import Pool  # its import is a cost only a pool repays
+
     with Pool(parallelism) as pool:
-        yield from pool.imap(work, pending, chunksize=size)
+        yield from zip(chunks, pool.imap(work, chunks))
 
 
 def _available_cores() -> int:
@@ -423,6 +451,23 @@ def _available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class _Summary:
+    """Running counts for the summary line, one record at a time."""
+
+    def __init__(self, expect: Callable[[int], bool | None]):
+        self.expect = expect
+        self.records = self.match = self.mismatch = self.unexpected = self.ceiling = 0
+
+    def add(self, w: int, match, error) -> None:
+        self.records += 1
+        self.match += match is True
+        self.mismatch += match is False
+        self.ceiling += error == "scan_ceiling"
+        if not error:
+            exp = self.expect(w)
+            self.unexpected += exp is not None and match != exp
 
 
 def run(config: CampaignConfig) -> int:
@@ -438,7 +483,7 @@ def run(config: CampaignConfig) -> int:
     parallelism = config.parallelism or _available_cores()
 
     t0 = time.perf_counter()
-    prior: dict[tuple, dict] = {}
+    prior: dict[tuple, tuple] = {}
     try:
         if config.resume:
             prior = _load_prior(Path(config.output))
@@ -448,22 +493,25 @@ def run(config: CampaignConfig) -> int:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    # prior records by work item; keyed only when resuming
-    done = {w: prior[k] for w in work if (k := _key_for(config.command, params, w)) in prior} \
-        if prior else {}
-
-    records: list[dict] = []
-    try:
-        results = _compute(config.command, params, [w for w in work if w not in done], parallelism)
+    summary = _Summary(partial(COMMANDS[config.command].expect, params))
+    pending = work
+    if prior:
+        key = _keyer(config.command, params)
+        pending = []
         for w in work:
-            rec = done.get(w)
-            if rec is None:
-                rec = next(results)
-                if not config.timing:
-                    rec["ms"] = 0
-                out.write(serialize_record(rec) + "\n")
-                out.flush()
-            records.append(rec)
+            outcome = prior.get(key(w))
+            if outcome is None:
+                pending.append(w)
+            else:
+                summary.add(w, *outcome)
+        del prior
+    try:
+        for items, (text, outcomes) in _compute(config.command, params, pending, parallelism,
+                                               config.timing):
+            out.write(text)
+            out.flush()
+            for w, outcome in zip(items, outcomes):
+                summary.add(w, *outcome)
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)
         return EXIT_IO
@@ -472,27 +520,14 @@ def run(config: CampaignConfig) -> int:
             out.close()
 
     wall_ms = 0 if not config.timing else int((time.perf_counter() - t0) * 1000)
-    return _finish(config, params, records, wall_ms)
-
-
-def _finish(config, params, records, wall_ms) -> int:
-    matches = sum(1 for r in records if r.get("match") is True)
-    mismatches = sum(1 for r in records if r.get("match") is False)
-    ceilings = sum(1 for r in records if r.get("error") == "scan_ceiling")
-    unexpected = 0
-    for r in records:
-        if r.get("error"):
-            continue
-        exp = expected_match(config.command, params, r)
-        if exp is not None and r.get("match") != exp:
-            unexpected += 1
     print(
-        f"# summary cmd={config.command} records={len(records)} match={matches} "
-        f"mismatch={mismatches} unexpected={unexpected} ceiling={ceilings} ms={wall_ms}",
+        f"# summary cmd={config.command} records={summary.records} match={summary.match} "
+        f"mismatch={summary.mismatch} unexpected={summary.unexpected} "
+        f"ceiling={summary.ceiling} ms={wall_ms}",
         file=sys.stderr,
     )
-    if ceilings:
+    if summary.ceiling:
         return EXIT_CEILING
-    if unexpected:
+    if summary.unexpected:
         return EXIT_MISMATCH
     return EXIT_OK

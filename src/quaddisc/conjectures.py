@@ -174,6 +174,27 @@ def _values_distinct(values: list[int], m: int) -> bool:
     return len({v % m for v in values}) == len(values)
 
 
+# The n and pair sums of the last _pair_sums call in this process: a sweep's
+# next n extends them by the n - 1 sums with the new prime.
+_last_sums: tuple | None = None
+
+
+def _pair_sums(primes: list[int]) -> set[int]:
+    """{p_i + p_j - 1 : i < j} over primes, the first n primes.  The set is
+    the last call's, extended, when that call was for n - 1, so it is only
+    valid until the next call."""
+    global _last_sums
+    n = len(primes)
+    if _last_sums is not None and _last_sums[0] == n - 1:
+        sums = _last_sums[1]
+        p_n = primes[-1]
+        sums.update(p + p_n - 1 for p in primes[:-1])
+    else:
+        sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
+    _last_sums = (n, sums)
+    return sums
+
+
 def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
     """Least m making 6*p_k*(p_k - 1) (k = 1..n) pairwise distinct, versus the
     first prime >= p_n dividing none of the pair sums p_i + p_j - 1."""
@@ -183,7 +204,7 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
     values = [6 * p * (p - 1) for p in primes]
     observed = _scan("1.4", n, count, lambda m: _values_distinct(values, m), ceiling,
                      f"prime-indexed discriminator at n={n}")
-    sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
+    sums = _pair_sums(primes)
     # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
     # s == q.  So the answer is the first prime from p_n on that is no sum, and
     # every prime >= 2 p_n is none.

@@ -22,6 +22,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic witness set for all n < 2^64 (the well-known 7-base set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_LIMIT = 1 << 64
 
 # Width of one aligned sieve block, and how many sieved blocks are kept.  The
 # windows of consecutive n in a window-check campaign overlap almost entirely,
@@ -41,9 +42,12 @@ class ScanCeilingError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all 0 <= n < 2^64."""
+    """Deterministic primality test, exact for all 0 <= n < 2^64; raises
+    ValueError from 2^64 on, where the witness set is not proven."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below 2^64, got {n}")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -176,6 +180,52 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         block = _sieve_block(index)
         out += block[bisect_left(block, lo) : bisect_left(block, hi)]
     return out
+
+
+@lru_cache(maxsize=64)
+def _coprime_residues(d: int) -> frozenset[int]:
+    """The residues modulo d that are coprime to d."""
+    return frozenset(a for a in range(d) if math.gcd(a, d) == 1)
+
+
+@lru_cache(maxsize=_CACHED_BLOCKS)
+def _cover_table(d: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(starts, covers): starts are the primes of sieve block index, and
+    covers[i] is the least prime y such that the primes in [starts[i], y] meet
+    every class coprime to d.  That y never decreases as the start grows, so
+    one two-pointer pass over this block's primes and the next block's finds
+    them all, O(1) amortized per prime.  covers ends at the first start whose
+    classes the two blocks do not complete; so does every later start."""
+    starts = _sieve_block(index)
+    primes = starts + _sieve_block(index + 1)
+    counts = dict.fromkeys(_coprime_residues(d), 0)  # primes in [start, y] per class
+    missing = len(counts)
+    covers: list[int] = []
+    j = 0
+    for p in starts:
+        while missing and j < len(primes):
+            c = counts.get(r := primes[j] % d)
+            j += 1
+            if c is not None:
+                missing -= c == 0
+                counts[r] = c + 1
+        if missing:
+            break
+        covers.append(primes[j - 1])
+        c = counts.get(r := p % d)
+        if c is not None:
+            missing += c == 1
+            counts[r] = c - 1
+    return starts, tuple(covers)
+
+
+def prime_cover(d: int, x: int) -> int | None:
+    """The least y such that the primes in [x, y] meet every residue class
+    coprime to d, from the cached cover table of x's sieve block; None where
+    that table has no cover for x (the block after x's ends first)."""
+    starts, covers = _cover_table(d, x // _SIEVE_BLOCK)
+    i = bisect_left(starts, x)
+    return covers[i] if i < len(covers) else None
 
 
 def nth_primes(n: int) -> list[int]:

@@ -9,7 +9,6 @@ n-ranges of the campaigns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,8 +17,10 @@ from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     PrimeQuery,
+    _coprime_residues,
     first_prime_in_ap,
     is_prime,
+    prime_cover,
     primes_in_range,
 )
 
@@ -74,6 +75,7 @@ WINDOW_THRESHOLD = {
 }
 
 
+@lru_cache(maxsize=64)
 def window_eps(d: int) -> Fraction:
     """Default window width parameter 2 / (max(11, d) - 2)."""
     return Fraction(2, max(11, d) - 2)
@@ -260,16 +262,23 @@ COROLLARY11_THRESHOLD = {
 }
 
 
-@lru_cache(maxsize=64)
-def _coprime_residues(d: int) -> frozenset[int]:
-    """The residues modulo d that are coprime to d."""
-    return frozenset(a for a in range(d) if math.gcd(a, d) == 1)
+def _window_scan(d: int, first: int, last: int) -> bool:
+    """Whether the primes in [first, last] meet every class coprime to d, by
+    walking them: the oracle of the cover table and its fallback."""
+    wanted = set(_coprime_residues(d))
+    for p in primes_in_range(first, last + 1):
+        wanted.discard(p % d)
+        if not wanted:
+            return True
+    return False
 
 
 def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bool:
     """True iff the open interval (2dn/(d-1), ((2+eps)n-2)d/(d-1)) contains a
     prime in every residue class coprime to d.  Endpoints are exact (integer
-    floor and ceiling division); both ends are open."""
+    floor and ceiling division); both ends are open.  The integers inside are
+    [first, last], which passes iff prime_cover(d, first) <= last, or by a walk
+    over the window's primes where the cover table has none for first."""
     if d < 4:
         raise ValueError(f"d must be >= 4, got {d}")
     if n < 1:
@@ -283,9 +292,7 @@ def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bo
     last = _ceil_div(((2 * den + num) * n - 2 * den) * d, den * (d - 1)) - 1
     if last < first:
         return False
-    wanted = set(_coprime_residues(d))
-    for p in primes_in_range(first, last + 1):
-        wanted.discard(p % d)
-        if not wanted:
-            return True
-    return False
+    cover = prime_cover(d, first)
+    if cover is not None:
+        return cover <= last
+    return _window_scan(d, first, last)

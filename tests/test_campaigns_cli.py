@@ -18,6 +18,7 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _dispatch,
     _key_for,
+    _keyer,
     _load_prior,
     _validate,
     expected_match,
@@ -28,6 +29,7 @@ from quaddisc.campaigns import (
 )
 from quaddisc.cli import main
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError
+from quaddisc.verifier import PREDICTION_THRESHOLD
 
 
 def read_records(path):
@@ -86,6 +88,16 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
     keys = _load_prior(path).keys()
     assert len(keys) == 2
     assert "corrupt record" in capsys.readouterr().err
+
+
+def test_resume_scan_skips_unhashable_key_field(tmp_path, capsys):
+    # a key field that JSON reads as a list cannot key a record
+    path = tmp_path / "records.jsonl"
+    good = serialize_record({"cmd": "window-check", "d": 4, "n": 79, "least_m": None,
+                             "predicted": None, "match": True, "ms": 0})
+    path.write_text(good.replace('"n":79', '"n":[79]') + "\n" + good + "\n")
+    assert list(_load_prior(path).values()) == [(True, None)]
+    assert f"corrupt record at {path}:1" in capsys.readouterr().err
 
 
 def run_to_file(tmp_path, name, argv):
@@ -196,6 +208,7 @@ def test_resume_recomputes_last_record_without_newline(tmp_path, capsys):
 
 
 def test_default_parallelism_follows_affinity(monkeypatch, capsys):
+    import multiprocessing
     import os
 
     import quaddisc.campaigns as campaigns
@@ -207,7 +220,7 @@ def test_default_parallelism_follows_affinity(monkeypatch, capsys):
         raise AssertionError("a process allowed one core started a pool")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    monkeypatch.setattr(campaigns, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 27
 
@@ -293,6 +306,18 @@ def test_exit_mismatch_on_violated_expectation(tmp_path, monkeypatch, capsys):
     assert "unexpected=1" in capsys.readouterr().err
 
 
+def test_exit_mismatch_when_a_counterexample_row_matches(monkeypatch, capsys):
+    # verify-remark11 expects each row to mismatch; a row that matches is an
+    # unexpected outcome, so a broken row fails the run
+    import quaddisc.campaigns as campaigns
+    from quaddisc.verifier import VerificationRecord
+
+    monkeypatch.setattr(campaigns, "verify_remark11",
+                        lambda d, ceiling: VerificationRecord(d, 1, 1, 7, 7))
+    assert main(["verify-remark11", "--d", "5", "--no-timing"]) == EXIT_MISMATCH
+    assert "match=1 mismatch=0 unexpected=1" in capsys.readouterr().err
+
+
 def test_exit_ceiling(tmp_path, capsys):
     rc = main(["conjecture", "--id", "1.1", "--d", "1", "--n-from", "60", "--n-to", "60",
                "--scan-ceiling", "100", "--out", str(tmp_path / "c.jsonl")])
@@ -375,6 +400,17 @@ def test_resume_key_matches_record_key(monkeypatch, command, params, w):
     rec = _dispatch(command, small, w)
     assert rec["error"] == "scan_ceiling"
     assert record_key(rec) == _key_for(command, small, w)
+
+
+@pytest.mark.parametrize("command,params,w", REGISTRY_SAMPLES)
+def test_resume_keyer_matches_key_for(command, params, w):
+    # run matches prior records by _keyer, one prefix per campaign; it must
+    # key every work item as _key_for does
+    identity = _validate(CampaignConfig(command, params, w, w))
+    params = dict(identity, ceiling=DEFAULT_SCAN_CEILING)
+    key = _keyer(command, params)
+    items = sorted(PREDICTION_THRESHOLD) if command == "verify-remark11" else range(1, 60)
+    assert [key(v) for v in items] == [_key_for(command, params, v) for v in items]
 
 
 @pytest.mark.parametrize("command", [*COMMANDS, "tables"])

@@ -1,8 +1,11 @@
 """Conjecture checker tests: frozen small cases plus certificate validity."""
 
+import random
+
 import numpy as np
 import pytest
 
+import quaddisc.conjectures as conjectures
 from quaddisc.conjectures import (
     PAIR_THRESHOLD,
     conjecture11_check,
@@ -106,6 +109,25 @@ def test_conjecture14_prediction_matches_divisibility_definition():
             q = next(p for p in primes if p > q)
         rep = conjecture14_check(n)  # ascending n: each scan starts at D(n-1)
         assert rep.predicted == q, n
+
+
+def test_pair_sums_extend_only_from_the_previous_n(monkeypatch):
+    # a call for n after one for n - 1 extends that set by the sums with p_n;
+    # any other order rebuilds it, and both give the O(n^2) definition
+    monkeypatch.setattr(conjectures, "_last_sums", None)
+    ns = list(range(3, 301))
+    shuffled = random.Random("pair-sums").sample(ns, len(ns))
+    for order in (ns, shuffled, ns):
+        for n in order:
+            primes = nth_primes(n)
+            want = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
+            assert conjectures._pair_sums(primes) == want, n
+
+
+def test_conjecture11_refuses_values_from_2_64():
+    # p + 2d = 13 + 2^64 would be tested for primality beyond the proven range
+    with pytest.raises(ValueError, match="2\\^64"):
+        conjecture11_check(2**63, 5)
 
 
 def test_prime_indexed_difference_identity():

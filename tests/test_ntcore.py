@@ -81,6 +81,15 @@ def test_is_prime_witness_divisor_edges():
     assert is_prime(3825123056546413051) is False
 
 
+def test_is_prime_refuses_2_64_and_above():
+    # the witness set is proven only below 2^64; 2^64 + 13 is prime, and
+    # neither it nor 2^64 gets an answer
+    assert is_prime(2**64 - 59) is True  # the largest prime below 2^64
+    for n in (2**64, 2**64 + 13, 2**80):
+        with pytest.raises(ValueError, match="2\\^64"):
+            is_prime(n)
+
+
 def test_radical_examples():
     assert radical(1) == 1
     assert radical(12) == 6

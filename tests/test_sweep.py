@@ -41,7 +41,9 @@ def cold_dispatch(command, params, n):
 
 
 def sweep(command, params, ns):
-    return list(_compute(command, params, ns, 1))
+    """The records of a serial run over ns, read back from its chunk text."""
+    return [parse_record(line) for _, (text, _) in _compute(command, params, ns, 1)
+            for line in text.splitlines()]
 
 
 def assert_sweep_matches_cold(command, params, ns):

@@ -2,13 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from quaddisc.cli import main
 from quaddisc.discriminator import APCase, least_modulus
-from quaddisc.ntcore import is_prime
+from quaddisc.ntcore import _SIEVE_BLOCK, is_prime, prime_cover
 from quaddisc.verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -362,6 +363,68 @@ def test_window_d7_entry_does_not_reproduce():
         assert prime_window_all_residues(7, n) is False
     assert prime_window_all_residues(7, 471) is True
     assert prime_window_all_residues(7, 467) is True
+
+
+def window_first(d, n):
+    """The least integer inside the window: 2dn/(d-1) is its open lower end."""
+    return 2 * d * n // (d - 1) + 1
+
+
+def test_window_cover_table_matches_oracle_at_block_edges():
+    # the cover table of a block reaches into the next one; windows that start
+    # within a few hundred of k * 2^16 cross from one table to the next
+    rng = random.Random("cover-edges")
+    outcomes = set()
+    for d in range(4, 65):  # 37..64 lie outside the bundled tables
+        for k in (1, 2, 3):
+            n = k * _SIEVE_BLOCK * (d - 1) // (2 * d) + rng.randint(-150, 150)
+            eps = None if (d + k) % 2 else Fraction(rng.randint(1, 50), 1000)
+            got = prime_window_all_residues(d, n, eps)
+            assert got == window_oracle(d, n, eps), (d, n, eps)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+    # a start near the end of a block takes its cover from the next block
+    assert _SIEVE_BLOCK < prime_cover(31, _SIEVE_BLOCK - 100) < 2 * _SIEVE_BLOCK
+    # 65521 is the last prime below 2^16, so a window that starts past it has
+    # no cover in block 0's table and falls back to the walk
+    d, n = 5, 26212
+    assert window_first(d, n) == 65531 and prime_cover(d, 65531) is None
+    outcomes = set()
+    for eps in (Fraction(1, 2000), Fraction(1, 1000)):
+        got = prime_window_all_residues(d, n, eps)
+        assert got == window_oracle(d, n, eps), eps
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_window_cover_falls_back_for_wide_windows():
+    # 2999 is prime: its 2998 classes need more primes than the two sieve
+    # blocks a cover table spans, so the table of block 0 has no cover, and
+    # only a window wide enough to hold those primes passes
+    d, n = 2999, 1000
+    assert prime_cover(d, window_first(d, n)) is None
+    outcomes = set()
+    for eps in (Fraction(50), Fraction(200)):
+        got = prime_window_all_residues(d, n, eps)
+        assert got == window_oracle(d, n, eps), eps
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_prime_cover_is_least_and_monotone():
+    # cover(x) is the least y whose primes [x, y] meet every class coprime to
+    # d, so no window ending below it passes; it depends only on the first
+    # prime >= x, and never decreases
+    for d in (4, 7, 12, 30, 64):
+        wanted = {a for a in range(d) if math.gcd(a, d) == 1}
+        last = 0
+        for x in range(2, 2000, 7):
+            y = prime_cover(d, x)
+            seen = {p % d for p in range(x, y + 1) if is_prime(p)}
+            assert wanted <= seen and is_prime(y) and y % d in wanted, (d, x)
+            assert not wanted <= {p % d for p in range(x, y) if is_prime(p)}, (d, x)
+            assert y >= last
+            last = y
 
 
 def test_window_eps_default():
