@@ -365,6 +365,8 @@ def _keyer(command: str, params: dict) -> Callable[[int], tuple]:
 
 
 def _dispatch(command: str, params: dict, key: int) -> dict:
+    """The record of work item key as a dict; serialized, it is the slow
+    oracle of the text _chunk writes."""
     rec = _identity(command, params, key)
     t0 = time.perf_counter()
     try:
@@ -382,17 +384,63 @@ def _dispatch(command: str, params: dict, key: int) -> dict:
     return rec
 
 
-def _chunk(command: str, params: dict, timing: bool, items: list[int]) -> tuple[str, list]:
+def _campaign_head(command: str, params: dict) -> str | None:
+    """The serialized identity that every record of the campaign starts with,
+    up to n's value, such as '{"cmd":"window-check","d":20,"n":'; None for
+    verify-remark11, whose identity changes with the work item."""
+    if command == "verify-remark11":
+        return None
+    return serialize_record(_identity(command, params, 0))[:-2]
+
+
+def _json_value(value) -> str:
+    """value as the encoder writes it, without the encoder for None, a bool or
+    an int."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return str(value)
+    return _ENCODER.encode(value)
+
+
+def _chunk(command: str, params: dict, timing: bool, head: str | None,
+           items: list[int]) -> tuple[str, tuple]:
     """The records of items as JSONL text, ms zeroed unless timing, and the
-    (match, error) of each, which is all the summary reads of it."""
-    lines, outcomes = [], []
+    chunk's summary counts (records, match, mismatch, unexpected, ceiling).
+
+    A record is head (the campaign's, or each item's own when None) plus the
+    literal text of n and the outcome fields; the encoder runs only for extra
+    fields and values that are not None, a bool or an int.  The text equals
+    serialize_record(_dispatch(...)) of each item, the slow oracle."""
+    spec = COMMANDS[command]
+    compute, expect, clock = spec.compute, spec.expect, time.perf_counter
+    lines = []
+    match_count = mismatch = unexpected = ceiling = 0
     for w in items:
-        rec = _dispatch(command, params, w)
-        if not timing:
-            rec["ms"] = 0
-        lines.append(serialize_record(rec) + "\n")
-        outcomes.append((rec["match"], rec.get("error")))
-    return "".join(lines), outcomes
+        start = serialize_record(_identity(command, params, w))[:-1] if head is None \
+            else head + str(w)
+        t0 = clock() if timing else 0.0
+        try:
+            least_m, predicted, match, extra = compute(params, w)
+        except ScanCeilingError as e:
+            least_m = predicted = match = None
+            ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
+            ceiling += 1
+        else:
+            ms = int((clock() - t0) * 1000) if timing else 0
+            match_count += match is True
+            mismatch += match is False
+            exp = expect(params, w)
+            unexpected += exp is not None and match != exp
+        tail = f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"
+        lines.append(f'{start},"least_m":{_json_value(least_m)},'
+                     f'"predicted":{_json_value(predicted)},"match":{_json_value(match)},'
+                     f'"ms":{ms}{tail}')
+    return "".join(lines), (len(items), match_count, mismatch, unexpected, ceiling)
 
 
 def expected_match(command: str, params: dict, rec: dict) -> bool | None:
@@ -430,20 +478,20 @@ def _work_items(config: CampaignConfig) -> list[int]:
 
 def _compute(command: str, params: dict, pending: list[int], parallelism: int,
              timing: bool = True):
-    """(items, (text, outcomes)) for chunks of pending, in order: _chunk of each.
-    Serially a chunk is one item.  A pool hands each worker contiguous chunks in
-    ascending order, so its scans start warm from its previous chunk's."""
-    work = partial(_chunk, command, params, timing)
+    """(text, counts) of _chunk for each chunk of pending, in order, all from
+    one record head.  Serially a chunk is one item.  A pool of at most one
+    worker per chunk hands each worker contiguous chunks in ascending order, so
+    its scans start warm from its previous chunk's."""
+    work = partial(_chunk, command, params, timing, _campaign_head(command, params))
     if parallelism <= 1 or len(pending) <= 1:
-        chunks = [[w] for w in pending]
-        yield from zip(chunks, map(work, chunks))
+        yield from map(work, ([w] for w in pending))
         return
     size = max(1, len(pending) // (parallelism * 8))
     chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
     from multiprocessing import Pool  # its import is a cost only a pool repays
 
-    with Pool(parallelism) as pool:
-        yield from zip(chunks, pool.imap(work, chunks))
+    with Pool(min(parallelism, len(chunks))) as pool:
+        yield from pool.imap(work, chunks)
 
 
 def _available_cores() -> int:
@@ -454,7 +502,8 @@ def _available_cores() -> int:
 
 
 class _Summary:
-    """Running counts for the summary line, one record at a time."""
+    """Running counts for the summary line: a record read back for --resume at
+    a time, a computed chunk's counts at a time."""
 
     def __init__(self, expect: Callable[[int], bool | None]):
         self.expect = expect
@@ -468,6 +517,15 @@ class _Summary:
         if not error:
             exp = self.expect(w)
             self.unexpected += exp is not None and match != exp
+
+    def add_counts(self, counts: tuple) -> None:
+        """Add _chunk's (records, match, mismatch, unexpected, ceiling)."""
+        records, match, mismatch, unexpected, ceiling = counts
+        self.records += records
+        self.match += match
+        self.mismatch += mismatch
+        self.unexpected += unexpected
+        self.ceiling += ceiling
 
 
 def run(config: CampaignConfig) -> int:
@@ -506,12 +564,11 @@ def run(config: CampaignConfig) -> int:
                 summary.add(w, *outcome)
         del prior
     try:
-        for items, (text, outcomes) in _compute(config.command, params, pending, parallelism,
-                                               config.timing):
+        for text, counts in _compute(config.command, params, pending, parallelism,
+                                     config.timing):
             out.write(text)
             out.flush()
-            for w, outcome in zip(items, outcomes):
-                summary.add(w, *outcome)
+            summary.add_counts(counts)
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)
         return EXIT_IO

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,15 @@ from quaddisc.campaigns import (
     EXIT_MISMATCH,
     EXIT_OK,
     CampaignConfig,
+    _campaign_head,
+    _chunk,
     _dispatch,
     _key_for,
     _keyer,
     _load_prior,
+    _Summary,
     _validate,
+    _work_items,
     expected_match,
     parse_record,
     record_key,
@@ -229,6 +235,36 @@ def test_default_parallelism_follows_affinity(monkeypatch, capsys):
     assert campaigns._available_cores() == 7
 
 
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys):
+    # 20 items make 20 one-item chunks at any K >= 2; a pool of K workers
+    # would fork K processes for them
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, chunks):
+            return map(fn, chunks)
+
+    config = partial(CampaignConfig, "verify-theorem12", {"case": "3k-1"}, 4, 23, timing=False)
+    assert run(config(parallelism=1)) == EXIT_OK
+    serial = capsys.readouterr()
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    for k in (64, 2):
+        assert run(config(parallelism=k)) == EXIT_OK
+        assert capsys.readouterr() == serial
+    assert sizes == [20, 2]
+
+
 def test_determinism_across_parallelism(tmp_path):
     base = ["verify-theorem11", "--d", "5", "--c", "-1", "--n-from", "15", "--n-to", "60",
             "--no-timing"]
@@ -411,6 +447,56 @@ def test_resume_keyer_matches_key_for(command, params, w):
     key = _keyer(command, params)
     items = sorted(PREDICTION_THRESHOLD) if command == "verify-remark11" else range(1, 60)
     assert [key(v) for v in items] == [_key_for(command, params, v) for v in items]
+
+
+# Campaigns whose records take every shape the record template writes: each
+# command, a scan-ceiling error, conjecture 1.2 flags, 1.1 and 1.3
+# certificates, verify-remark11's per-d identities, unexpected outcomes (d = 7
+# above its bundled window threshold) and --eps strings the encoder escapes
+# (Fraction reads Arabic-Indic digits and strips whitespace).
+TEMPLATE_CAMPAIGNS = [
+    CampaignConfig("verify-theorem11", {"d": 4, "c": -3}, 1, 30),
+    CampaignConfig("verify-remark11", {"all": True, "d": None}),
+    CampaignConfig("verify-theorem12", {"case": "3k+1"}, 4, 100, scan_ceiling=50),
+    CampaignConfig("verify-remark12", {"sign": "minus"}, 1, 30),
+    CampaignConfig("corollary11", {"d": 5, "c": -1}, 1, 30),
+    CampaignConfig("window-check", {"d": 7, "eps": None}, 460, 480),
+    CampaignConfig("window-check", {"d": 6, "eps": "\u0662/\u0669"}, 1, 60),
+    CampaignConfig("window-check", {"d": 6, "eps": "2/9\t"}, 1, 60),
+    CampaignConfig("conjecture", {"id": "1.1", "d": 1}, 1, 40),
+    CampaignConfig("conjecture", {"id": "1.2"}, 1, 40),
+    CampaignConfig("conjecture", {"id": "1.3", "form": "x^2+x+1", "variant": "squares"}, 1, 40),
+    CampaignConfig("conjecture", {"id": "1.4"}, 3, 40),
+    CampaignConfig("discriminator", {"A": 32, "B": -8}, 1, 40),
+]
+
+
+def test_record_template_matches_serialize_record():
+    # _chunk writes records from a per-campaign template; the encoder on the
+    # record _dispatch builds is its oracle, and _Summary.add record by record
+    # the oracle of its counts
+    assert {config.command for config in TEMPLATE_CAMPAIGNS} == set(COMMANDS)
+    shapes = set()
+    unexpected = 0
+    for config in TEMPLATE_CAMPAIGNS:
+        params = dict(_validate(config), ceiling=config.scan_ceiling)
+        items = _work_items(config)
+        head = _campaign_head(config.command, params)
+        text, counts = _chunk(config.command, params, False, head, items)
+        oracle = [dict(_dispatch(config.command, params, w), ms=0) for w in items]
+        expected = "".join(serialize_record(rec) + "\n" for rec in oracle)
+        assert text == expected, config
+        timed, _ = _chunk(config.command, params, True, head, items)
+        assert re.sub(r'"ms":\d+', '"ms":0', timed) == expected, config
+
+        summary = _Summary(partial(COMMANDS[config.command].expect, params))
+        for w, rec in zip(items, oracle):
+            summary.add(w, rec["match"], rec.get("error"))
+        assert counts == (summary.records, summary.match, summary.mismatch,
+                          summary.unexpected, summary.ceiling), config
+        shapes.update(f for rec in oracle for f in ("error", "flags", "certificate") if f in rec)
+        unexpected += summary.unexpected
+    assert shapes == {"error", "flags", "certificate"} and unexpected > 0
 
 
 @pytest.mark.parametrize("command", [*COMMANDS, "tables"])

@@ -42,7 +42,7 @@ def cold_dispatch(command, params, n):
 
 def sweep(command, params, ns):
     """The records of a serial run over ns, read back from its chunk text."""
-    return [parse_record(line) for _, (text, _) in _compute(command, params, ns, 1)
+    return [parse_record(line) for text, _ in _compute(command, params, ns, 1)
             for line in text.splitlines()]
 
 
