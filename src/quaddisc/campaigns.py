@@ -476,22 +476,55 @@ def _work_items(config: CampaignConfig) -> list[int]:
     return list(range(config.n_from, config.n_to + 1))
 
 
+# A pool's start, imports and round trips cost tens of ms, so a campaign forks
+# one only after it has spent this much serial compute and projects at least
+# as much again for the items left.  Paired runs on 2 cores put it between
+# 0.05 s, where a 20,000-n window check forks and gains nothing, and 0.1 s,
+# where verify-remark11 --all forks a chunk later than it could.
+_POOL_AFTER_S = 0.075
+
+
+def _pool(processes: int):
+    """A pool of processes workers, forked where the OS can fork: a forked
+    worker inherits the parent's scan hint and sieve blocks, so its first chunk
+    starts warm, while one started by spawn or forkserver re-imports quaddisc
+    cold."""
+    import multiprocessing  # its import is a cost only a pool repays
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return multiprocessing.get_context(method).Pool(processes)
+
+
 def _compute(command: str, params: dict, pending: list[int], parallelism: int,
              timing: bool = True):
     """(text, counts) of _chunk for each chunk of pending, in order, all from
-    one record head.  Serially a chunk is one item.  A pool of at most one
-    worker per chunk hands each worker contiguous chunks in ascending order, so
-    its scans start warm from its previous chunk's."""
+    one record head.  pending is cut into the same chunks at every parallelism,
+    about 8 per worker.  The parent computes them in order, timing only _chunk,
+    until both its compute so far and the projected compute of the items left
+    pass _POOL_AFTER_S; then, at parallelism > 1 with two chunks or more left,
+    a pool of at most one worker per chunk left takes the rest, handing each
+    worker contiguous chunks in ascending order, so its scans start warm from
+    the parent's or its previous chunk's."""
     work = partial(_chunk, command, params, timing, _campaign_head(command, params))
-    if parallelism <= 1 or len(pending) <= 1:
-        yield from map(work, ([w] for w in pending))
-        return
     size = max(1, len(pending) // (parallelism * 8))
     chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
-    from multiprocessing import Pool  # its import is a cost only a pool repays
-
-    with Pool(min(parallelism, len(chunks))) as pool:
-        yield from pool.imap(work, chunks)
+    spent, done = 0.0, 0
+    for i, chunk in enumerate(chunks, 1):
+        t0 = time.perf_counter()
+        result = work(chunk)
+        last = time.perf_counter() - t0
+        yield result
+        spent += last
+        done += len(chunk)
+        left = len(chunks) - i
+        # The first items build caches, so no projection counts before the
+        # compute spent passes the constant; cost rises with n, so the
+        # projection takes the last chunk's rate where it beats the mean.
+        projected = (len(pending) - done) * max(spent / done, last / len(chunk))
+        if parallelism > 1 and left >= 2 and min(spent, projected) > _POOL_AFTER_S:
+            with _pool(min(parallelism, left)) as pool:
+                yield from pool.imap(work, chunks[i:])
+            return
 
 
 def _available_cores() -> int:

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--resume", action="store_true",
                        help="skip keys already present in --out")
         s.add_argument("--parallelism", type=int, default=0, metavar="K",
-                       help="worker processes (default: all cores)")
+                       help="at most K worker processes (default: the cores in the affinity mask)")
         s.add_argument("--scan-ceiling", type=int, default=DEFAULT_SCAN_CEILING)
         s.add_argument("--no-timing", action="store_true",
                        help="zero the ms fields for byte-reproducible streams")

@@ -214,7 +214,6 @@ def test_resume_recomputes_last_record_without_newline(tmp_path, capsys):
 
 
 def test_default_parallelism_follows_affinity(monkeypatch, capsys):
-    import multiprocessing
     import os
 
     import quaddisc.campaigns as campaigns
@@ -222,11 +221,13 @@ def test_default_parallelism_follows_affinity(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert campaigns._available_cores() == 3
 
-    def no_pool(*args, **kwargs):
+    def no_pool(processes):
         raise AssertionError("a process allowed one core started a pool")
 
+    # even a switch rule that forks after the first chunk never forks on one core
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(campaigns, "_pool", no_pool)
+    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
     assert run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 27
 
@@ -235,34 +236,20 @@ def test_default_parallelism_follows_affinity(monkeypatch, capsys):
     assert campaigns._available_cores() == 7
 
 
-def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys):
-    # 20 items make 20 one-item chunks at any K >= 2; a pool of K workers
-    # would fork K processes for them
-    import multiprocessing
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, chunks):
-            return map(fn, chunks)
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys, serial_pool):
+    # 20 items make 20 one-item chunks at any K >= 2; with the switch after the
+    # first chunk, a pool of K workers would fork K processes for the other 19
+    import quaddisc.campaigns as campaigns
 
     config = partial(CampaignConfig, "verify-theorem12", {"case": "3k-1"}, 4, 23, timing=False)
     assert run(config(parallelism=1)) == EXIT_OK
     serial = capsys.readouterr()
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
     for k in (64, 2):
         assert run(config(parallelism=k)) == EXIT_OK
         assert capsys.readouterr() == serial
-    assert sizes == [20, 2]
+    assert [size for size, _ in serial_pool] == [19, 2]
+    assert serial_pool[0][1] == serial_pool[1][1] == [[n] for n in range(5, 24)]
 
 
 def test_determinism_across_parallelism(tmp_path):

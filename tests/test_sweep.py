@@ -6,16 +6,22 @@ come out exactly as the cold scan from n gives it, for each sequence family,
 across gaps in the n-set, past a scan ceiling and at any parallelism.
 """
 
+import itertools
 import math
+import multiprocessing
+import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import quaddisc.campaigns as campaigns
 import quaddisc.discriminator as discriminator
 from quaddisc.campaigns import (
     EXIT_CEILING,
     EXIT_OK,
     CampaignConfig,
+    _chunk,
     _compute,
     _dispatch,
     parse_record,
@@ -192,14 +198,23 @@ CAMPAIGNS = [
 ]
 
 
+@pytest.fixture
+def fork_early(monkeypatch):
+    """Campaigns at K > 1 fork their pool after the first serial chunk."""
+    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+
+
 @pytest.mark.parametrize("command,params,n_from,n_to", CAMPAIGNS)
-def test_streams_identical_across_parallelism(tmp_path, command, params, n_from, n_to):
-    fresh = {}
+def test_streams_identical_across_parallelism(tmp_path, capsys, fork_early,
+                                              command, params, n_from, n_to):
+    fresh, summaries = {}, {}
     for par in (1, 2, 3):
         path = tmp_path / f"fresh{par}.jsonl"
         assert run(CampaignConfig(command, params, n_from, n_to, parallelism=par,
                                   output=str(path), timing=False)) == EXIT_OK
         fresh[par] = path.read_bytes()
+        summaries[par] = capsys.readouterr().err
+    assert summaries[1] == summaries[2] == summaries[3]
     assert fresh[1] == fresh[2] == fresh[3] == cold_stream(
         command, params, range(n_from, n_to + 1)
     )
@@ -215,19 +230,23 @@ def test_streams_identical_across_parallelism(tmp_path, command, params, n_from,
         assert run(CampaignConfig(command, params, n_from, n_to, parallelism=par,
                                   output=str(path), resume=True, timing=False)) == EXIT_OK
         resumed[par] = path.read_bytes()
+        summaries[par] = capsys.readouterr().err
+    assert summaries[1] == summaries[2] == summaries[3]
     assert resumed[1] == resumed[2] == resumed[3]
     assert sorted(resumed[1].decode().splitlines()) == sorted(fresh[1].decode().splitlines())
 
 
-def test_ceiling_stream_identical_across_parallelism(tmp_path):
-    streams = []
+def test_ceiling_stream_identical_across_parallelism(tmp_path, capsys, fork_early):
+    streams, summaries = [], []
     for par in (1, 2, 3):
         path = tmp_path / f"ceil{par}.jsonl"
         rc = run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 90, parallelism=par,
                                 output=str(path), scan_ceiling=150, timing=False))
         assert rc == EXIT_CEILING
         streams.append(path.read_bytes())
+        summaries.append(capsys.readouterr().err)
     assert streams[0] == streams[1] == streams[2]
+    assert summaries[0] == summaries[1] == summaries[2]
     assert streams[0] == cold_stream("verify-theorem12", {"case": "3k-1"}, range(4, 91), 150)
 
 
@@ -245,3 +264,58 @@ def test_resume_never_hints_from_prior_records(tmp_path):
     assert run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 40, parallelism=1,
                               output=str(path), resume=True, timing=False)) == EXIT_OK
     assert path.read_text().splitlines(keepends=True)[-1] == fresh[11]
+
+
+def fake_clock(costs):
+    """A perf_counter under which the k-th chunk _compute times takes costs[k] s."""
+    return itertools.accumulate(c for cost in costs for c in (0.0, cost)).__next__
+
+
+T = campaigns._POOL_AFTER_S
+
+
+@pytest.mark.parametrize("costs,pooled", [
+    ([T / 20] * 16, []),  # under T in all
+    # a first chunk that builds caches projects far past T, but the compute
+    # spent never passes T
+    ([T / 2] + [T / 100] * 15, []),
+    # spent passes T after 12 chunks, but the 8 items left project below it
+    ([T * 0.09] * 16, []),
+    ([T * 0.09] * 14 + [2 * T, T], []),  # one chunk left never pays for a pool
+    ([T / 2.5] * 16, list(range(10, 36, 2))),  # past T after 3 chunks: 13 go to the pool
+    # cost rising: the last chunk's rate projects past T where the mean does not
+    ([T * 0.09] * 12 + [T] * 4, [30, 32, 34]),
+])
+def test_switch_rule(monkeypatch, serial_pool, costs, pooled):
+    # 32 items at K = 2 make 16 chunks of 2; the pool is handed the chunks left
+    serial = cold_stream("verify-theorem12", {"case": "3k-1"}, range(4, 36))
+    monkeypatch.setattr(campaigns, "time", SimpleNamespace(perf_counter=fake_clock(costs)))
+    params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
+    text = "".join(t for t, _ in _compute("verify-theorem12", params, list(range(4, 36)), 2,
+                                          timing=False))
+    assert text.encode() == serial
+    assert [chunk[0] for _, chunks in serial_pool for chunk in chunks] == pooled
+
+
+def chunk_with_start_hint(*args):
+    """_chunk's result, with the process and the scan hint its chunk starts from."""
+    return os.getpid(), discriminator._last_scan, _chunk(*args)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="only a forked worker inherits the parent's scan hint")
+def test_forked_worker_starts_from_parent_hint(monkeypatch, fork_early):
+    # the parent computes the first chunk, then forks; each worker's first
+    # chunk starts from the hint the parent's last scan left, not cold
+    monkeypatch.setattr(discriminator, "_last_scan", None)
+    monkeypatch.setattr(campaigns, "_chunk", chunk_with_start_hint)
+    params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
+    results = _compute("verify-theorem12", params, list(range(4, 100)), 2, timing=False)
+    parent_pid, _, _ = next(results)
+    parent_hint = discriminator._last_scan
+    assert parent_pid == os.getpid() and parent_hint[1] == 9  # chunks of 96 // 16 = 6
+    first_hint = {}
+    for pid, hint, _ in results:
+        first_hint.setdefault(pid, hint)
+    assert first_hint and parent_pid not in first_hint  # a fast worker may take every chunk
+    assert all(hint == parent_hint for hint in first_hint.values())
