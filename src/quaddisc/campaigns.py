@@ -13,11 +13,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from .conjectures import (
     PAIR_THRESHOLD,
@@ -28,7 +27,8 @@ from .conjectures import (
     conjecture14_check,
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
-from .ntcore import DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, first_prime_of_form
+from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value,
+                     first_prime_of_form)
 from .verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -54,19 +54,19 @@ EXIT_CEILING = 3
 EXIT_IO = 4
 
 
-@dataclass
-class CampaignConfig:
-    """One campaign invocation."""
+class CampaignConfig(Value, namedtuple("CampaignConfig", "command params n_from n_to parallelism "
+                                       "output resume scan_ceiling timing")):
+    """One campaign invocation.  params defaults to a new empty dict,
+    parallelism 0 to the available cores and output None to stdout."""
 
-    command: str
-    params: dict = field(default_factory=dict)
-    n_from: int = 1
-    n_to: int = 1
-    parallelism: int = 0  # 0 -> available cores
-    output: str | None = None  # None -> stdout
-    resume: bool = False
-    scan_ceiling: int = DEFAULT_SCAN_CEILING
-    timing: bool = True
+    __slots__ = ()
+
+    def __new__(cls, command: str, params: dict | None = None, n_from: int = 1,
+                n_to: int = 1, parallelism: int = 0, output: str | None = None,
+                resume: bool = False, scan_ceiling: int = DEFAULT_SCAN_CEILING,
+                timing: bool = True):
+        return super().__new__(cls, command, {} if params is None else params, n_from, n_to,
+                               parallelism, output, resume, scan_ceiling, timing)
 
 
 def record_key(rec: dict) -> tuple:
@@ -119,8 +119,8 @@ def _load_prior(path: Path) -> dict[tuple, tuple]:
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Value, namedtuple("Command", "help options check compute expect one_of",
+                                defaults=(False,))):
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
     config, else returns the params that, with the scan ceiling, compute and
@@ -128,14 +128,10 @@ class Command:
     returns least_m, predicted, match and extra record fields (a dict or None).
     expect(params, n) is the match the certified ranges assert, or None outside
     them.  Both take the work item as n; verify-remark11's work items are d, and
-    it expects a mismatch at each."""
+    it expects a mismatch at each.  one_of marks options that exclude each
+    other, one of them required."""
 
-    help: str
-    options: tuple
-    check: Callable
-    compute: Callable
-    expect: Callable
-    one_of: bool = False  # the options exclude each other; one is required
+    __slots__ = ()
 
 
 def _from_threshold(threshold: int | None, n: int) -> bool | None:
@@ -174,6 +170,7 @@ def _check_window(config: CampaignConfig) -> dict:
     d, eps = config.params["d"], config.params.get("eps")
     if d < 4:
         raise ValueError(f"window check requires d >= 4, got {d}")
+    from fractions import Fraction  # only window checks pay for its import
     try:
         value = None if eps is None else Fraction(eps)
     except (ValueError, ZeroDivisionError):
@@ -498,8 +495,8 @@ def _pool(processes: int):
 def _compute(command: str, params: dict, pending: list[int], parallelism: int,
              timing: bool = True):
     """(text, counts) of _chunk for each chunk of pending, in order, all from
-    one record head.  pending is cut into the same chunks at every parallelism,
-    about 8 per worker.  The parent computes them in order, timing only _chunk,
+    one record head.  pending is cut into about 8 chunks per worker, the same
+    whether or not a pool starts.  The parent computes them in order, timing only _chunk,
     until both its compute so far and the projected compute of the items left
     pass _POOL_AFTER_S; then, at parallelism > 1 with two chunks or more left,
     a pool of at most one worker per chunk left takes the rest, handing each
@@ -571,7 +568,9 @@ def run(config: CampaignConfig) -> int:
         return EXIT_INVALID
 
     params = dict(identity, ceiling=config.scan_ceiling)
-    parallelism = config.parallelism or _available_cores()
+    cores = _available_cores()
+    # chunks and the pool are sized by K, so a K past the cores only forks idle workers
+    parallelism = min(config.parallelism, cores) or cores
 
     t0 = time.perf_counter()
     prior: dict[tuple, tuple] = {}

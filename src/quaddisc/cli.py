@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--resume", action="store_true",
                        help="skip keys already present in --out")
         s.add_argument("--parallelism", type=int, default=0, metavar="K",
-                       help="at most K worker processes (default: the cores in the affinity mask)")
+                       help="at most K worker processes, and at most one per core in the "
+                       "affinity mask: a larger K counts as the cores (default: the cores)")
         s.add_argument("--scan-ceiling", type=int, default=DEFAULT_SCAN_CEILING)
         s.add_argument("--no-timing", action="store_true",
                        help="zero the ms fields for byte-reproducible streams")

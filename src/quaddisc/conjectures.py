@@ -8,7 +8,7 @@ modulus) precise enough to reproduce the finding independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from .discriminator import HalfQuadratic, _scan, _separates, collision_witness, least_modulus_pair
@@ -16,6 +16,7 @@ from .ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
     PrimeQuery,
+    Value,
     classify_two_power_times_prime,
     first_prime_in_ap,
     first_prime_of_form,
@@ -31,18 +32,13 @@ PAIR_THRESHOLD = {1: 5, 2: 6, 3: 6, 4: 10, 5: 9, 6: 8, 7: 9, 8: 18, 9: 11, 10: 9
 VARIANTS = ("choose2", "squares")
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    """One (conjecture, parameter set, n) check."""
+class ConjectureReport(Value, namedtuple("ConjectureReport", "conjecture params n observed "
+                                         "predicted agrees certificate class_flags",
+                                         defaults=(None, None))):
+    """One (conjecture, parameter set, n) check: predicted may be None, and
+    certificate (a dict) and class_flags (a pair of bools) default to None."""
 
-    conjecture: str
-    params: dict
-    n: int
-    observed: int
-    predicted: int | None
-    agrees: bool
-    certificate: dict | None = None
-    class_flags: tuple[bool, bool] | None = None
+    __slots__ = ()
 
 
 def _variant_seq(variant: str) -> HalfQuadratic:

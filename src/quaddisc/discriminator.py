@@ -9,24 +9,23 @@ every w*k*(s*k + t) product sequence as well as binomial(k, 2) and k^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import chain, count
-from typing import Callable
 
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, radical, simple_sieve
+from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, radical, simple_sieve
 
 
-@dataclass(frozen=True)
-class HalfQuadratic:
+class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
     """Sequence f(k) = (a*k^2 + b*k) // 2, integer-valued because a + b is even."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.a + self.b) % 2 != 0:
-            raise ValueError(f"a + b must be even, got a={self.a}, b={self.b}")
+    def __new__(cls, a: int, b: int):
+        if (a + b) % 2 != 0:
+            raise ValueError(f"a + b must be even, got a={a}, b={b}")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def from_factors(cls, outer: int, slope: int, shift: int) -> "HalfQuadratic":
@@ -53,24 +52,23 @@ class HalfQuadratic:
         return f"({self.a}k^2{self.b:+d}k)/2"
 
 
-@dataclass(frozen=True)
-class APCase:
+class APCase(Value, namedtuple("APCase", "d c")):
     """Modulus d >= 2 with a coprime residue c in (-d, d).
 
     Carries the canonical product sequence 2*rad(d) * k * (d*k - c) whose
     discriminator tracks primes in the class c modulo d.
     """
 
-    d: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        if not -self.d < self.c < self.d:
-            raise ValueError(f"c must lie in (-{self.d}, {self.d}), got {self.c}")
-        if math.gcd(self.c, self.d) != 1:
-            raise ValueError(f"c={self.c} and d={self.d} must be coprime")
+    def __new__(cls, d: int, c: int):
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
+        if not -d < c < d:
+            raise ValueError(f"c must lie in (-{d}, {d}), got {c}")
+        if math.gcd(c, d) != 1:
+            raise ValueError(f"c={c} and d={d} must be coprime")
+        return super().__new__(cls, d, c)
 
     @property
     def rad(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -30,6 +30,23 @@ _MR_LIMIT = 1 << 64
 # primes, so eight cached blocks take about 2 MB.
 _SIEVE_BLOCK = 1 << 16
 _CACHED_BLOCKS = 8
+
+
+class Value:
+    """Mixin for the namedtuple value types: a value equals only a value of its
+    own class, so an APCase(3, 1) never equals a HalfQuadratic(3, 1) or the
+    tuple (3, 1).  Each subclass declares __slots__ = (), so it has no __dict__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), *self))
 
 
 class ScanCeilingError(RuntimeError):
@@ -94,26 +111,22 @@ def radical(d: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class PrimeQuery:
+class PrimeQuery(Value, namedtuple("PrimeQuery", "residue modulus lower_bound")):
     """A request for the first prime >= lower_bound in a residue class.
 
     residue may be negative; only its class modulo `modulus` matters.
     """
 
-    residue: int
-    modulus: int
-    lower_bound: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if self.lower_bound < 2:
-            raise ValueError(f"lower_bound must be >= 2, got {self.lower_bound}")
-        if self.modulus > 1 and math.gcd(self.residue % self.modulus, self.modulus) != 1:
-            raise ValueError(
-                f"residue {self.residue} is not coprime to modulus {self.modulus}"
-            )
+    def __new__(cls, residue: int, modulus: int, lower_bound: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if lower_bound < 2:
+            raise ValueError(f"lower_bound must be >= 2, got {lower_bound}")
+        if modulus > 1 and math.gcd(residue % modulus, modulus) != 1:
+            raise ValueError(f"residue {residue} is not coprime to modulus {modulus}")
+        return super().__new__(cls, residue, modulus, lower_bound)
 
 
 def first_prime_in_ap(q: PrimeQuery, ceiling: int = DEFAULT_SCAN_CEILING) -> int:

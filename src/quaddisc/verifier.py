@@ -9,14 +9,14 @@ n-ranges of the campaigns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     PrimeQuery,
+    Value,
     _coprime_residues,
     first_prime_in_ap,
     is_prime,
@@ -78,6 +78,7 @@ WINDOW_THRESHOLD = {
 @lru_cache(maxsize=64)
 def window_eps(d: int) -> Fraction:
     """Default window width parameter 2 / (max(11, d) - 2)."""
+    from fractions import Fraction  # only window checks pay for its import
     return Fraction(2, max(11, d) - 2)
 
 
@@ -96,15 +97,11 @@ def predicted_prime(
     return first_prime_in_ap(PrimeQuery(c, d, bound), ceiling)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    """Outcome of one discriminator-versus-prediction comparison."""
+class VerificationRecord(Value, namedtuple("VerificationRecord", "d c n least_m predicted")):
+    """Outcome of one discriminator-versus-prediction comparison; d and c are
+    None for the d = 2, 3 sequence cases."""
 
-    d: int | None
-    c: int | None
-    n: int
-    least_m: int
-    predicted: int
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
@@ -141,19 +138,17 @@ def _is_power_of(base: int, x: int) -> bool:
     return x == 1
 
 
-@dataclass(frozen=True)
-class ModulusClass:
+class ModulusClass(Value, namedtuple("ModulusClass", "residue modulus power_base")):
     """Admissible target moduli: the primes == residue (mod modulus), plus the
     powers power_base^a (a >= 1) when power_base is set."""
 
-    residue: int = 0
-    modulus: int = 1
-    power_base: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        PrimeQuery(self.residue, self.modulus, 2)  # validates residue and modulus
-        if self.power_base is not None and self.power_base < 2:
-            raise ValueError(f"power_base must be >= 2, got {self.power_base}")
+    def __new__(cls, residue: int = 0, modulus: int = 1, power_base: int | None = None):
+        PrimeQuery(residue, modulus, 2)  # validates residue and modulus
+        if power_base is not None and power_base < 2:
+            raise ValueError(f"power_base must be >= 2, got {power_base}")
+        return super().__new__(cls, residue, modulus, power_base)
 
     def member(self, x: int) -> bool:
         if x < 1:
@@ -177,19 +172,12 @@ class ModulusClass:
 # --- the d = 2, 3 sequence cases and their prime-or-prime-power targets ----------
 
 
-@dataclass(frozen=True)
-class SequenceCase:
+class SequenceCase(Value, namedtuple("SequenceCase", "case_id outer slope shift threshold "
+                                     "modulus_class bound_slope bound_shift")):
     """A product sequence outer*k*(slope*k + shift) with its admissible class
     and the linear lower bound bound_slope*n + bound_shift for the target."""
 
-    case_id: str
-    outer: int
-    slope: int
-    shift: int
-    threshold: int
-    modulus_class: ModulusClass
-    bound_slope: int
-    bound_shift: int
+    __slots__ = ()
 
     @property
     def seq(self) -> HalfQuadratic:

@@ -245,11 +245,28 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys, serial_pool)
     assert run(config(parallelism=1)) == EXIT_OK
     serial = capsys.readouterr()
     monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(campaigns, "_available_cores", lambda: 64)  # K = 64 is not clamped
     for k in (64, 2):
         assert run(config(parallelism=k)) == EXIT_OK
         assert capsys.readouterr() == serial
     assert [size for size, _ in serial_pool] == [19, 2]
     assert serial_pool[0][1] == serial_pool[1][1] == [[n] for n in range(5, 24)]
+
+
+def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
+    # unclamped, K = 10^8 would cut 200 one-item chunks and size a pool of 199
+    import quaddisc.campaigns as campaigns
+
+    config = partial(CampaignConfig, "verify-theorem12", {"case": "3k-1"}, 4, 203, timing=False)
+    assert run(config(parallelism=1)) == EXIT_OK
+    serial = capsys.readouterr()
+    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(campaigns, "_available_cores", lambda: 3)
+    assert run(config(parallelism=10**8)) == EXIT_OK
+    assert capsys.readouterr() == serial
+    # chunks of 200 // (3 * 8) = 8 items: the parent computes the first
+    assert [size for size, _ in serial_pool] == [3]
+    assert [len(chunk) for chunk in serial_pool[0][1]] == [8] * 24
 
 
 def test_determinism_across_parallelism(tmp_path):
@@ -599,3 +616,27 @@ def test_cli_never_loads_numpy(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exit 0 numpy False"
+
+
+# Modules a CLI process does not import at start-up: dataclasses brings in
+# inspect, ast and dis, fractions brings in decimal, and only a pool repays
+# multiprocessing.  A window check with --eps imports fractions once it runs.
+_STARTUP_PROBE = """
+import sys
+import quaddisc.cli
+print(sorted({modules!r} & set(sys.modules)))
+from quaddisc.campaigns import CampaignConfig, _validate
+_validate(CampaignConfig("window-check", {{"d": 5, "eps": "2/9"}}))
+print("fractions" in sys.modules)
+"""
+
+
+def test_cli_startup_imports():
+    modules = {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE.format(modules=modules)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
