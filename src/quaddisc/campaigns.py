@@ -1,10 +1,12 @@
 """Campaign execution: parallel record computation, JSONL emission, resume.
 
-A campaign maps one command over a range of n (or d, for the counterexample
-suite), emitting one line-delimited JSON record per work item in strictly
-increasing order regardless of parallelism.  Records are append-friendly and
-greppable; a resumed campaign skips every key already present in the output
-file and reproduces the same summary from the combined records.
+A campaign's work is an ordered list of segments, each the params that
+identify its records and an ascending list of n: one segment n_from..n_to for
+most commands, one per bundled row for the counterexample suite.  It emits one
+line-delimited JSON record per n, segment by segment, in the same order
+regardless of parallelism.  Records are append-friendly and greppable; a
+resumed campaign skips every key already present in the output file and
+reproduces the same summary from the combined records.
 """
 
 from __future__ import annotations
@@ -119,17 +121,18 @@ def _load_prior(path: Path) -> dict[tuple, tuple]:
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
-class Command(Value, namedtuple("Command", "help options check compute expect one_of",
-                                defaults=(False,))):
+class Command(Value, namedtuple("Command", "help options check compute expect one_of segments",
+                                defaults=(False, None))):
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
-    config, else returns the params that, with the scan ceiling, compute and
-    expect read; those in _KEY_FIELDS identify its records.  compute(params, n)
-    returns least_m, predicted, match and extra record fields (a dict or None).
-    expect(params, n) is the match the certified ranges assert, or None outside
-    them.  Both take the work item as n; verify-remark11's work items are d, and
-    it expects a mismatch at each.  one_of marks options that exclude each
-    other, one of them required."""
+    config, else returns the params that, with the scan ceiling, identify the
+    campaign; those in _KEY_FIELDS key its records.  segments(config, params)
+    returns its work as (params, ascending n list) pairs, in output order; None
+    is the one segment n_from..n_to, which the CLI reads from --n-from/--n-to.
+    compute(params, n) returns least_m, predicted, match and extra record
+    fields (a dict or None); expect(params, n) is the match the certified
+    ranges assert, or None outside them.  Both get the params of n's segment.
+    one_of marks options that exclude each other, one of them required."""
 
     __slots__ = ()
 
@@ -152,11 +155,14 @@ def _theorem11(p: dict, n: int) -> tuple:
     return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"]))
 
 
-def _check_remark11(config: CampaignConfig) -> dict:
+def _remark11_rows(config: CampaignConfig, params: dict) -> list[tuple[dict, list[int]]]:
+    """One segment per bundled row: its d and c, and its threshold as the one n."""
     p = config.params
     if not p.get("all") and p["d"] not in PREDICTION_THRESHOLD:
         raise ValueError(f"d must be in [4, 36], got {p['d']}")
-    return {}
+    ds = sorted(PREDICTION_THRESHOLD) if p.get("all") else [p["d"]]
+    return [(dict(params, d=d, c=COUNTEREXAMPLE_RESIDUE[d]), [PREDICTION_THRESHOLD[d]])
+            for d in ds]
 
 
 def _check_member(config: CampaignConfig, key: str, table: dict, message: str) -> dict:
@@ -275,10 +281,11 @@ COMMANDS = {
         help="bundled counterexample rows (expected mismatch)",
         options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
                  ("--d", {"type": int})),
-        check=_check_remark11,
-        compute=lambda p, d: _verified(verify_remark11(d, p["ceiling"])),
+        check=lambda config: {},
+        compute=lambda p, n: _verified(verify_remark11(p["d"], p["ceiling"])),
         expect=lambda p, n: False,
         one_of=True,
+        segments=_remark11_rows,
     ),
     "verify-theorem12": Command(
         help="d = 2, 3 sequences vs prime-or-prime-power targets",
@@ -332,42 +339,31 @@ COMMANDS = {
 }
 
 
-def _identity(command: str, params: dict, w: int) -> dict:
-    """The identity fields, in key order, of the record work item w produces:
-    the key fields of params, then n = w.  verify-remark11's work items are d,
-    each naming its bundled row."""
-    if command == "verify-remark11":
-        return {"cmd": command, "d": w, "c": COUNTEREXAMPLE_RESIDUE[w],
-                "n": PREDICTION_THRESHOLD[w]}
+def _identity(command: str, params: dict, n: int) -> dict:
+    """The identity fields, in key order, of the record of n in a segment with
+    these params: cmd, the key fields of params, then n."""
     rec = {"cmd": command}
     for f in _KEY_FIELDS[1:-1]:
         if params.get(f) is not None:
             rec[f] = params[f]
-    rec["n"] = w
+    rec["n"] = n
     return rec
 
 
-def _key_for(command: str, params: dict, w: int) -> tuple:
-    """Key a work item exactly the way its record will be keyed."""
-    return record_key(_identity(command, params, w))
-
-
 def _keyer(command: str, params: dict) -> Callable[[int], tuple]:
-    """_key_for as one function of the work item: the campaign's identity
-    fields, then ("n", w).  verify-remark11 keys each d by its own row."""
-    if command == "verify-remark11":
-        return partial(_key_for, command, params)
-    prefix = _key_for(command, params, 0)[:-1]
-    return lambda w: (*prefix, ("n", w))
+    """The record_key of each n's record in a segment with these params: the
+    segment's identity fields, then ("n", n)."""
+    prefix = record_key(_identity(command, params, 0))[:-1]
+    return lambda n: (*prefix, ("n", n))
 
 
-def _dispatch(command: str, params: dict, key: int) -> dict:
-    """The record of work item key as a dict; serialized, it is the slow
-    oracle of the text _chunk writes."""
-    rec = _identity(command, params, key)
+def _dispatch(command: str, params: dict, n: int) -> dict:
+    """The record of n as a dict; serialized, it is the slow oracle of the
+    text _chunk writes."""
+    rec = _identity(command, params, n)
     t0 = time.perf_counter()
     try:
-        least_m, predicted, match, extra = COMMANDS[command].compute(params, key)
+        least_m, predicted, match, extra = COMMANDS[command].compute(params, n)
         ms = int((time.perf_counter() - t0) * 1000)
     except ScanCeilingError as e:
         least_m = predicted = match = None
@@ -379,15 +375,6 @@ def _dispatch(command: str, params: dict, key: int) -> dict:
     if extra:
         rec.update(extra)
     return rec
-
-
-def _campaign_head(command: str, params: dict) -> str | None:
-    """The serialized identity that every record of the campaign starts with,
-    up to n's value, such as '{"cmd":"window-check","d":20,"n":'; None for
-    verify-remark11, whose identity changes with the work item."""
-    if command == "verify-remark11":
-        return None
-    return serialize_record(_identity(command, params, 0))[:-2]
 
 
 def _json_value(value) -> str:
@@ -404,25 +391,27 @@ def _json_value(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _chunk(command: str, params: dict, timing: bool, head: str | None,
-           items: list[int]) -> tuple[str, tuple]:
-    """The records of items as JSONL text, ms zeroed unless timing, and the
-    chunk's summary counts (records, match, mismatch, unexpected, ceiling).
+def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[str, tuple]:
+    """The records of a chunk, (params, items) of one segment, as JSONL text,
+    ms zeroed unless timing, and its summary counts (records, match, mismatch,
+    unexpected, ceiling).
 
-    A record is head (the campaign's, or each item's own when None) plus the
-    literal text of n and the outcome fields; the encoder runs only for extra
-    fields and values that are not None, a bool or an int.  The text equals
-    serialize_record(_dispatch(...)) of each item, the slow oracle."""
+    A record is the segment's head, its serialized identity up to n's value
+    such as '{"cmd":"window-check","d":20,"n":', plus the literal text of n and
+    the outcome fields; the encoder runs once per chunk for the head, and then
+    only for extra fields and values that are not None, a bool or an int.  The
+    text equals serialize_record(_dispatch(...)) of each n, the slow oracle."""
+    params, items = chunk
     spec = COMMANDS[command]
     compute, expect, clock = spec.compute, spec.expect, time.perf_counter
+    head = serialize_record(_identity(command, params, 0))[:-2]
     lines = []
     match_count = mismatch = unexpected = ceiling = 0
-    for w in items:
-        start = serialize_record(_identity(command, params, w))[:-1] if head is None \
-            else head + str(w)
+    for n in items:
+        start = head + str(n)
         t0 = clock() if timing else 0.0
         try:
-            least_m, predicted, match, extra = compute(params, w)
+            least_m, predicted, match, extra = compute(params, n)
         except ScanCeilingError as e:
             least_m = predicted = match = None
             ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
@@ -431,7 +420,7 @@ def _chunk(command: str, params: dict, timing: bool, head: str | None,
             ms = int((clock() - t0) * 1000) if timing else 0
             match_count += match is True
             mismatch += match is False
-            exp = expect(params, w)
+            exp = expect(params, n)
             unexpected += exp is not None and match != exp
         tail = f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"
         lines.append(f'{start},"least_m":{_json_value(least_m)},'
@@ -463,21 +452,24 @@ def _validate(config: CampaignConfig) -> dict:
     return COMMANDS[config.command].check(config)
 
 
-def _work_items(config: CampaignConfig) -> list[int]:
-    if config.command == "verify-remark11":
-        return sorted(PREDICTION_THRESHOLD) if config.params.get("all") else [config.params["d"]]
+def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, list[int]]]:
+    """The campaign's work: its command's segments, by default the one segment
+    n_from..n_to of params."""
+    segments = COMMANDS[config.command].segments
+    if segments is not None:
+        return segments(config, params)
     if config.n_from > config.n_to:
         raise ValueError(f"n_from {config.n_from} exceeds n_to {config.n_to}")
     if config.n_from < 1:
         raise ValueError(f"n must be >= 1, got {config.n_from}")
-    return list(range(config.n_from, config.n_to + 1))
+    return [(params, list(range(config.n_from, config.n_to + 1)))]
 
 
 # A pool's start, imports and round trips cost tens of ms, so a campaign forks
 # one only after it has spent this much serial compute and projects at least
 # as much again for the items left.  Paired runs on 2 cores put it between
 # 0.05 s, where a 20,000-n window check forks and gains nothing, and 0.1 s,
-# where verify-remark11 --all forks a chunk later than it could.
+# where the counterexample suite forks a chunk later than it could.
 _POOL_AFTER_S = 0.075
 
 
@@ -492,19 +484,22 @@ def _pool(processes: int):
     return multiprocessing.get_context(method).Pool(processes)
 
 
-def _compute(command: str, params: dict, pending: list[int], parallelism: int,
+def _compute(command: str, segments: list[tuple[dict, list[int]]], parallelism: int,
              timing: bool = True):
-    """(text, counts) of _chunk for each chunk of pending, in order, all from
-    one record head.  pending is cut into about 8 chunks per worker, the same
-    whether or not a pool starts.  The parent computes them in order, timing only _chunk,
-    until both its compute so far and the projected compute of the items left
-    pass _POOL_AFTER_S; then, at parallelism > 1 with two chunks or more left,
-    a pool of at most one worker per chunk left takes the rest, handing each
-    worker contiguous chunks in ascending order, so its scans start warm from
-    the parent's or its previous chunk's."""
-    work = partial(_chunk, command, params, timing, _campaign_head(command, params))
-    size = max(1, len(pending) // (parallelism * 8))
-    chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
+    """(text, counts) of _chunk for each chunk of segments, in order.  Each
+    segment is cut into chunks of max(1, total // (8 * parallelism)) of its n,
+    total counting the n of all segments: about 8 chunks per worker for one
+    segment, the same whether or not a pool starts.  The parent computes them
+    in order, timing only _chunk, until both its compute so far and the
+    projected compute of the n left pass _POOL_AFTER_S; then, at parallelism
+    > 1 with two chunks or more left, a pool of at most one worker per chunk
+    left takes the rest, handing each worker contiguous chunks in order, so its
+    scans start warm from the parent's or its previous chunk's."""
+    work = partial(_chunk, command, timing)
+    total = sum(len(ns) for _, ns in segments)
+    size = max(1, total // (parallelism * 8))
+    chunks = [(params, ns[i:i + size]) for params, ns in segments
+              for i in range(0, len(ns), size)]
     spent, done = 0.0, 0
     for i, chunk in enumerate(chunks, 1):
         t0 = time.perf_counter()
@@ -512,12 +507,12 @@ def _compute(command: str, params: dict, pending: list[int], parallelism: int,
         last = time.perf_counter() - t0
         yield result
         spent += last
-        done += len(chunk)
+        done += len(chunk[1])
         left = len(chunks) - i
         # The first items build caches, so no projection counts before the
         # compute spent passes the constant; cost rises with n, so the
         # projection takes the last chunk's rate where it beats the mean.
-        projected = (len(pending) - done) * max(spent / done, last / len(chunk))
+        projected = (total - done) * max(spent / done, last / len(chunk[1]))
         if parallelism > 1 and left >= 2 and min(spent, projected) > _POOL_AFTER_S:
             with _pool(min(parallelism, left)) as pool:
                 yield from pool.imap(work, chunks[i:])
@@ -535,17 +530,18 @@ class _Summary:
     """Running counts for the summary line: a record read back for --resume at
     a time, a computed chunk's counts at a time."""
 
-    def __init__(self, expect: Callable[[int], bool | None]):
+    def __init__(self, expect: Callable[[dict, int], bool | None]):
         self.expect = expect
         self.records = self.match = self.mismatch = self.unexpected = self.ceiling = 0
 
-    def add(self, w: int, match, error) -> None:
+    def add(self, params: dict, n: int, match, error) -> None:
+        """Add the record of n in a segment with these params."""
         self.records += 1
         self.match += match is True
         self.mismatch += match is False
         self.ceiling += error == "scan_ceiling"
         if not error:
-            exp = self.expect(w)
+            exp = self.expect(params, n)
             self.unexpected += exp is not None and match != exp
 
     def add_counts(self, counts: tuple) -> None:
@@ -561,13 +557,12 @@ class _Summary:
 def run(config: CampaignConfig) -> int:
     """Execute a campaign; stream records in work order; return the exit status."""
     try:
-        identity = _validate(config)
-        work = _work_items(config)
+        params = dict(_validate(config), ceiling=config.scan_ceiling)
+        segments = _segments(config, params)
     except (ValueError, KeyError) as e:
         print(f"error: invalid campaign: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    params = dict(identity, ceiling=config.scan_ceiling)
     cores = _available_cores()
     # chunks and the pool are sized by K, so a K past the cores only forks idle workers
     parallelism = min(config.parallelism, cores) or cores
@@ -583,21 +578,22 @@ def run(config: CampaignConfig) -> int:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    summary = _Summary(partial(COMMANDS[config.command].expect, params))
-    pending = work
+    summary = _Summary(COMMANDS[config.command].expect)
+    pending = segments
     if prior:
-        key = _keyer(config.command, params)
         pending = []
-        for w in work:
-            outcome = prior.get(key(w))
-            if outcome is None:
-                pending.append(w)
-            else:
-                summary.add(w, *outcome)
+        for seg, ns in segments:
+            key, todo = _keyer(config.command, seg), []
+            for n in ns:
+                outcome = prior.get(key(n))
+                if outcome is None:
+                    todo.append(n)
+                else:
+                    summary.add(seg, n, *outcome)
+            pending.append((seg, todo))
         del prior
     try:
-        for text, counts in _compute(config.command, params, pending, parallelism,
-                                     config.timing):
+        for text, counts in _compute(config.command, pending, parallelism, config.timing):
             out.write(text)
             out.flush()
             summary.add_counts(counts)

@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
             options.add_argument(flag, **kwargs)
         if name == "discriminator":
             s.add_argument("--n", type=int, help="single n (alternative to --n-from/--n-to)")
-        if name != "verify-remark11":  # its work items are d
+        if spec.segments is None:  # the default work, one segment n_from..n_to
             s.add_argument("--n-from", type=int, required=name != "discriminator")
             s.add_argument("--n-to", type=int, required=name != "discriminator")
         s.add_argument("--out", metavar="PATH", help="output file (default: stdout)")

@@ -18,15 +18,13 @@ from quaddisc.campaigns import (
     EXIT_MISMATCH,
     EXIT_OK,
     CampaignConfig,
-    _campaign_head,
     _chunk,
     _dispatch,
-    _key_for,
     _keyer,
     _load_prior,
+    _segments,
     _Summary,
     _validate,
-    _work_items,
     expected_match,
     parse_record,
     record_key,
@@ -35,7 +33,7 @@ from quaddisc.campaigns import (
 )
 from quaddisc.cli import main
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError
-from quaddisc.verifier import PREDICTION_THRESHOLD
+from quaddisc.verifier import COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD
 
 
 def read_records(path):
@@ -159,6 +157,45 @@ def test_resume_zero_recompute_and_identical_summary(tmp_path, capsys):
     assert second_summary == first_summary
 
 
+def test_resume_counterexample_suite(tmp_path, monkeypatch, capsys, serial_pool):
+    # verify-remark11 --all keys each bundled row by its own segment: a resume
+    # recomputes exactly the deleted and corrupt rows, serially and in a pool
+    import quaddisc.campaigns as campaigns
+
+    config = partial(CampaignConfig, "verify-remark11", {"all": True, "d": None}, timing=False)
+    path = tmp_path / "fresh.jsonl"
+    assert run(config(parallelism=1, output=str(path))) == EXIT_OK
+    fresh = path.read_text().splitlines(keepends=True)
+    summary = capsys.readouterr().err
+    assert "records=33 match=0 mismatch=33 unexpected=0 ceiling=0" in summary
+    ds = sorted(PREDICTION_THRESHOLD)
+    assert [(r["d"], r["c"], r["n"]) for r in map(parse_record, fresh)] == [
+        (d, COUNTEREXAMPLE_RESIDUE[d], PREDICTION_THRESHOLD[d]) for d in ds
+    ]
+    dropped, corrupt = set(range(0, 33, 5)), 8
+    cut = fresh[corrupt][:30] + "\n"
+    kept = "".join(cut if i == corrupt else line
+                   for i, line in enumerate(fresh) if i not in dropped)
+
+    calls = []
+    real = campaigns.verify_remark11
+    monkeypatch.setattr(campaigns, "verify_remark11",
+                        lambda d, ceiling: calls.append(d) or real(d, ceiling))
+    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(campaigns, "_available_cores", lambda: 2)
+    for k in (1, 2):
+        calls.clear()
+        path = tmp_path / f"resumed{k}.jsonl"
+        path.write_text(kept)
+        assert run(config(parallelism=k, output=str(path), resume=True)) == EXIT_OK
+        err = capsys.readouterr().err
+        assert f"skipping corrupt record at {path}:" in err
+        assert err.splitlines()[-1] == summary.splitlines()[-1]
+        assert set(path.read_text().splitlines(keepends=True)) == {*fresh, cut}
+        assert sorted(calls) == [ds[i] for i in sorted({*dropped, corrupt})]
+    assert [size for size, _ in serial_pool] == [2]  # only K = 2 forks
+
+
 def test_resume_completes_partial_file(tmp_path):
     argv = ["verify-theorem11", "--d", "4", "--c", "-3", "--no-timing"]
     rc, path = run_to_file(tmp_path, "part.jsonl", argv + ["--n-from", "9", "--n-to", "12"])
@@ -250,7 +287,8 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys, serial_pool)
         assert run(config(parallelism=k)) == EXIT_OK
         assert capsys.readouterr() == serial
     assert [size for size, _ in serial_pool] == [19, 2]
-    assert serial_pool[0][1] == serial_pool[1][1] == [[n] for n in range(5, 24)]
+    params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
+    assert serial_pool[0][1] == serial_pool[1][1] == [(params, [n]) for n in range(5, 24)]
 
 
 def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
@@ -266,7 +304,7 @@ def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
     assert capsys.readouterr() == serial
     # chunks of 200 // (3 * 8) = 8 items: the parent computes the first
     assert [size for size, _ in serial_pool] == [3]
-    assert [len(chunk) for chunk in serial_pool[0][1]] == [8] * 24
+    assert [len(items) for _, items in serial_pool[0][1]] == [8] * 24
 
 
 def test_determinism_across_parallelism(tmp_path):
@@ -400,10 +438,11 @@ def test_expected_match_windows():
     assert expected_match("conjecture", c13, {"n": 1}) is False
 
 
-# (command, params, work item): every command, each conjecture id
+# (command, params, first n): every command, each conjecture id, and
+# verify-remark11 --all, whose bundled rows fix their own n
 REGISTRY_SAMPLES = [
     ("verify-theorem11", {"d": 4, "c": -3}, 20),
-    ("verify-remark11", {"all": False, "d": 7}, 7),
+    ("verify-remark11", {"all": True, "d": None}, 7),
     ("verify-theorem12", {"case": "3k-1"}, 20),
     ("verify-remark12", {"sign": "plus"}, 20),
     ("corollary11", {"d": 5, "c": -1}, 20),
@@ -420,42 +459,34 @@ def test_registry_samples_cover_every_command():
     assert {command for command, _, _ in REGISTRY_SAMPLES} == set(COMMANDS)
 
 
-@pytest.mark.parametrize("command,params,w", REGISTRY_SAMPLES)
-def test_resume_key_matches_record_key(monkeypatch, command, params, w):
-    # --resume keys work items by _key_for; a drift from the records it writes
-    # would silently recompute or skip records
+@pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)
+def test_resume_key_matches_record_key(monkeypatch, command, params, n):
+    # --resume keys each n by _keyer, one prefix per segment; a drift from the
+    # records it writes would silently recompute or skip records
     import quaddisc.campaigns as campaigns
 
-    identity = _validate(CampaignConfig(command, params, w, w))
-    normal = dict(identity, ceiling=DEFAULT_SCAN_CEILING)
-    rec = _dispatch(command, normal, w)
-    assert "error" not in rec
-    assert record_key(rec) == _key_for(command, normal, w)
+    config = CampaignConfig(command, params, n, n + 39)
+    identity = _validate(config)
 
     def no_prime(*args):  # the window check scans nothing a ceiling could stop
         raise ScanCeilingError("a prime window", 10)
 
-    monkeypatch.setattr(campaigns, "prime_window_all_residues", no_prime)
-    small = dict(identity, ceiling=10)
-    rec = _dispatch(command, small, w)
-    assert rec["error"] == "scan_ceiling"
-    assert record_key(rec) == _key_for(command, small, w)
-
-
-@pytest.mark.parametrize("command,params,w", REGISTRY_SAMPLES)
-def test_resume_keyer_matches_key_for(command, params, w):
-    # run matches prior records by _keyer, one prefix per campaign; it must
-    # key every work item as _key_for does
-    identity = _validate(CampaignConfig(command, params, w, w))
-    params = dict(identity, ceiling=DEFAULT_SCAN_CEILING)
-    key = _keyer(command, params)
-    items = sorted(PREDICTION_THRESHOLD) if command == "verify-remark11" else range(1, 60)
-    assert [key(v) for v in items] == [_key_for(command, params, v) for v in items]
+    for ceiling in (DEFAULT_SCAN_CEILING, 10):
+        if ceiling == 10:
+            monkeypatch.setattr(campaigns, "prime_window_all_residues", no_prime)
+        segments = _segments(config, dict(identity, ceiling=ceiling))
+        assert len(segments) == (len(PREDICTION_THRESHOLD) if params.get("all") else 1)
+        for seg, ns in segments:
+            key = _keyer(command, seg)
+            for m in ns:
+                rec = _dispatch(command, seg, m)
+                assert rec.get("error") == (None if ceiling > 10 else "scan_ceiling")
+                assert key(m) == record_key(rec)
 
 
 # Campaigns whose records take every shape the record template writes: each
 # command, a scan-ceiling error, conjecture 1.2 flags, 1.1 and 1.3
-# certificates, verify-remark11's per-d identities, unexpected outcomes (d = 7
+# certificates, verify-remark11's segment per row, unexpected outcomes (d = 7
 # above its bundled window threshold) and --eps strings the encoder escapes
 # (Fraction reads Arabic-Indic digits and strips whitespace).
 TEMPLATE_CAMPAIGNS = [
@@ -483,19 +514,19 @@ def test_record_template_matches_serialize_record():
     shapes = set()
     unexpected = 0
     for config in TEMPLATE_CAMPAIGNS:
-        params = dict(_validate(config), ceiling=config.scan_ceiling)
-        items = _work_items(config)
-        head = _campaign_head(config.command, params)
-        text, counts = _chunk(config.command, params, False, head, items)
-        oracle = [dict(_dispatch(config.command, params, w), ms=0) for w in items]
+        segments = _segments(config, dict(_validate(config), ceiling=config.scan_ceiling))
+        chunks = [_chunk(config.command, False, segment) for segment in segments]
+        items = [(seg, n) for seg, ns in segments for n in ns]
+        oracle = [dict(_dispatch(config.command, seg, n), ms=0) for seg, n in items]
         expected = "".join(serialize_record(rec) + "\n" for rec in oracle)
-        assert text == expected, config
-        timed, _ = _chunk(config.command, params, True, head, items)
+        assert "".join(text for text, _ in chunks) == expected, config
+        timed = "".join(_chunk(config.command, True, segment)[0] for segment in segments)
         assert re.sub(r'"ms":\d+', '"ms":0', timed) == expected, config
 
-        summary = _Summary(partial(COMMANDS[config.command].expect, params))
-        for w, rec in zip(items, oracle):
-            summary.add(w, rec["match"], rec.get("error"))
+        summary = _Summary(COMMANDS[config.command].expect)
+        for (seg, n), rec in zip(items, oracle):
+            summary.add(seg, n, rec["match"], rec.get("error"))
+        counts = tuple(map(sum, zip(*(counts for _, counts in chunks))))
         assert counts == (summary.records, summary.match, summary.mismatch,
                           summary.unexpected, summary.ceiling), config
         shapes.update(f for rec in oracle for f in ("error", "flags", "certificate") if f in rec)

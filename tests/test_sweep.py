@@ -48,7 +48,7 @@ def cold_dispatch(command, params, n):
 
 def sweep(command, params, ns):
     """The records of a serial run over ns, read back from its chunk text."""
-    return [parse_record(line) for text, _ in _compute(command, params, ns, 1)
+    return [parse_record(line) for text, _ in _compute(command, [(params, ns)], 1)
             for line in text.splitlines()]
 
 
@@ -291,10 +291,10 @@ def test_switch_rule(monkeypatch, serial_pool, costs, pooled):
     serial = cold_stream("verify-theorem12", {"case": "3k-1"}, range(4, 36))
     monkeypatch.setattr(campaigns, "time", SimpleNamespace(perf_counter=fake_clock(costs)))
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
-    text = "".join(t for t, _ in _compute("verify-theorem12", params, list(range(4, 36)), 2,
+    text = "".join(t for t, _ in _compute("verify-theorem12", [(params, list(range(4, 36)))], 2,
                                           timing=False))
     assert text.encode() == serial
-    assert [chunk[0] for _, chunks in serial_pool for chunk in chunks] == pooled
+    assert [items[0] for _, chunks in serial_pool for _, items in chunks] == pooled
 
 
 def chunk_with_start_hint(*args):
@@ -310,7 +310,7 @@ def test_forked_worker_starts_from_parent_hint(monkeypatch, fork_early):
     monkeypatch.setattr(discriminator, "_last_scan", None)
     monkeypatch.setattr(campaigns, "_chunk", chunk_with_start_hint)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
-    results = _compute("verify-theorem12", params, list(range(4, 100)), 2, timing=False)
+    results = _compute("verify-theorem12", [(params, list(range(4, 100)))], 2, timing=False)
     parent_pid, _, _ = next(results)
     parent_hint = discriminator._last_scan
     assert parent_pid == os.getpid() and parent_hint[1] == 9  # chunks of 96 // 16 = 6
