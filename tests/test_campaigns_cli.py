@@ -20,6 +20,7 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _chunk,
     _dispatch,
+    _identity,
     _keyer,
     _load_prior,
     _segments,
@@ -482,6 +483,18 @@ def test_resume_key_matches_record_key(monkeypatch, command, params, n):
                 rec = _dispatch(command, seg, m)
                 assert rec.get("error") == (None if ceiling > 10 else "scan_ceiling")
                 assert key(m) == record_key(rec)
+
+
+@pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)
+def test_resume_keyer_matches_key_for(command, params, n):
+    # run matches prior records by _keyer, one prefix per segment; it must key
+    # every n, in the segment or not, as the record's own identity fields do
+    config = CampaignConfig(command, params, n, n + 39)
+    params = dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING)
+    for seg, ns in _segments(config, params):
+        key = _keyer(command, seg)
+        items = [*ns, *range(1, 60)]
+        assert [key(m) for m in items] == [record_key(_identity(command, seg, m)) for m in items]
 
 
 # Campaigns whose records take every shape the record template writes: each
