@@ -45,10 +45,14 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
   echo "ok  $args ($want)"
 done
 
-# Resumes after deleted lines: every 17th window record from the third, and
-# every 5th counterexample row, each keyed by its own d and c.  The resumed
+# Resumes after deleted lines: every 17th window record from the third, every
+# 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2
+# record, whose least_m and predicted are integers, and every 11th conjecture
+# 1.2 record, whose flags send its lines through the JSON parser.  The resumed
 # file holds the fresh records and its summary is the fresh one.
-for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5"; do
+for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
+            "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
+            "conjecture --id 1.2 --n-from 1 --n-to 150|11"; do
   args=${case%|*} every=${case#*|}
   $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt"
   awk -v every="$every" 'NR % every != 3 % every' "$tmp/full.jsonl" > "$tmp/holes.jsonl"

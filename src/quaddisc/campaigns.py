@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import time
 from collections import namedtuple
@@ -91,15 +92,32 @@ def parse_record(line: str) -> dict:
     return rec
 
 
-def _load_prior(path: Path) -> dict[tuple, tuple]:
+# A canonical JSON int, as str(int) writes it, of at most 100 digits: a longer
+# one could exceed Python's int-to-str digit limit, which json.loads enforces.
+_JSON_INT = "(?:0|-?[1-9][0-9]{0,99})"
+_OUTCOMES = {"null": (None, None), "true": (True, None), "false": (False, None)}
+
+
+def _load_prior(path: Path, keyers: dict[str, Callable[[int], tuple]] | None = None
+                ) -> dict[tuple, tuple]:
     """(match, error) of each record already present at path, keyed: all the
     summary reads of it.  Only newline-terminated lines are records: a corrupt
     one is warned about and skipped, and a last line without its newline, cut
     mid-write, is warned about and truncated away, so its record is recomputed
-    and appended records start on a line of their own."""
+    and appended records start on a line of their own.
+
+    keyers maps segment heads (see _head) to their _keyer.  A line that is
+    exactly what _chunk writes for one of them, a head, n and the outcome
+    fields with null, bool or int values and no extra field, is keyed by that
+    keyer and read from its literal match, without a JSON parse; every other
+    line goes through parse_record and record_key, the oracle of this path."""
     prior: dict[tuple, tuple] = {}
     if not path.exists():
         return prior
+    template = re.compile(
+        f'({"|".join(map(re.escape, keyers))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
+        f'"predicted":(?:null|{_JSON_INT}),"match":(null|true|false),"ms":{_JSON_INT}}}\n'
+    ).fullmatch if keyers else lambda line: None
     # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
     # itself, so it cannot stop the run, and a cut tail's byte count stays exact.
     with open(path, "r+", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
@@ -108,6 +126,11 @@ def _load_prior(path: Path) -> dict[tuple, tuple]:
                 print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
                 fh.truncate(fh.seek(0, os.SEEK_END) - len(line.encode("utf-8", "surrogateescape")))
                 break
+            fast = template(line)
+            if fast is not None:
+                head, n, match = fast.groups()
+                prior[keyers[head](int(n))] = _OUTCOMES[match]
+                continue
             if line.isspace():
                 continue
             try:
@@ -350,6 +373,13 @@ def _identity(command: str, params: dict, n: int) -> dict:
     return rec
 
 
+def _head(command: str, params: dict) -> str:
+    """The text of every record of a segment with these params up to n's
+    value, such as '{"cmd":"window-check","d":20,"n":': _chunk writes records
+    from it and --resume reads them back through it."""
+    return serialize_record(_identity(command, params, 0))[:-2]
+
+
 def _keyer(command: str, params: dict) -> Callable[[int], tuple]:
     """The record_key of each n's record in a segment with these params: the
     segment's identity fields, then ("n", n)."""
@@ -404,7 +434,7 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
     params, items = chunk
     spec = COMMANDS[command]
     compute, expect, clock = spec.compute, spec.expect, time.perf_counter
-    head = serialize_record(_identity(command, params, 0))[:-2]
+    head = _head(command, params)
     lines = []
     match_count = mismatch = unexpected = ceiling = 0
     for n in items:
@@ -571,7 +601,9 @@ def run(config: CampaignConfig) -> int:
     prior: dict[tuple, tuple] = {}
     try:
         if config.resume:
-            prior = _load_prior(Path(config.output))
+            cmd = config.command
+            prior = _load_prior(Path(config.output),
+                                {_head(cmd, seg): _keyer(cmd, seg) for seg, _ in segments})
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:

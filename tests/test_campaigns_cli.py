@@ -1,16 +1,22 @@
 """Campaign runner and CLI: records, resume, ordering, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quaddisc.campaigns import (
+    _KEY_FIELDS,
     COMMANDS,
     EXIT_CEILING,
     EXIT_INVALID,
@@ -20,6 +26,7 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _chunk,
     _dispatch,
+    _head,
     _identity,
     _keyer,
     _load_prior,
@@ -495,6 +502,147 @@ def test_resume_keyer_matches_key_for(command, params, n):
         key = _keyer(command, seg)
         items = [*ns, *range(1, 60)]
         assert [key(m) for m in items] == [record_key(_identity(command, seg, m)) for m in items]
+
+
+def _segment_params(config):
+    return [seg for seg, _ in _segments(config, dict(_validate(config), ceiling=10**6))]
+
+
+# Segment heads that the template read is given, and heads of other campaigns
+# that it is not: their lines go through parse_record like any other.
+_KNOWN = [("window-check", seg) for seg in _segment_params(
+    CampaignConfig("window-check", {"d": 5, "eps": "1/3"}, 206, 206))] + [
+    ("verify-remark11", seg) for seg in _segment_params(
+        CampaignConfig("verify-remark11", {"all": True, "d": None}))[:3]]
+_OTHER = [("window-check", seg) for seg in _segment_params(
+    CampaignConfig("window-check", {"d": 6, "eps": None}, 103, 103))] + [
+    ("conjecture", seg) for seg in _segment_params(CampaignConfig("conjecture", {"id": "1.2"}))]
+
+# Edits of a template line after which it is no longer one; json.loads reads
+# most of them, some to the same key and outcome.
+_REFUSED = {
+    "leading zero": lambda line: line.replace('"n":', '"n":0', 1),
+    "minus zero": lambda line: re.sub(r'"least_m":[^,]*', '"least_m":-0', line),
+    "float": lambda line: re.sub(r'"ms":\d+', '"ms":1.0', line),
+    "n true": lambda line: re.sub(r'"n":[^,]*', '"n":true', line),
+    "spaces": lambda line: line.replace(',"', ', "').replace('":', '": '),
+    "duplicate key": lambda line: line.replace(',"least_m"', ',"d":7,"least_m"'),
+    "extra": lambda line: line[:-1] + ',"flags":[true,false]}',
+    "no value": lambda line: re.sub(r'"match":[a-z]*', '"match":', line),
+    "utf-8 text": lambda line: line[:-1] + ',"note":"\u00e9\u4e00"}',
+    "not utf-8": lambda line: line[:-1] + '\udcff}',
+    "cut": lambda line: line[:len(line) // 2],
+}
+
+
+@st.composite
+def _prior_line(draw):
+    """(bytes of one line, whether the template read must take it)."""
+    # template lines half the time and few n, so that keys repeat
+    kind = draw(st.sampled_from(["template"] * len(_REFUSED) + ["error", "blank", *_REFUSED]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"\n", b"  \n"])), False
+    known = draw(st.booleans())
+    command, seg = draw(st.sampled_from(_KNOWN if known else _OTHER))
+    big = st.integers(-10**120, 10**120)
+    n = draw(st.integers(0, 3) | big)
+    rec = _identity(command, seg, n)
+    if kind == "error":
+        rec.update(least_m=None, predicted=None, match=None, ms=0, error="scan_ceiling",
+                   detail="no modulus below 10")
+    else:
+        rec.update(least_m=draw(st.none() | st.integers(1, 99) | big),
+                   predicted=draw(st.none() | st.integers(1, 99) | big),
+                   match=draw(st.sampled_from([None, True, False])),
+                   ms=draw(st.integers(0, 10**6)))
+    line = serialize_record(rec)
+    if kind in _REFUSED:
+        line = _REFUSED[kind](line)
+    fits = all(len(str(abs(v))) <= 100 for v in (n, rec["least_m"], rec["predicted"])
+               if v is not None)
+    return line.encode("utf-8", "surrogateescape") + b"\n", known and kind == "template" and fits
+
+
+def _oracle_prior(path: Path) -> tuple[dict, str, int]:
+    """What _load_prior must do, line by line through parse_record and
+    record_key: the mapping, the warnings, and the parse_record calls; a last
+    line without its newline is cut from the file."""
+    prior, warnings, calls = {}, [], 0
+    *lines, tail = path.read_bytes().split(b"\n")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.decode("utf-8", "surrogateescape") + "\n"
+        if line.isspace():
+            continue
+        calls += 1
+        try:
+            rec = parse_record(line)
+            prior[record_key(rec)] = (rec.get("match"), rec.get("error"))
+        except (ValueError, KeyError, TypeError):
+            warnings.append(f"warning: skipping corrupt record at {path}:{lineno}\n")
+    if tail:
+        warnings.append(f"warning: skipping corrupt record at {path}:{len(lines) + 1}\n")
+        path.write_bytes(path.read_bytes()[:-len(tail)])
+    return prior, "".join(warnings), calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(_prior_line(), max_size=25),
+       tail=st.sampled_from(["", "cut", "no newline"]))
+def test_template_read_matches_oracle(lines, tail):
+    # _load_prior with heads reads exactly the template lines without
+    # parse_record; its mapping (order too), warnings and file bytes are the
+    # oracle's
+    import quaddisc.campaigns as campaigns
+
+    data = b"".join(line for line, _ in lines)
+    if tail and lines:
+        last = lines[-1][0][:-1]
+        data += last[:len(last) // 2] if tail == "cut" else last
+    keyers = {_head(command, seg): _keyer(command, seg) for command, seg in _KNOWN}
+    real, calls = campaigns.parse_record, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prior.jsonl"
+        path.write_bytes(data)
+        oracle, oracle_err, oracle_calls = _oracle_prior(path)
+        oracle_bytes = path.read_bytes()
+        path.write_bytes(data)
+        err = io.StringIO()
+        campaigns.parse_record = lambda line: calls.append(line) or real(line)
+        try:
+            with contextlib.redirect_stderr(err):
+                prior = _load_prior(path, keyers)
+        finally:
+            campaigns.parse_record = real
+        assert list(prior.items()) == list(oracle.items())
+        assert err.getvalue() == oracle_err
+        assert path.read_bytes() == oracle_bytes
+    assert len(calls) == oracle_calls - sum(taken for _, taken in lines)
+
+
+@pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)
+def test_resume_reads_template_lines_without_parsing(tmp_path, monkeypatch, capsys,
+                                                     command, params, n):
+    # a resume of a fresh stream parses only the records with extra fields
+    # (conjecture 1.2 flags, 1.3 certificates), adds nothing to the file and
+    # repeats the fresh summary
+    import quaddisc.campaigns as campaigns
+
+    path = tmp_path / "fresh.jsonl"
+    config = partial(CampaignConfig, command, params, n, n + 39, parallelism=1,
+                     output=str(path), timing=False)
+    assert run(config()) == EXIT_OK
+    fresh, summary = path.read_bytes(), capsys.readouterr().err
+    fields = {"least_m", "predicted", "match", "ms", *_KEY_FIELDS}
+    extras = sum(bool(set(json.loads(line)) - fields) for line in fresh.splitlines())
+    assert (extras > 0) == (command == "conjecture" and params["id"] in ("1.2", "1.3"))
+
+    calls = []
+    real = campaigns.parse_record
+    monkeypatch.setattr(campaigns, "parse_record", lambda line: calls.append(line) or real(line))
+    assert run(config(resume=True)) == EXIT_OK
+    assert len(calls) == extras
+    assert path.read_bytes() == fresh
+    assert capsys.readouterr().err == summary
 
 
 # Campaigns whose records take every shape the record template writes: each

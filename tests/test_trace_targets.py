@@ -29,13 +29,15 @@ def test_every_trace_target_resolves():
 
 def test_campaigns_reach_their_traced_names(tmp_path, capsys):
     tracing = _tracing()
-    out = str(tmp_path / "window.jsonl")
-    window = ["window-check", "--d", "5", "--n-from", "206", "--n-to", "215", "--out", out]
+    # a resume reads template lines without parse_record, so the resumed
+    # stream is conjecture 1.2's, whose records carry flags
+    out = str(tmp_path / "conj12.jsonl")
+    conj12 = ["conjecture", "--id", "1.2", "--n-from", "1", "--n-to", "6", "--out", out]
     argvs = [
-        window,
-        window + ["--resume"],
+        ["window-check", "--d", "5", "--n-from", "206", "--n-to", "215"],
         ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "12"],
-        ["conjecture", "--id", "1.2", "--n-from", "1", "--n-to", "6"],
+        conj12,
+        conj12 + ["--resume"],
         ["conjecture", "--id", "1.4", "--n-from", "3", "--n-to", "8"],
     ]
     tracer = tracing.Tracer()
