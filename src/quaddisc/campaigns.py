@@ -98,26 +98,26 @@ _JSON_INT = "(?:0|-?[1-9][0-9]{0,99})"
 _OUTCOMES = {"null": (None, None), "true": (True, None), "false": (False, None)}
 
 
-def _load_prior(path: Path, keyers: dict[str, Callable[[int], tuple]] | None = None
-                ) -> dict[tuple, tuple]:
+def _load_prior(path: Path, keyers: dict[str, Callable[[int], tuple]]) -> dict[tuple, tuple]:
     """(match, error) of each record already present at path, keyed: all the
     summary reads of it.  Only newline-terminated lines are records: a corrupt
     one is warned about and skipped, and a last line without its newline, cut
     mid-write, is warned about and truncated away, so its record is recomputed
     and appended records start on a line of their own.
 
-    keyers maps segment heads (see _head) to their _keyer.  A line that is
-    exactly what _chunk writes for one of them, a head, n and the outcome
-    fields with null, bool or int values and no extra field, is keyed by that
-    keyer and read from its literal match, without a JSON parse; every other
-    line goes through parse_record and record_key, the oracle of this path."""
+    keyers maps the campaign's segment heads (see _head), one at least, to
+    their _keyer.  A line that is exactly what _chunk writes for one of them,
+    a head, n and the outcome fields with null, bool or int values and no
+    extra field, is keyed by that keyer and read from its literal match,
+    without a JSON parse; every other line goes through parse_record and
+    record_key, the oracle of this path."""
     prior: dict[tuple, tuple] = {}
     if not path.exists():
         return prior
     template = re.compile(
         f'({"|".join(map(re.escape, keyers))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
         f'"predicted":(?:null|{_JSON_INT}),"match":(null|true|false),"ms":{_JSON_INT}}}\n'
-    ).fullmatch if keyers else lambda line: None
+    ).fullmatch
     # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
     # itself, so it cannot stop the run, and a cut tail's byte count stays exact.
     with open(path, "r+", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
@@ -601,9 +601,9 @@ def run(config: CampaignConfig) -> int:
     prior: dict[tuple, tuple] = {}
     try:
         if config.resume:
-            cmd = config.command
+            keyed = [(seg, ns, _keyer(config.command, seg)) for seg, ns in segments]
             prior = _load_prior(Path(config.output),
-                                {_head(cmd, seg): _keyer(cmd, seg) for seg, _ in segments})
+                                {_head(config.command, seg): key for seg, _, key in keyed})
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:
@@ -614,8 +614,8 @@ def run(config: CampaignConfig) -> int:
     pending = segments
     if prior:
         pending = []
-        for seg, ns in segments:
-            key, todo = _keyer(config.command, seg), []
+        for seg, ns, key in keyed:
+            todo = []
             for n in ns:
                 outcome = prior.get(key(n))
                 if outcome is None:

@@ -75,11 +75,20 @@ def test_record_key_uses_identity_fields_only():
     assert record_key(a) != record_key(dict(a, n=10))
 
 
+def _keyers(command, params):
+    """The keyers argument of _load_prior for one segment with these params."""
+    return {_head(command, params): _keyer(command, params)}
+
+
+_THEOREM11_KEYERS = _keyers("verify-theorem11", {"d": 4, "c": 1})
+_WINDOW_KEYERS = _keyers("window-check", {"d": 4})
+
+
 def test_resume_scan_empty_and_valid(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text("")
-    assert _load_prior(path).keys() == set()
-    assert _load_prior(tmp_path / "absent.jsonl").keys() == set()
+    assert _load_prior(path, _THEOREM11_KEYERS).keys() == set()
+    assert _load_prior(tmp_path / "absent.jsonl", _THEOREM11_KEYERS).keys() == set()
 
     recs = [
         {"cmd": "verify-theorem11", "d": 4, "c": 1, "n": n, "least_m": 1,
@@ -87,7 +96,7 @@ def test_resume_scan_empty_and_valid(tmp_path, capsys):
         for n in (6, 7, 8)
     ]
     path.write_text("".join(serialize_record(r) + "\n" for r in recs))
-    assert len(_load_prior(path).keys()) == 3
+    assert _load_prior(path, _THEOREM11_KEYERS).keys() == {record_key(r) for r in recs}
     assert capsys.readouterr().err == ""
 
 
@@ -97,7 +106,7 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
                              "predicted": None, "match": True, "ms": 0})
     lines = [good, good.replace('"n":79', '"n":80'), good[: len(good) // 2]]
     path.write_text("\n".join(lines) + "\n")
-    keys = _load_prior(path).keys()
+    keys = _load_prior(path, _WINDOW_KEYERS).keys()
     assert len(keys) == 2
     assert "corrupt record" in capsys.readouterr().err
 
@@ -108,7 +117,7 @@ def test_resume_scan_skips_unhashable_key_field(tmp_path, capsys):
     good = serialize_record({"cmd": "window-check", "d": 4, "n": 79, "least_m": None,
                              "predicted": None, "match": True, "ms": 0})
     path.write_text(good.replace('"n":79', '"n":[79]') + "\n" + good + "\n")
-    assert list(_load_prior(path).values()) == [(True, None)]
+    assert list(_load_prior(path, _WINDOW_KEYERS).values()) == [(True, None)]
     assert f"corrupt record at {path}:1" in capsys.readouterr().err
 
 
