@@ -13,6 +13,15 @@ quaddisc=${QUADDISC:-quaddisc}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# The exit status a campaign must give.
+want() {
+  case "$1" in
+    "window-check --d 7"*) echo "exit 2" ;;
+    *"--scan-ceiling 50") echo "exit 3" ;;
+    *) echo "exit 0" ;;
+  esac
+}
+
 # d = 7 exits 2: its window misses a class at n = 468..470, above the bundled
 # threshold 333 (the known red of acceptance criterion 9).  The 3k+1 run under
 # a scan ceiling of 50 exits 3, with error records.  verify-remark11 --all
@@ -36,35 +45,39 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
   done
   cmp "$tmp/out1.jsonl" "$tmp/out2.jsonl"
   cmp "$tmp/err1.txt" "$tmp/err2.txt"
-  case "$args" in
-    "window-check --d 7"*) want="exit 2" ;;
-    *"--scan-ceiling 50") want="exit 3" ;;
-    *) want="exit 0" ;;
-  esac
-  grep -qx "$want" "$tmp/err1.txt" || { echo "$args: want $want" >&2; exit 1; }
-  echo "ok  $args ($want)"
+  grep -qx "$(want "$args")" "$tmp/err1.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
+  echo "ok  $args ($(want "$args"))"
 done
 
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2
 # record, whose least_m and predicted are integers, and every 11th conjecture
-# 1.2 record, whose flags send its lines through the JSON parser.  The resumed
-# file holds the fresh records and its summary is the fresh one.
+# 1.2 record, whose flags send its lines through the JSON parser, and every
+# 5th record of the run under a scan ceiling, whose error records do too.  The
+# resumed file holds the fresh records, and its summary and exit status are the
+# fresh ones.
 for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
-            "conjecture --id 1.2 --n-from 1 --n-to 150|11"; do
+            "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
+            "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5"; do
   args=${case%|*} every=${case#*|}
-  $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt"
+  status=0
+  $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \
+    || status=$?
+  echo "exit $status" >> "$tmp/full.txt"
   awk -v every="$every" 'NR % every != 3 % every' "$tmp/full.jsonl" > "$tmp/holes.jsonl"
   cmp -s "$tmp/holes.jsonl" "$tmp/full.jsonl" && { echo "$args: no line deleted" >&2; exit 1; }
   for par in 1 2; do
     cp "$tmp/holes.jsonl" "$tmp/resumed$par.jsonl"
+    status=0
     $quaddisc $args --no-timing --parallelism $par --out "$tmp/resumed$par.jsonl" --resume \
-      2> "$tmp/err$par.txt"
+      2> "$tmp/err$par.txt" || status=$?
+    echo "exit $status" >> "$tmp/err$par.txt"
   done
   cmp "$tmp/resumed1.jsonl" "$tmp/resumed2.jsonl"
   cmp "$tmp/err1.txt" "$tmp/err2.txt"
   cmp "$tmp/full.txt" "$tmp/err1.txt"
   cmp <(sort "$tmp/full.jsonl") <(sort "$tmp/resumed1.jsonl")
+  grep -qx "$(want "$args")" "$tmp/full.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
   echo "ok  $args --resume ($(($(wc -l < "$tmp/full.jsonl") - $(wc -l < "$tmp/holes.jsonl"))) deleted)"
 done

@@ -9,7 +9,6 @@ from .discriminator import (
     least_modulus_pair,
     pairwise_distinct,
     pairwise_distinct_fast,
-    residue_count,
 )
 from .ntcore import (
     DEFAULT_SCAN_CEILING,

@@ -98,24 +98,25 @@ _JSON_INT = "(?:0|-?[1-9][0-9]{0,99})"
 _OUTCOMES = {"null": (None, None), "true": (True, None), "false": (False, None)}
 
 
-def _load_prior(path: Path, keyers: dict[str, Callable[[int], tuple]]) -> dict[tuple, tuple]:
-    """(match, error) of each record already present at path, keyed: all the
-    summary reads of it.  Only newline-terminated lines are records: a corrupt
-    one is warned about and skipped, and a last line without its newline, cut
-    mid-write, is warned about and truncated away, so its record is recomputed
-    and appended records start on a line of their own.
+def _load_prior(path: Path, prefixes: dict[str, tuple]) -> dict[tuple, dict]:
+    """(match, error) of each record already present at path, one table per
+    prefix, its record_key without n, keyed by n: all the summary reads of
+    it.  Only newline-terminated lines are records: a corrupt one is warned
+    about and skipped, and a last line without its newline, cut mid-write, is
+    warned about and truncated away, so its record is recomputed and appended
+    records start on a line of their own.
 
-    keyers maps the campaign's segment heads (see _head), one at least, to
-    their _keyer.  A line that is exactly what _chunk writes for one of them,
-    a head, n and the outcome fields with null, bool or int values and no
-    extra field, is keyed by that keyer and read from its literal match,
-    without a JSON parse; every other line goes through parse_record and
-    record_key, the oracle of this path."""
-    prior: dict[tuple, tuple] = {}
+    prefixes maps the campaign's segment heads (see _head), one at least, to
+    their prefixes.  A line that is exactly what _chunk writes for one of
+    them, a head, n and the outcome fields with null, bool or int values and
+    no extra field, goes to that prefix's table and is read from its literal
+    match, without a JSON parse; every other line goes through parse_record
+    and record_key, the oracle of this path, and so to its own prefix."""
+    prior: dict[tuple, dict] = {}
     if not path.exists():
         return prior
     template = re.compile(
-        f'({"|".join(map(re.escape, keyers))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
+        f'({"|".join(map(re.escape, prefixes))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
         f'"predicted":(?:null|{_JSON_INT}),"match":(null|true|false),"ms":{_JSON_INT}}}\n'
     ).fullmatch
     # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
@@ -129,13 +130,14 @@ def _load_prior(path: Path, keyers: dict[str, Callable[[int], tuple]]) -> dict[t
             fast = template(line)
             if fast is not None:
                 head, n, match = fast.groups()
-                prior[keyers[head](int(n))] = _OUTCOMES[match]
+                prior.setdefault(prefixes[head], {})[int(n)] = _OUTCOMES[match]
                 continue
             if line.isspace():
                 continue
             try:
                 rec = parse_record(line)
-                prior[record_key(rec)] = (rec.get("match"), rec.get("error"))
+                outcome = rec.get("match"), rec.get("error")
+                prior.setdefault(record_key(rec)[:-1], {})[rec["n"]] = outcome
             except (ValueError, KeyError, TypeError):  # TypeError: an unhashable key field
                 print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
     return prior
@@ -380,13 +382,6 @@ def _head(command: str, params: dict) -> str:
     return serialize_record(_identity(command, params, 0))[:-2]
 
 
-def _keyer(command: str, params: dict) -> Callable[[int], tuple]:
-    """The record_key of each n's record in a segment with these params: the
-    segment's identity fields, then ("n", n)."""
-    prefix = record_key(_identity(command, params, 0))[:-1]
-    return lambda n: (*prefix, ("n", n))
-
-
 def _dispatch(command: str, params: dict, n: int) -> dict:
     """The record of n as a dict; serialized, it is the slow oracle of the
     text _chunk writes."""
@@ -421,10 +416,26 @@ def _json_value(value) -> str:
     return _ENCODER.encode(value)
 
 
+def _tally(expect: Callable[[dict, int], bool | None], params: dict, outcomes) -> tuple:
+    """The summary counts (records, match, mismatch, unexpected, ceiling) of
+    (n, match, error) outcomes in a segment with these params, computed or
+    read back for --resume."""
+    records = match_count = mismatch = unexpected = ceiling = 0
+    for n, match, error in outcomes:
+        records += 1
+        match_count += match is True
+        mismatch += match is False
+        if error:
+            ceiling += error == "scan_ceiling"
+        else:
+            exp = expect(params, n)
+            unexpected += exp is not None and match != exp
+    return records, match_count, mismatch, unexpected, ceiling
+
+
 def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[str, tuple]:
     """The records of a chunk, (params, items) of one segment, as JSONL text,
-    ms zeroed unless timing, and its summary counts (records, match, mismatch,
-    unexpected, ceiling).
+    ms zeroed unless timing, and the _tally of their outcomes.
 
     A record is the segment's head, its serialized identity up to n's value
     such as '{"cmd":"window-check","d":20,"n":', plus the literal text of n and
@@ -433,10 +444,9 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
     text equals serialize_record(_dispatch(...)) of each n, the slow oracle."""
     params, items = chunk
     spec = COMMANDS[command]
-    compute, expect, clock = spec.compute, spec.expect, time.perf_counter
+    compute, clock = spec.compute, time.perf_counter
     head = _head(command, params)
-    lines = []
-    match_count = mismatch = unexpected = ceiling = 0
+    lines, outcomes = [], []
     for n in items:
         start = head + str(n)
         t0 = clock() if timing else 0.0
@@ -444,19 +454,17 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
             least_m, predicted, match, extra = compute(params, n)
         except ScanCeilingError as e:
             least_m = predicted = match = None
-            ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
-            ceiling += 1
+            ms, error = 0, "scan_ceiling"
+            extra = {"error": error, "detail": str(e)}
         else:
             ms = int((clock() - t0) * 1000) if timing else 0
-            match_count += match is True
-            mismatch += match is False
-            exp = expect(params, n)
-            unexpected += exp is not None and match != exp
+            error = None
+        outcomes.append((n, match, error))
         tail = f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"
         lines.append(f'{start},"least_m":{_json_value(least_m)},'
                      f'"predicted":{_json_value(predicted)},"match":{_json_value(match)},'
                      f'"ms":{ms}{tail}')
-    return "".join(lines), (len(items), match_count, mismatch, unexpected, ceiling)
+    return "".join(lines), _tally(spec.expect, params, outcomes)
 
 
 def expected_match(command: str, params: dict, rec: dict) -> bool | None:
@@ -556,34 +564,6 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Summary:
-    """Running counts for the summary line: a record read back for --resume at
-    a time, a computed chunk's counts at a time."""
-
-    def __init__(self, expect: Callable[[dict, int], bool | None]):
-        self.expect = expect
-        self.records = self.match = self.mismatch = self.unexpected = self.ceiling = 0
-
-    def add(self, params: dict, n: int, match, error) -> None:
-        """Add the record of n in a segment with these params."""
-        self.records += 1
-        self.match += match is True
-        self.mismatch += match is False
-        self.ceiling += error == "scan_ceiling"
-        if not error:
-            exp = self.expect(params, n)
-            self.unexpected += exp is not None and match != exp
-
-    def add_counts(self, counts: tuple) -> None:
-        """Add _chunk's (records, match, mismatch, unexpected, ceiling)."""
-        records, match, mismatch, unexpected, ceiling = counts
-        self.records += records
-        self.match += match
-        self.mismatch += mismatch
-        self.unexpected += unexpected
-        self.ceiling += ceiling
-
-
 def run(config: CampaignConfig) -> int:
     """Execute a campaign; stream records in work order; return the exit status."""
     try:
@@ -598,37 +578,34 @@ def run(config: CampaignConfig) -> int:
     parallelism = min(config.parallelism, cores) or cores
 
     t0 = time.perf_counter()
-    prior: dict[tuple, tuple] = {}
+    prior: dict[tuple, dict] = {}
     try:
         if config.resume:
-            keyed = [(seg, ns, _keyer(config.command, seg)) for seg, ns in segments]
-            prior = _load_prior(Path(config.output),
-                                {_head(config.command, seg): key for seg, _, key in keyed})
+            prefixes = [record_key(_identity(config.command, seg, 0))[:-1] for seg, _ in segments]
+            prior = _load_prior(Path(config.output), {
+                _head(config.command, seg): prefix for (seg, _), prefix in zip(segments, prefixes)})
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    summary = _Summary(COMMANDS[config.command].expect)
+    summary = [0] * 5
     pending = segments
     if prior:
+        expect = COMMANDS[config.command].expect
         pending = []
-        for seg, ns, key in keyed:
-            todo = []
-            for n in ns:
-                outcome = prior.get(key(n))
-                if outcome is None:
-                    todo.append(n)
-                else:
-                    summary.add(seg, n, *outcome)
-            pending.append((seg, todo))
+        for (seg, ns), prefix in zip(segments, prefixes):
+            found = prior.get(prefix, {})
+            pending.append((seg, [n for n in ns if n not in found]))
+            counts = _tally(expect, seg, ((n, *found[n]) for n in ns if n in found))
+            summary = [s + c for s, c in zip(summary, counts)]
         del prior
     try:
         for text, counts in _compute(config.command, pending, parallelism, config.timing):
             out.write(text)
             out.flush()
-            summary.add_counts(counts)
+            summary = [s + c for s, c in zip(summary, counts)]
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)
         return EXIT_IO
@@ -637,14 +614,14 @@ def run(config: CampaignConfig) -> int:
             out.close()
 
     wall_ms = 0 if not config.timing else int((time.perf_counter() - t0) * 1000)
+    records, match, mismatch, unexpected, ceiling = summary
     print(
-        f"# summary cmd={config.command} records={summary.records} match={summary.match} "
-        f"mismatch={summary.mismatch} unexpected={summary.unexpected} "
-        f"ceiling={summary.ceiling} ms={wall_ms}",
+        f"# summary cmd={config.command} records={records} match={match} "
+        f"mismatch={mismatch} unexpected={unexpected} ceiling={ceiling} ms={wall_ms}",
         file=sys.stderr,
     )
-    if summary.ceiling:
+    if ceiling:
         return EXIT_CEILING
-    if summary.unexpected:
+    if unexpected:
         return EXIT_MISMATCH
     return EXIT_OK

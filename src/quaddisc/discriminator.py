@@ -45,9 +45,6 @@ class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
     def term(self, k: int) -> int:
         return (self.a * k * k + self.b * k) // 2
 
-    def terms(self, n: int) -> list[int]:
-        return [self.term(k) for k in range(1, n + 1)]
-
     def __str__(self) -> str:
         return f"({self.a}k^2{self.b:+d}k)/2"
 
@@ -225,16 +222,6 @@ def _separates(seq: HalfQuadratic, n: int, m: int) -> bool:
             if g > 2 and _class_collides(a, b, g, m2 // g, n):
                 return False
     return True
-
-
-def residue_count(seq: HalfQuadratic, n: int, m: int) -> int:
-    """Cardinality of {f(k) mod m : 1 <= k <= n}."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    m2 = 2 * m  # f(k) mod m is (2 f(k) mod 2m) / 2
-    return len({(seq.a * k * k + seq.b * k) % m2 for k in range(1, n + 1)})
 
 
 def collision_witness(seq: HalfQuadratic, n: int, m: int) -> tuple[int, int] | None:

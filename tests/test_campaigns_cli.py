@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -28,10 +29,8 @@ from quaddisc.campaigns import (
     _dispatch,
     _head,
     _identity,
-    _keyer,
     _load_prior,
     _segments,
-    _Summary,
     _validate,
     expected_match,
     parse_record,
@@ -75,20 +74,22 @@ def test_record_key_uses_identity_fields_only():
     assert record_key(a) != record_key(dict(a, n=10))
 
 
-def _keyers(command, params):
-    """The keyers argument of _load_prior for one segment with these params."""
-    return {_head(command, params): _keyer(command, params)}
+def _prefix(command, params):
+    """The record_key without n of every record of a segment with these params."""
+    return record_key(_identity(command, params, 0))[:-1]
 
 
-_THEOREM11_KEYERS = _keyers("verify-theorem11", {"d": 4, "c": 1})
-_WINDOW_KEYERS = _keyers("window-check", {"d": 4})
+_THEOREM11 = _prefix("verify-theorem11", {"d": 4, "c": 1})
+_WINDOW = _prefix("window-check", {"d": 4})
+_THEOREM11_PREFIXES = {_head("verify-theorem11", {"d": 4, "c": 1}): _THEOREM11}
+_WINDOW_PREFIXES = {_head("window-check", {"d": 4}): _WINDOW}
 
 
 def test_resume_scan_empty_and_valid(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text("")
-    assert _load_prior(path, _THEOREM11_KEYERS).keys() == set()
-    assert _load_prior(tmp_path / "absent.jsonl", _THEOREM11_KEYERS).keys() == set()
+    assert _load_prior(path, _THEOREM11_PREFIXES) == {}
+    assert _load_prior(tmp_path / "absent.jsonl", _THEOREM11_PREFIXES) == {}
 
     recs = [
         {"cmd": "verify-theorem11", "d": 4, "c": 1, "n": n, "least_m": 1,
@@ -96,7 +97,8 @@ def test_resume_scan_empty_and_valid(tmp_path, capsys):
         for n in (6, 7, 8)
     ]
     path.write_text("".join(serialize_record(r) + "\n" for r in recs))
-    assert _load_prior(path, _THEOREM11_KEYERS).keys() == {record_key(r) for r in recs}
+    assert _load_prior(path, _THEOREM11_PREFIXES) == {_THEOREM11: dict.fromkeys((6, 7, 8),
+                                                                             (True, None))}
     assert capsys.readouterr().err == ""
 
 
@@ -106,8 +108,7 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
                              "predicted": None, "match": True, "ms": 0})
     lines = [good, good.replace('"n":79', '"n":80'), good[: len(good) // 2]]
     path.write_text("\n".join(lines) + "\n")
-    keys = _load_prior(path, _WINDOW_KEYERS).keys()
-    assert len(keys) == 2
+    assert _load_prior(path, _WINDOW_PREFIXES) == {_WINDOW: dict.fromkeys((79, 80), (True, None))}
     assert "corrupt record" in capsys.readouterr().err
 
 
@@ -117,7 +118,7 @@ def test_resume_scan_skips_unhashable_key_field(tmp_path, capsys):
     good = serialize_record({"cmd": "window-check", "d": 4, "n": 79, "least_m": None,
                              "predicted": None, "match": True, "ms": 0})
     path.write_text(good.replace('"n":79', '"n":[79]') + "\n" + good + "\n")
-    assert list(_load_prior(path, _WINDOW_KEYERS).values()) == [(True, None)]
+    assert _load_prior(path, _WINDOW_PREFIXES) == {_WINDOW: {79: (True, None)}}
     assert f"corrupt record at {path}:1" in capsys.readouterr().err
 
 
@@ -265,6 +266,30 @@ def test_resume_recomputes_last_record_without_newline(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "corrupt record" in err and "records=9" in err
     assert path.read_bytes() == full
+
+
+def test_resume_after_any_cut_gives_the_fresh_run(tmp_path, capsys):
+    # a campaign killed after any byte resumes to the fresh file, summary and
+    # exit status; its flags lines go through parse_record.  The last prior
+    # holds a cut tail that ends inside a multi-byte UTF-8 character after a
+    # whole one, so only a truncation by encoded bytes restores the file.
+    path = tmp_path / "cut.jsonl"
+    config = partial(CampaignConfig, "conjecture", {"id": "1.2"}, 1, 25, parallelism=1,
+                     output=str(path), timing=False)
+    fresh_rc = run(config())
+    fresh, summary = path.read_bytes(), capsys.readouterr().err
+    assert b'"flags":' in fresh
+    lines = fresh.splitlines(keepends=True)
+    tail = lines[5][:-2] + ',"note":"\u00e9\u4e00"}'.encode()[:-3]
+    priors = [fresh[:cut] for cut in sorted(random.Random(16).sample(range(len(fresh)), 150))]
+    for prior in [*priors, b"".join(lines[:5]) + tail]:
+        path.write_bytes(prior)
+        assert run(config(resume=True)) == fresh_rc
+        assert path.read_bytes() == fresh
+        cut = prior.count(b"\n") + 1
+        warnings = [f"warning: skipping corrupt record at {path}:{cut}\n"] \
+            if prior and not prior.endswith(b"\n") else []
+        assert capsys.readouterr().err == "".join([*warnings, summary])
 
 
 def test_default_parallelism_follows_affinity(monkeypatch, capsys):
@@ -478,8 +503,8 @@ def test_registry_samples_cover_every_command():
 
 @pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)
 def test_resume_key_matches_record_key(monkeypatch, command, params, n):
-    # --resume keys each n by _keyer, one prefix per segment; a drift from the
-    # records it writes would silently recompute or skip records
+    # --resume finds each n in its segment's table, one prefix per segment; a
+    # drift from the records it writes would silently recompute or skip records
     import quaddisc.campaigns as campaigns
 
     config = CampaignConfig(command, params, n, n + 39)
@@ -494,23 +519,25 @@ def test_resume_key_matches_record_key(monkeypatch, command, params, n):
         segments = _segments(config, dict(identity, ceiling=ceiling))
         assert len(segments) == (len(PREDICTION_THRESHOLD) if params.get("all") else 1)
         for seg, ns in segments:
-            key = _keyer(command, seg)
+            prefix = _prefix(command, seg)
             for m in ns:
                 rec = _dispatch(command, seg, m)
                 assert rec.get("error") == (None if ceiling > 10 else "scan_ceiling")
-                assert key(m) == record_key(rec)
+                assert (*prefix, ("n", m)) == record_key(rec)
 
 
 @pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)
 def test_resume_keyer_matches_key_for(command, params, n):
-    # run matches prior records by _keyer, one prefix per segment; it must key
-    # every n, in the segment or not, as the record's own identity fields do
+    # run matches prior records by n in one table per segment prefix; prefix
+    # and n must key every n, in the segment or not, as the record's own
+    # identity fields do
     config = CampaignConfig(command, params, n, n + 39)
     params = dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING)
     for seg, ns in _segments(config, params):
-        key = _keyer(command, seg)
+        prefix = _prefix(command, seg)
         items = [*ns, *range(1, 60)]
-        assert [key(m) for m in items] == [record_key(_identity(command, seg, m)) for m in items]
+        assert [(*prefix, ("n", m)) for m in items] == [
+            record_key(_identity(command, seg, m)) for m in items]
 
 
 def _segment_params(config):
@@ -599,15 +626,15 @@ def _oracle_prior(path: Path) -> tuple[dict, str, int]:
        tail=st.sampled_from(["", "cut", "no newline"]))
 def test_template_read_matches_oracle(lines, tail):
     # _load_prior with heads reads exactly the template lines without
-    # parse_record; its mapping (order too), warnings and file bytes are the
-    # oracle's
+    # parse_record; each prefix's table holds the oracle's records under that
+    # prefix, in order, and its warnings and file bytes are the oracle's
     import quaddisc.campaigns as campaigns
 
     data = b"".join(line for line, _ in lines)
     if tail and lines:
         last = lines[-1][0][:-1]
         data += last[:len(last) // 2] if tail == "cut" else last
-    keyers = {_head(command, seg): _keyer(command, seg) for command, seg in _KNOWN}
+    prefixes = {_head(command, seg): _prefix(command, seg) for command, seg in _KNOWN}
     real, calls = campaigns.parse_record, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prior.jsonl"
@@ -619,10 +646,16 @@ def test_template_read_matches_oracle(lines, tail):
         campaigns.parse_record = lambda line: calls.append(line) or real(line)
         try:
             with contextlib.redirect_stderr(err):
-                prior = _load_prior(path, keyers)
+                prior = _load_prior(path, prefixes)
         finally:
             campaigns.parse_record = real
-        assert list(prior.items()) == list(oracle.items())
+        grouped = {}
+        for key, outcome in oracle.items():
+            grouped.setdefault(key[:-1], []).append((key, outcome))
+        for prefix in {*prior, *grouped}:
+            table = prior.get(prefix, {})
+            assert [((*prefix, ("n", n)), outcome) for n, outcome in table.items()] == \
+                grouped.get(prefix, [])
         assert err.getvalue() == oracle_err
         assert path.read_bytes() == oracle_bytes
     assert len(calls) == oracle_calls - sum(taken for _, taken in lines)
@@ -678,8 +711,8 @@ TEMPLATE_CAMPAIGNS = [
 
 def test_record_template_matches_serialize_record():
     # _chunk writes records from a per-campaign template; the encoder on the
-    # record _dispatch builds is its oracle, and _Summary.add record by record
-    # the oracle of its counts
+    # record _dispatch builds is its oracle, and counts taken record by record
+    # from those records and the command's expect the oracle of its counts
     assert {config.command for config in TEMPLATE_CAMPAIGNS} == set(COMMANDS)
     shapes = set()
     unexpected = 0
@@ -693,15 +726,32 @@ def test_record_template_matches_serialize_record():
         timed = "".join(_chunk(config.command, True, segment)[0] for segment in segments)
         assert re.sub(r'"ms":\d+', '"ms":0', timed) == expected, config
 
-        summary = _Summary(COMMANDS[config.command].expect)
-        for (seg, n), rec in zip(items, oracle):
-            summary.add(seg, n, rec["match"], rec.get("error"))
+        expect = COMMANDS[config.command].expect
+        matches = [rec["match"] for rec in oracle]
+        ceiling = [rec.get("error") == "scan_ceiling" for rec in oracle]
+        surprises = sum(not error and expect(seg, n) not in (None, rec["match"])
+                        for (seg, n), rec, error in zip(items, oracle, ceiling))
         counts = tuple(map(sum, zip(*(counts for _, counts in chunks))))
-        assert counts == (summary.records, summary.match, summary.mismatch,
-                          summary.unexpected, summary.ceiling), config
+        assert counts == (len(oracle), matches.count(True), matches.count(False), surprises,
+                          sum(ceiling)), config
         shapes.update(f for rec in oracle for f in ("error", "flags", "certificate") if f in rec)
-        unexpected += summary.unexpected
+        unexpected += surprises
     assert shapes == {"error", "flags", "certificate"} and unexpected > 0
+
+
+@pytest.mark.parametrize("config", TEMPLATE_CAMPAIGNS, ids=lambda config: config.command)
+def test_resume_with_holes_repeats_the_fresh_summary(tmp_path, capsys, config):
+    # every third record deleted: the prior records, ceiling errors,
+    # unexpected outcomes, flags, certificates and counterexample rows, are
+    # counted as the fresh run counted them, and the deleted ones come back
+    path = tmp_path / "holes.jsonl"
+    config = config._replace(parallelism=1, output=str(path), timing=False)
+    fresh_rc = run(config)
+    fresh, summary = path.read_text().splitlines(keepends=True), capsys.readouterr().err
+    path.write_text("".join(line for i, line in enumerate(fresh) if i % 3 != 2))
+    assert run(config._replace(resume=True)) == fresh_rc
+    assert capsys.readouterr().err == summary
+    assert sorted(path.read_text().splitlines(keepends=True)) == sorted(fresh)
 
 
 @pytest.mark.parametrize("command", [*COMMANDS, "tables"])

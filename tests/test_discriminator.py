@@ -22,7 +22,6 @@ from quaddisc.discriminator import (
     least_modulus_pair,
     pairwise_distinct,
     pairwise_distinct_fast,
-    residue_count,
 )
 from quaddisc.ntcore import ScanCeilingError, radical
 
@@ -56,9 +55,9 @@ def test_halfquadratic_validation():
     with pytest.raises(ValueError):
         HalfQuadratic(1, 2)  # odd sum: half-values not integral
     assert HalfQuadratic(2, 0).term(5) == 25
-    assert CHOOSE2.terms(5) == [0, 1, 3, 6, 10]
+    assert [CHOOSE2.term(k) for k in range(1, 6)] == [0, 1, 3, 6, 10]
     assert SEQ_4K4K1.a == 32 and SEQ_4K4K1.b == -8
-    assert SEQ_4K4K1.terms(3) == [12, 56, 132]
+    assert [SEQ_4K4K1.term(k) for k in range(1, 4)] == [12, 56, 132]
 
 
 def test_apcase_validation():
@@ -146,26 +145,6 @@ def test_monotone_witness():
             if failed:
                 assert not ok
             failed = failed or not ok
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    d=st.integers(2, 12),
-    pick=st.integers(0, 10**6),
-    n=st.integers(1, 130),
-    m=st.integers(1, 600),
-)
-def test_residue_count_iff_distinct(d, pick, n, m):
-    cs = coprime_cs(d)
-    seq = APCase(d, cs[pick % len(cs)]).seq
-    assert (residue_count(seq, n, m) == n) == pairwise_distinct(seq, n, m)
-
-
-def test_residue_count_examples():
-    assert residue_count(CHOOSE2, 5, 11) == 5
-    assert residue_count(CHOOSE2, 5, 1) == 1
-    # residues of binomial(k,2) for k=1..4 mod 3 are 0,1,0,0
-    assert residue_count(CHOOSE2, 4, 3) == 2
 
 
 def test_least_modulus_examples():
