@@ -52,14 +52,16 @@ done
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2
 # record, whose least_m and predicted are integers, and every 11th conjecture
-# 1.2 record, whose flags send its lines through the JSON parser, and every
-# 5th record of the run under a scan ceiling, whose error records do too.  The
-# resumed file holds the fresh records, and its summary and exit status are the
-# fresh ones.
+# 1.2 record, whose flags send its lines through the JSON parser, every 5th
+# record of the run under a scan ceiling, whose error records do too, and every
+# 4th conjecture 1.3 squares record, which takes the collision certificates of
+# n = 7 and 79 and recomputes them.  The resumed file holds the fresh records,
+# and its summary and exit status are the fresh ones.
 for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
             "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
-            "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5"; do
+            "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5" \
+            "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4"; do
   args=${case%|*} every=${case#*|}
   status=0
   $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \

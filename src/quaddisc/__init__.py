@@ -4,7 +4,6 @@ from .discriminator import (
     APCase,
     HalfQuadratic,
     collision_witness,
-    eval_mod,
     least_modulus,
     least_modulus_pair,
     pairwise_distinct,
@@ -12,7 +11,6 @@ from .discriminator import (
 )
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
-    PrimeQuery,
     ScanCeilingError,
     classify_two_power_times_prime,
     first_prime_in_ap,

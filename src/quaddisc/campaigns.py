@@ -30,7 +30,7 @@ from .conjectures import (
     conjecture14_check,
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
-from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value,
+from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value, _MR_LIMIT,
                      first_prime_of_form)
 from .verifier import (
     COROLLARY11_THRESHOLD,
@@ -40,7 +40,6 @@ from .verifier import (
     REMARK12_CASES,
     WINDOW_THRESHOLD,
     prime_window_all_residues,
-    verify_remark11,
     verify_remark12,
     verify_theorem11,
     verify_theorem12,
@@ -240,7 +239,7 @@ def _check_conjecture(config: CampaignConfig) -> dict:
     if cid == "1.1":
         if (p.get("d") or 0) < 1:
             raise ValueError("conjecture 1.1 needs --d >= 1")
-        if 2 * p["d"] + config.scan_ceiling >= 2**64:
+        if 2 * p["d"] + config.scan_ceiling >= _MR_LIMIT:
             raise ValueError("conjecture 1.1 tests p + 2d for primality, which is exact only "
                              "below 2^64: 2d + scan ceiling must be below 2^64")
         return {"id": cid, "d": p["d"]}
@@ -307,7 +306,7 @@ COMMANDS = {
         options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
                  ("--d", {"type": int})),
         check=lambda config: {},
-        compute=lambda p, n: _verified(verify_remark11(p["d"], p["ceiling"])),
+        compute=_theorem11,
         expect=lambda p, n: False,
         one_of=True,
         segments=_remark11_rows,
@@ -485,7 +484,7 @@ def _validate(config: CampaignConfig) -> dict:
         raise ValueError("--resume requires an output file")
     if config.scan_ceiling < 2:
         raise ValueError("scan ceiling must be >= 2")
-    if config.scan_ceiling >= 2**64:
+    if config.scan_ceiling >= _MR_LIMIT:
         raise ValueError("scan ceiling must be below 2^64, where primality testing is exact")
     return COMMANDS[config.command].check(config)
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import count
 
-from .discriminator import HalfQuadratic, _scan, _separates, collision_witness, least_modulus_pair
+from .discriminator import (HalfQuadratic, _first_collision, _scan, _separates,
+                            collision_witness, least_modulus_pair)
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
-    PrimeQuery,
     Value,
     classify_two_power_times_prime,
     first_prime_in_ap,
@@ -92,11 +92,11 @@ def first_prime_with_prime_gap(
     Existence for every even gap is the open de Polignac question, hence the
     ceiling.
     """
-    p = first_prime_in_ap(PrimeQuery(0, 1, max(2, lower_bound)), ceiling)
+    p = first_prime_in_ap(0, 1, max(2, lower_bound), ceiling)
     while True:
         if is_prime(p + gap):
             return p
-        p = first_prime_in_ap(PrimeQuery(0, 1, p + 1), ceiling)
+        p = first_prime_in_ap(0, 1, p + 1, ceiling)
 
 
 def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
@@ -166,10 +166,6 @@ def conjecture13_check(
     )
 
 
-def _values_distinct(values: list[int], m: int) -> bool:
-    return len({v % m for v in values}) == len(values)
-
-
 # The n and pair sums of the last _pair_sums call in this process: a sweep's
 # next n extends them by the n - 1 sums with the new prime.
 _last_sums: tuple | None = None
@@ -198,7 +194,7 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
         raise ValueError(f"n must be > 2, got {n}")
     primes = nth_primes(n)
     values = [6 * p * (p - 1) for p in primes]
-    observed = _scan("1.4", n, count, lambda m: _values_distinct(values, m), ceiling,
+    observed = _scan("1.4", n, count, lambda m: len({v % m for v in values}) == n, ceiling,
                      f"prime-indexed discriminator at n={n}")
     sums = _pair_sums(primes)
     # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
@@ -212,25 +208,22 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
         walked = predicted + 1
     else:
         # the first prime from walked on is >= 2 p_n, or above the ceiling
-        predicted = first_prime_in_ap(PrimeQuery(0, 1, walked), ceiling)
+        predicted = first_prime_in_ap(0, 1, walked, ceiling)
     agrees = observed == predicted
     cert = None
     if not agrees:
         if observed > predicted:
-            seen: dict[int, int] = {}
-            for i, v in enumerate(values):
-                r = v % predicted
-                if r in seen:
-                    cert = {
-                        "kind": "predicted_modulus_collides",
-                        "modulus": predicted,
-                        "i": seen[r] + 1,
-                        "j": i + 1,
-                        "value_i": values[seen[r]],
-                        "value_j": values[i],
-                    }
-                    break
-                seen[r] = i
+            pair = _first_collision(v % predicted for v in values)
+            if pair is not None:
+                i, j = pair
+                cert = {
+                    "kind": "predicted_modulus_collides",
+                    "modulus": predicted,
+                    "i": i,
+                    "j": j,
+                    "value_i": values[i - 1],
+                    "value_j": values[j - 1],
+                }
         else:
             cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
     return ConjectureReport("1.4", {}, n, observed, predicted, agrees, cert)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from itertools import chain, count
 
@@ -74,17 +74,6 @@ class APCase(Value, namedtuple("APCase", "d c")):
     @property
     def seq(self) -> HalfQuadratic:
         return HalfQuadratic.from_factors(2 * self.rad, self.d, -self.c)
-
-
-def eval_mod(seq: HalfQuadratic, k: int, m: int) -> int:
-    """f(k) mod m, reduced modulo 2m before the exact halving."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    m2 = 2 * m
-    kr = k % m2
-    return ((seq.a * kr * kr + seq.b * kr) % m2) // 2
 
 
 def _distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
@@ -224,17 +213,22 @@ def _separates(seq: HalfQuadratic, n: int, m: int) -> bool:
     return True
 
 
+def _first_collision(values: Iterable) -> tuple[int, int] | None:
+    """(k, l), counted from 1, where the l-th value is the first to repeat an
+    earlier one, the k-th; None when all values differ."""
+    seen: dict = {}
+    for l, v in enumerate(values, 1):
+        if v in seen:
+            return seen[v], l
+        seen[v] = l
+    return None
+
+
 def collision_witness(seq: HalfQuadratic, n: int, m: int) -> tuple[int, int] | None:
     """First pair 1 <= k < l <= n with f(k) == f(l) (mod m), else None."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    seen: dict[int, int] = {}
-    for k in range(1, n + 1):
-        r = eval_mod(seq, k, m)
-        if r in seen:
-            return seen[r], k
-        seen[r] = k
-    return None
+    return _first_collision(seq.term(k) % m for k in range(1, n + 1))
 
 
 def _check_separable(seq: HalfQuadratic, n: int) -> None:

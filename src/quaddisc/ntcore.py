@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
@@ -111,38 +110,32 @@ def radical(d: int) -> int:
     return r
 
 
-class PrimeQuery(Value, namedtuple("PrimeQuery", "residue modulus lower_bound")):
-    """A request for the first prime >= lower_bound in a residue class.
-
-    residue may be negative; only its class modulo `modulus` matters.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, residue: int, modulus: int, lower_bound: int):
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        if lower_bound < 2:
-            raise ValueError(f"lower_bound must be >= 2, got {lower_bound}")
-        if modulus > 1 and math.gcd(residue % modulus, modulus) != 1:
-            raise ValueError(f"residue {residue} is not coprime to modulus {modulus}")
-        return super().__new__(cls, residue, modulus, lower_bound)
+def _check_prime_query(residue: int, modulus: int, lower_bound: int) -> None:
+    """Raise ValueError unless modulus >= 1, lower_bound >= 2 and gcd(residue, modulus) = 1."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if lower_bound < 2:
+        raise ValueError(f"lower_bound must be >= 2, got {lower_bound}")
+    if modulus > 1 and math.gcd(residue % modulus, modulus) != 1:
+        raise ValueError(f"residue {residue} is not coprime to modulus {modulus}")
 
 
-def first_prime_in_ap(q: PrimeQuery, ceiling: int = DEFAULT_SCAN_CEILING) -> int:
-    """Least prime p >= q.lower_bound with p == q.residue (mod q.modulus).
+def first_prime_in_ap(
+    residue: int, modulus: int, lower_bound: int, ceiling: int = DEFAULT_SCAN_CEILING
+) -> int:
+    """Least prime p >= lower_bound with p == residue (mod modulus); residue may
+    be negative, only its class modulo `modulus` matters.
 
     Dirichlet guarantees termination mathematically; the ceiling turns a
     runaway scan (e.g. absurd inputs) into ScanCeilingError.
     """
-    m = q.modulus
-    res = q.residue % m
-    cand = q.lower_bound + (res - q.lower_bound) % m
+    _check_prime_query(residue, modulus, lower_bound)
+    cand = lower_bound + (residue - lower_bound) % modulus
     while cand <= ceiling:
         if is_prime(cand):
             return cand
-        cand += m
-    raise ScanCeilingError(f"prime == {q.residue} (mod {m}) from {q.lower_bound}", ceiling)
+        cand += modulus
+    raise ScanCeilingError(f"prime == {residue} (mod {modulus}) from {lower_bound}", ceiling)
 
 
 def simple_sieve(limit: int) -> list[int]:

@@ -15,8 +15,8 @@ from functools import lru_cache
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
-    PrimeQuery,
     Value,
+    _check_prime_query,
     _coprime_residues,
     first_prime_in_ap,
     is_prime,
@@ -94,7 +94,7 @@ def predicted_prime(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bound = max(2, _ceil_div(2 * d * n - c, d - 1))
-    return first_prime_in_ap(PrimeQuery(c, d, bound), ceiling)
+    return first_prime_in_ap(c, d, bound, ceiling)
 
 
 class VerificationRecord(Value, namedtuple("VerificationRecord", "d c n least_m predicted")):
@@ -145,7 +145,7 @@ class ModulusClass(Value, namedtuple("ModulusClass", "residue modulus power_base
     __slots__ = ()
 
     def __new__(cls, residue: int = 0, modulus: int = 1, power_base: int | None = None):
-        PrimeQuery(residue, modulus, 2)  # validates residue and modulus
+        _check_prime_query(residue, modulus, 2)  # validates residue and modulus
         if power_base is not None and power_base < 2:
             raise ValueError(f"power_base must be >= 2, got {power_base}")
         return super().__new__(cls, residue, modulus, power_base)
@@ -160,7 +160,7 @@ class ModulusClass(Value, namedtuple("ModulusClass", "residue modulus power_base
     def first_at_least(self, bound: int, ceiling: int = DEFAULT_SCAN_CEILING) -> int:
         """Least class member >= bound."""
         bound = max(bound, 2)
-        prime = first_prime_in_ap(PrimeQuery(self.residue, self.modulus, bound), ceiling)
+        prime = first_prime_in_ap(self.residue, self.modulus, bound, ceiling)
         if self.power_base is None:
             return prime
         power = self.power_base

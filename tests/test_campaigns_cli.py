@@ -196,9 +196,9 @@ def test_resume_counterexample_suite(tmp_path, monkeypatch, capsys, serial_pool)
                    for i, line in enumerate(fresh) if i not in dropped)
 
     calls = []
-    real = campaigns.verify_remark11
-    monkeypatch.setattr(campaigns, "verify_remark11",
-                        lambda d, ceiling: calls.append(d) or real(d, ceiling))
+    real = campaigns.verify_theorem11
+    monkeypatch.setattr(campaigns, "verify_theorem11",
+                        lambda d, c, n, ceiling: calls.append(d) or real(d, c, n, ceiling))
     monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
     monkeypatch.setattr(campaigns, "_available_cores", lambda: 2)
     for k in (1, 2):
@@ -432,8 +432,8 @@ def test_exit_mismatch_when_a_counterexample_row_matches(monkeypatch, capsys):
     import quaddisc.campaigns as campaigns
     from quaddisc.verifier import VerificationRecord
 
-    monkeypatch.setattr(campaigns, "verify_remark11",
-                        lambda d, ceiling: VerificationRecord(d, 1, 1, 7, 7))
+    monkeypatch.setattr(campaigns, "verify_theorem11",
+                        lambda d, c, n, ceiling: VerificationRecord(d, c, n, 7, 7))
     assert main(["verify-remark11", "--d", "5", "--no-timing"]) == EXIT_MISMATCH
     assert "match=1 mismatch=0 unexpected=1" in capsys.readouterr().err
 

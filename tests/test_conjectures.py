@@ -14,7 +14,7 @@ from quaddisc.conjectures import (
     conjecture14_check,
     first_prime_with_prime_gap,
 )
-from quaddisc.discriminator import HalfQuadratic, eval_mod
+from quaddisc.discriminator import HalfQuadratic
 from quaddisc.ntcore import is_prime, nth_primes
 
 
@@ -76,7 +76,7 @@ def test_conjecture13_squares_forced_disagreement():
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == 7
     k, l = cert["k"], cert["l"]
     seq = HalfQuadratic.squares()
-    assert eval_mod(seq, k, 7) == eval_mod(seq, l, 7)
+    assert seq.term(k) % 7 == seq.term(l) % 7
     assert cert["term_k"] == k * k and cert["term_l"] == l * l
 
 
@@ -157,3 +157,57 @@ def test_reports_carry_parameters():
     assert rep.conjecture == "1.1" and rep.params == {"d": 3} and rep.n == 7
     rep = conjecture13_check("4x^2+1", 2, "squares")
     assert rep.params == {"form": "4x^2+1", "variant": "squares"}
+
+
+def _first_primes(n):
+    """The first n primes by trial division, independent of the library."""
+    primes = []
+    x = 2
+    while len(primes) < n:
+        if all(x % p for p in primes):
+            primes.append(x)
+        x += 1
+    return primes
+
+
+@pytest.mark.parametrize("n", [4, 10, 25, 60])
+def test_conjecture14_collision_certificate(monkeypatch, n):
+    # with no pair sums the prediction is p_n itself, below the observed value,
+    # so the report must name the first pair of values that collide modulo p_n
+    monkeypatch.setattr(conjectures, "_pair_sums", lambda primes: set())
+    primes = _first_primes(n)
+    rep = conjecture14_check(n)
+    assert rep.predicted == primes[-1] < rep.observed and not rep.agrees
+    if n == 10:
+        assert (rep.observed, rep.predicted) == (37, 29)
+    cert = rep.certificate
+    assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == rep.predicted
+    q, i, j = rep.predicted, cert["i"], cert["j"]
+    assert 1 <= i < j <= n
+    values = [6 * p * (p - 1) for p in primes]
+    assert (cert["value_i"], cert["value_j"]) == (values[i - 1], values[j - 1])
+    assert (cert["value_j"] - cert["value_i"]) % q == 0
+    assert len({v % q for v in values[: j - 1]}) == j - 1  # no earlier j repeats a residue
+
+
+@pytest.mark.parametrize("d,n", [(1, 10), (3, 20)])
+def test_conjecture11_collision_certificate(monkeypatch, d, n):
+    # a prediction of 2n - 1 itself is below the observed value, so the report
+    # must name the first colliding pair modulo 2n - 1, or else modulo 2n - 1 + 2d
+    monkeypatch.setattr(conjectures, "first_prime_with_prime_gap",
+                        lambda lower_bound, gap, ceiling: lower_bound)
+    rep = conjecture11_check(d, n)
+    predicted, gap = 2 * n - 1, 2 * d
+    assert rep.predicted == predicted < rep.observed and not rep.agrees
+    cert = rep.certificate
+    assert cert["kind"] == "predicted_modulus_collides"
+    m, k, l = cert["modulus"], cert["k"], cert["l"]
+    terms = [x * (x - 1) // 2 for x in range(1, n + 1)]
+    if m == predicted + gap:
+        assert len({t % predicted for t in terms}) == n  # predicted itself separates them
+    else:
+        assert m == predicted
+    assert 1 <= k < l <= n
+    assert (cert["term_k"], cert["term_l"]) == (terms[k - 1], terms[l - 1])
+    assert (cert["term_l"] - cert["term_k"]) % m == 0
+    assert len({t % m for t in terms[: l - 1]}) == l - 1  # no earlier l repeats a residue

@@ -17,7 +17,6 @@ from quaddisc.discriminator import (
     _divisors_upto,
     _separates,
     collision_witness,
-    eval_mod,
     least_modulus,
     least_modulus_pair,
     pairwise_distinct,
@@ -80,29 +79,6 @@ def test_apcase_product_identity(d):
         seq = APCase(d, c).seq
         for k in range(0, 11):
             assert (seq.a * k * k + seq.b * k) // 2 == 2 * r * k * (d * k - c)
-
-
-def test_eval_mod_examples():
-    assert eval_mod(SEQ_4K4K1, 2, 16) == 8  # 4*2*7 = 56
-    assert eval_mod(CHOOSE2, 1, 1) == 0
-    assert eval_mod(CHOOSE2, 5, 11) == 10
-    with pytest.raises(ValueError):
-        eval_mod(CHOOSE2, 0, 5)
-    with pytest.raises(ValueError):
-        eval_mod(CHOOSE2, 1, 0)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    a=st.integers(-2000, 2000),
-    parity=st.integers(0, 1),
-    k=st.integers(1, 10**6),
-    m=st.integers(1, 10**6),
-)
-def test_eval_mod_matches_direct_formula(a, parity, k, m):
-    b = 2 * parity - a  # force a + b even
-    seq = HalfQuadratic(a, b)
-    assert eval_mod(seq, k, m) == seq.term(k) % m
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -334,7 +310,7 @@ def test_collision_witness():
     assert collision_witness(SEQ_4K4K1, 6, 17) is None
     k, l = collision_witness(SEQ_4K4K1, 6, 16)
     assert 1 <= k < l <= 6
-    assert eval_mod(SEQ_4K4K1, k, 16) == eval_mod(SEQ_4K4K1, l, 16)
+    assert SEQ_4K4K1.term(k) % 16 == SEQ_4K4K1.term(l) % 16
 
 
 def test_lemma22_slice():

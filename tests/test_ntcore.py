@@ -7,7 +7,6 @@ import pytest
 
 from quaddisc.ntcore import (
     DEFAULT_SCAN_CEILING,
-    PrimeQuery,
     ScanCeilingError,
     classify_two_power_times_prime,
     first_prime_in_ap,
@@ -133,18 +132,18 @@ def test_radical_exhaustive_small(smallest_factor):
 
 def test_prime_query_validation():
     with pytest.raises(ValueError):
-        PrimeQuery(2, 4, 10)  # gcd(2, 4) != 1
+        first_prime_in_ap(2, 4, 10)  # gcd(2, 4) != 1
     with pytest.raises(ValueError):
-        PrimeQuery(1, 4, 1)  # lower bound below 2
+        first_prime_in_ap(1, 4, 1)  # lower bound below 2
     with pytest.raises(ValueError):
-        PrimeQuery(1, 0, 2)
-    PrimeQuery(-3, 4, 2)  # negative residue classes are fine
+        first_prime_in_ap(1, 0, 2)
+    assert first_prime_in_ap(-3, 4, 2) == 5  # negative residue classes are fine
 
 
 def test_first_prime_in_ap_examples():
-    assert first_prime_in_ap(PrimeQuery(1, 4, 16)) == 17
-    assert first_prime_in_ap(PrimeQuery(-3, 4, 25)) == 29
-    assert first_prime_in_ap(PrimeQuery(0, 1, 2)) == 2
+    assert first_prime_in_ap(1, 4, 16) == 17
+    assert first_prime_in_ap(-3, 4, 25) == 29
+    assert first_prime_in_ap(0, 1, 2) == 2
 
 
 def test_first_prime_in_ap_is_least(prime_flags):
@@ -153,7 +152,7 @@ def test_first_prime_in_ap_is_least(prime_flags):
             if modulus > 1 and math.gcd(residue, modulus) != 1:
                 continue
             for lower in (2, 10, 97, 1000, 12345):
-                p = first_prime_in_ap(PrimeQuery(residue, modulus, lower))
+                p = first_prime_in_ap(residue, modulus, lower)
                 assert prime_flags[p] and p >= lower and p % modulus == residue % modulus
                 for x in range(lower, p):  # exhaustive scan below the answer
                     assert not (prime_flags[x] and x % modulus == residue % modulus)
@@ -161,7 +160,7 @@ def test_first_prime_in_ap_is_least(prime_flags):
 
 def test_first_prime_in_ap_ceiling():
     with pytest.raises(ScanCeilingError):
-        first_prime_in_ap(PrimeQuery(1, 4, 102), ceiling=104)  # first candidate is 105
+        first_prime_in_ap(1, 4, 102, ceiling=104)  # first candidate is 105
 
 
 def test_nth_primes():

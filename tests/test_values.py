@@ -1,5 +1,7 @@
-"""Value semantics of the nine value types: equality and hash within one class,
-immutability, validation messages, construction and pickling."""
+"""Value semantics of the eight value types: equality and hash within one class,
+immutability, validation messages, construction and pickling.  The validation
+messages of first_prime_in_ap, which takes plain arguments, are checked with
+theirs."""
 
 import pickle
 from collections import namedtuple
@@ -9,7 +11,7 @@ import pytest
 from quaddisc.campaigns import CampaignConfig, Command
 from quaddisc.conjectures import ConjectureReport
 from quaddisc.discriminator import APCase, HalfQuadratic, least_modulus
-from quaddisc.ntcore import PrimeQuery, Value
+from quaddisc.ntcore import Value, first_prime_in_ap
 from quaddisc.verifier import ModulusClass, SequenceCase, VerificationRecord
 
 
@@ -26,7 +28,6 @@ def _expect(params, n):
 
 
 VALUES = [
-    PrimeQuery(1, 4, 16),
     HalfQuadratic(3, 1),
     APCase(3, 1),
     VerificationRecord(5, -1, 15, 29, 29),
@@ -90,9 +91,9 @@ def test_immutable_and_closed(value):
 
 
 @pytest.mark.parametrize("cls,args,message", [
-    (PrimeQuery, (1, 0, 2), "modulus must be >= 1, got 0"),
-    (PrimeQuery, (1, 4, 1), "lower_bound must be >= 2, got 1"),
-    (PrimeQuery, (2, 4, 10), "residue 2 is not coprime to modulus 4"),
+    (first_prime_in_ap, (1, 0, 2), "modulus must be >= 1, got 0"),
+    (first_prime_in_ap, (1, 4, 1), "lower_bound must be >= 2, got 1"),
+    (first_prime_in_ap, (2, 4, 10), "residue 2 is not coprime to modulus 4"),
     (HalfQuadratic, (3, 2), "a + b must be even, got a=3, b=2"),
     (APCase, (1, 0), "d must be >= 2, got 1"),
     (APCase, (5, 5), "c must lie in (-5, 5), got 5"),
