@@ -27,7 +27,8 @@ want() {
 # a scan ceiling of 50 exits 3, with error records.  verify-remark11 --all
 # computes its first rows in the parent and then starts a pool at parallelism
 # 2; the 3k-1 run to n = 1200 is a long cold-scan sweep, which does the same
-# on a slower machine.
+# on a slower machine.  The d = 4 window check from n = 1 meets empty windows
+# and 45 failures below its threshold 79, which each K cuts into other runs.
 for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50" \
@@ -36,7 +37,8 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "verify-remark11 --all" \
             "conjecture --id 1.4 --n-from 3 --n-to 140" \
             "window-check --d 7 --n-from 300 --n-to 3000" \
-            "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000"; do
+            "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000" \
+            "window-check --d 4 --n-from 1 --n-to 3000"; do
   for par in 1 2; do
     status=0
     $quaddisc $args --no-timing --parallelism $par > "$tmp/out$par.jsonl" \
@@ -55,9 +57,12 @@ done
 # 1.2 record, whose flags send its lines through the JSON parser, every 5th
 # record of the run under a scan ceiling, whose error records do too, and every
 # 4th conjecture 1.3 squares record, which takes the collision certificates of
-# n = 7 and 79 and recomputes them.  The resumed file holds the fresh records,
-# and its summary and exit status are the fresh ones.
+# n = 7 and 79 and recomputes them.  Every 13th d = 7 window record goes too,
+# the failure at n = 328 among them, while the failures at 468..470 stay in
+# the prior file and make the exit 2.  The resumed file holds the fresh
+# records, and its summary and exit status are the fresh ones.
 for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
+            "window-check --d 7 --n-from 300 --n-to 3000|13" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
             "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5" \

@@ -18,7 +18,7 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .conjectures import (
@@ -31,7 +31,7 @@ from .conjectures import (
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
 from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value, _MR_LIMIT,
-                     first_prime_of_form)
+                     first_prime_of_form, prime_cover)
 from .verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -39,6 +39,8 @@ from .verifier import (
     THEOREM12_CASES,
     REMARK12_CASES,
     WINDOW_THRESHOLD,
+    _window_ends,
+    _window_terms,
     prime_window_all_residues,
     verify_remark12,
     verify_theorem11,
@@ -153,9 +155,11 @@ class Command(Value, namedtuple("Command", "help options check compute expect on
     campaign; those in _KEY_FIELDS key its records.  segments(config, params)
     returns its work as (params, ascending n list) pairs, in output order; None
     is the one segment n_from..n_to, which the CLI reads from --n-from/--n-to.
-    compute(params, n) returns least_m, predicted, match and extra record
-    fields (a dict or None); expect(params, n) is the match the certified
-    ranges assert, or None outside them.  Both get the params of n's segment.
+    compute(params, ns, timing) returns the records of ascending ns as runs
+    (ns, least_m, predicted, match, extra, ms), in order: each run's n share
+    those outcome fields, extra record fields (a dict or None) and ms, which
+    is 0 unless timing.  expect(params, n) is the match the certified ranges
+    assert, or None outside them.  Both get the params of n's segment.
     one_of marks options that exclude each other, one of them required."""
 
     __slots__ = ()
@@ -163,6 +167,23 @@ class Command(Value, namedtuple("Command", "help options check compute expect on
 
 def _from_threshold(threshold: int | None, n: int) -> bool | None:
     return True if threshold is not None and n >= threshold else None
+
+
+def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: list[int], timing: bool) -> list:
+    """One run per n from compute(p, n), the least_m, predicted, match and
+    extra fields of one n: ms times that call, and a scan past the ceiling
+    makes an error record."""
+    runs, clock = [], time.perf_counter
+    for n in ns:
+        t0 = clock() if timing else 0.0
+        try:
+            least_m, predicted, match, extra = compute(p, n)
+        except ScanCeilingError as e:
+            runs.append(([n], None, None, None, {"error": "scan_ceiling", "detail": str(e)}, 0))
+        else:
+            ms = int((clock() - t0) * 1000) if timing else 0
+            runs.append(([n], least_m, predicted, match, extra, ms))
+    return runs
 
 
 def _verified(vrec) -> tuple:
@@ -200,27 +221,66 @@ def _check_window(config: CampaignConfig) -> dict:
     d, eps = config.params["d"], config.params.get("eps")
     if d < 4:
         raise ValueError(f"window check requires d >= 4, got {d}")
-    from fractions import Fraction  # only window checks pay for its import
-    try:
-        value = None if eps is None else Fraction(eps)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
-    if value is not None and value <= 0:
-        raise ValueError(f"--eps must be positive, got {eps!r}")
+    value = None
+    if eps is not None:
+        from fractions import Fraction  # only --eps pays for its import
+        try:
+            value = Fraction(eps)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
+        if value <= 0:
+            raise ValueError(f"--eps must be positive, got {eps!r}")
     return {"d": d, "eps": eps, "eps_fraction": value}
 
 
-def _window(p: dict, n: int) -> tuple:
+def _window_n(p: dict, n: int) -> tuple:
     return None, None, prime_window_all_residues(p["d"], n, p.get("eps_fraction")), None
 
 
+def _window(p: dict, ns: list[int], timing: bool) -> list:
+    """The window outcomes of ascending ns as runs.  first(n) and last(n), the
+    ends of n's window (verifier._window_ends), and prime_cover never decrease
+    as n grows, so cover(first(n_hi)) <= last(n_lo) gives cover(first(n)) <=
+    last(n) for every n of n_lo..n_hi: one lookup passes them all, and each of
+    their records carries the lookup's time over their count.  Where it does
+    not hold, or the table has no cover, the n split in halves, down to one
+    n, which _window_n decides as every command decides one n."""
+    d, terms = p["d"], _window_terms(p["d"], p.get("eps_fraction"))
+    clock = time.perf_counter if timing else float  # float() is 0.0, no clock read
+    runs = []
+
+    def decide(lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            runs.extend(_each_n(_window_n, p, ns[lo:hi], timing))
+            return
+        t0 = clock()
+        cover = prime_cover(d, _window_ends(d, ns[hi - 1], terms)[0])
+        if cover is not None and cover <= _window_ends(d, ns[lo], terms)[1]:
+            runs.append((ns[lo:hi], None, None, True, None, int((clock() - t0) * 1000 / (hi - lo))))
+        else:
+            mid = (lo + hi) // 2
+            decide(lo, mid)
+            decide(mid, hi)
+
+    decide(0, len(ns))
+    return runs
+
+
+@lru_cache(maxsize=64)
+def _window_threshold(d: int, eps: str | None) -> int | None:
+    """The n from which the window of d and --eps is certified.  The
+    threshold certifies the default window; a wider one (larger eps) holds
+    wherever it does, a narrower one is uncertified."""
+    if eps is not None:
+        from fractions import Fraction
+
+        if Fraction(eps) < window_eps(d):
+            return None
+    return WINDOW_THRESHOLD.get(d)
+
+
 def _expect_window(p: dict, n: int) -> bool | None:
-    # The threshold certifies the default window; a wider one (larger eps)
-    # holds wherever it does, a narrower one is uncertified.
-    eps = p.get("eps_fraction")
-    if eps is not None and eps < window_eps(p["d"]):
-        return None
-    return _from_threshold(WINDOW_THRESHOLD.get(p["d"]), n)
+    return _from_threshold(_window_threshold(p["d"], p.get("eps")), n)
 
 
 _CONJECTURES = {
@@ -296,7 +356,7 @@ COMMANDS = {
         help="discriminator vs predicted progression prime",
         options=(("--d", _INT), ("--c", _INT)),
         check=_check_apcase,
-        compute=_theorem11,
+        compute=partial(_each_n, _theorem11),
         expect=lambda p, n: (
             True if p["d"] in PREDICTION_THRESHOLD and n > PREDICTION_THRESHOLD[p["d"]] else None
         ),
@@ -306,7 +366,7 @@ COMMANDS = {
         options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
                  ("--d", {"type": int})),
         check=lambda config: {},
-        compute=_theorem11,
+        compute=partial(_each_n, _theorem11),
         expect=lambda p, n: False,
         one_of=True,
         segments=_remark11_rows,
@@ -315,7 +375,8 @@ COMMANDS = {
         help="d = 2, 3 sequences vs prime-or-prime-power targets",
         options=(("--case", {"required": True, "choices": tuple(THEOREM12_CASES)}),),
         check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
-        compute=lambda p, n: _verified(verify_theorem12(p["case"], n, p["ceiling"])),
+        compute=partial(_each_n, lambda p, n: _verified(verify_theorem12(p["case"], n,
+                                                                         p["ceiling"]))),
         expect=lambda p, n: _from_threshold(THEOREM12_CASES[p["case"]].threshold, n),
     ),
     "verify-remark12": Command(
@@ -324,7 +385,8 @@ COMMANDS = {
         check=lambda config: _check_member(
             config, "sign", REMARK12_CASES, "sign must be 'minus' or 'plus', got {!r}"
         ),
-        compute=lambda p, n: _verified(verify_remark12(p["sign"], n, p["ceiling"])),
+        compute=partial(_each_n, lambda p, n: _verified(verify_remark12(p["sign"], n,
+                                                                        p["ceiling"]))),
         expect=lambda p, n: _from_threshold(REMARK12_CASES[p["sign"]].threshold, n),
     ),
     "corollary11": Command(
@@ -332,7 +394,7 @@ COMMANDS = {
         options=(("--d", dict(_INT, choices=[4, 5])),
                  ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
         check=_check_apcase,
-        compute=_theorem11,
+        compute=partial(_each_n, _theorem11),
         expect=lambda p, n: _from_threshold(COROLLARY11_THRESHOLD.get((p["d"], p["c"])), n),
     ),
     "window-check": Command(
@@ -350,14 +412,14 @@ COMMANDS = {
                  ("--variant", {"choices": VARIANTS, "default": "choose2",
                                 "help": "sequence variant for 1.3"})),
         check=_check_conjecture,
-        compute=_conjecture,
+        compute=partial(_each_n, _conjecture),
         expect=_expect_conjecture,
     ),
     "discriminator": Command(
         help="raw least modulus for a (A k^2 + B k)/2 sequence",
         options=(("--A", _INT), ("--B", _INT)),
         check=_check_discriminator,
-        compute=_discriminator,
+        compute=partial(_each_n, _discriminator),
         expect=lambda p, n: None,
     ),
 }
@@ -382,20 +444,11 @@ def _head(command: str, params: dict) -> str:
 
 
 def _dispatch(command: str, params: dict, n: int) -> dict:
-    """The record of n as a dict; serialized, it is the slow oracle of the
-    text _chunk writes."""
+    """The record of n, computed as the one-n run [n], as a dict; serialized,
+    it is the slow oracle of the text _chunk writes."""
+    [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n], True)
     rec = _identity(command, params, n)
-    t0 = time.perf_counter()
-    try:
-        least_m, predicted, match, extra = COMMANDS[command].compute(params, n)
-        ms = int((time.perf_counter() - t0) * 1000)
-    except ScanCeilingError as e:
-        least_m = predicted = match = None
-        ms, extra = 0, {"error": "scan_ceiling", "detail": str(e)}
-    rec["least_m"] = least_m
-    rec["predicted"] = predicted
-    rec["match"] = match
-    rec["ms"] = ms
+    rec.update(least_m=least_m, predicted=predicted, match=match, ms=ms)
     if extra:
         rec.update(extra)
     return rec
@@ -415,20 +468,22 @@ def _json_value(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _tally(expect: Callable[[dict, int], bool | None], params: dict, outcomes) -> tuple:
+def _tally(expect: Callable[[dict, int], bool | None], params: dict, runs) -> tuple:
     """The summary counts (records, match, mismatch, unexpected, ceiling) of
-    (n, match, error) outcomes in a segment with these params, computed or
-    read back for --resume."""
+    (ns, match, error) runs, n that share an outcome, in a segment with these
+    params, computed or read back for --resume."""
     records = match_count = mismatch = unexpected = ceiling = 0
-    for n, match, error in outcomes:
-        records += 1
-        match_count += match is True
-        mismatch += match is False
+    for ns, match, error in runs:
+        k = len(ns)
+        records += k
+        match_count += k * (match is True)
+        mismatch += k * (match is False)
         if error:
-            ceiling += error == "scan_ceiling"
+            ceiling += k * (error == "scan_ceiling")
         else:
-            exp = expect(params, n)
-            unexpected += exp is not None and match != exp
+            for n in ns:
+                exp = expect(params, n)
+                unexpected += exp is not None and match != exp
     return records, match_count, mismatch, unexpected, ceiling
 
 
@@ -438,32 +493,21 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
 
     A record is the segment's head, its serialized identity up to n's value
     such as '{"cmd":"window-check","d":20,"n":', plus the literal text of n and
-    the outcome fields; the encoder runs once per chunk for the head, and then
-    only for extra fields and values that are not None, a bool or an int.  The
-    text equals serialize_record(_dispatch(...)) of each n, the slow oracle."""
+    its run's tail, the outcome fields; one join writes a run.  The encoder
+    runs once per chunk for the head, and then only for extra fields and
+    values that are not None, a bool or an int.  The text equals
+    serialize_record(_dispatch(...)) of each n, the slow oracle."""
     params, items = chunk
     spec = COMMANDS[command]
-    compute, clock = spec.compute, time.perf_counter
     head = _head(command, params)
-    lines, outcomes = [], []
-    for n in items:
-        start = head + str(n)
-        t0 = clock() if timing else 0.0
-        try:
-            least_m, predicted, match, extra = compute(params, n)
-        except ScanCeilingError as e:
-            least_m = predicted = match = None
-            ms, error = 0, "scan_ceiling"
-            extra = {"error": error, "detail": str(e)}
-        else:
-            ms = int((clock() - t0) * 1000) if timing else 0
-            error = None
-        outcomes.append((n, match, error))
-        tail = f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"
-        lines.append(f'{start},"least_m":{_json_value(least_m)},'
-                     f'"predicted":{_json_value(predicted)},"match":{_json_value(match)},'
-                     f'"ms":{ms}{tail}')
-    return "".join(lines), _tally(spec.expect, params, outcomes)
+    lines, runs = [], []
+    for ns, least_m, predicted, match, extra, ms in spec.compute(params, items, timing):
+        tail = (f',"least_m":{_json_value(least_m)},"predicted":{_json_value(predicted)},'
+                f'"match":{_json_value(match)},"ms":{ms}'
+                + (f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"))
+        lines.append(head + (tail + head).join(map(str, ns)) + tail)
+        runs.append((ns, match, extra.get("error") if extra else None))
+    return "".join(lines), _tally(spec.expect, params, runs)
 
 
 def expected_match(command: str, params: dict, rec: dict) -> bool | None:
@@ -597,7 +641,7 @@ def run(config: CampaignConfig) -> int:
         for (seg, ns), prefix in zip(segments, prefixes):
             found = prior.get(prefix, {})
             pending.append((seg, [n for n in ns if n not in found]))
-            counts = _tally(expect, seg, ((n, *found[n]) for n in ns if n in found))
+            counts = _tally(expect, seg, (((n,), *found[n]) for n in ns if n in found))
             summary = [s + c for s, c in zip(summary, counts)]
         del prior
     try:

@@ -261,23 +261,35 @@ def _window_scan(d: int, first: int, last: int) -> bool:
     return False
 
 
+def _window_terms(d: int, eps: Fraction | None) -> tuple[int, int, int]:
+    """(a, b, c) such that the window of n with eps = num/den ends at
+    ((2+eps)n - 2) d / (d-1) = (a n - b) / c: a = (2den + num) d, b = 2den d
+    and c = den (d-1).  eps None is the default 2 / (max(11, d) - 2), taken
+    without building a Fraction.  A caller over many n computes them once:
+    an lru_cache keyed on a Fraction would hash it, which costs more."""
+    num, den = (2, max(11, d) - 2) if eps is None else (eps.numerator, eps.denominator)
+    return (2 * den + num) * d, 2 * den * d, den * (d - 1)
+
+
+def _window_ends(d: int, n: int, terms: tuple[int, int, int]) -> tuple[int, int]:
+    """(first, last): the integers strictly inside the window of n, by exact
+    floor and ceiling division, terms being _window_terms(d, eps).  Both
+    never decrease as n grows."""
+    a, b, c = terms
+    return 2 * d * n // (d - 1) + 1, _ceil_div(a * n - b, c) - 1
+
+
 def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bool:
     """True iff the open interval (2dn/(d-1), ((2+eps)n-2)d/(d-1)) contains a
-    prime in every residue class coprime to d.  Endpoints are exact (integer
-    floor and ceiling division); both ends are open.  The integers inside are
-    [first, last], which passes iff prime_cover(d, first) <= last, or by a walk
-    over the window's primes where the cover table has none for first."""
+    prime in every residue class coprime to d, eps defaulting to window_eps(d).
+    The integers inside are [first, last] (_window_ends), which passes iff
+    prime_cover(d, first) <= last, or by a walk over the window's primes where
+    the cover table has none for first."""
     if d < 4:
         raise ValueError(f"d must be >= 4, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if eps is None:
-        eps = window_eps(d)
-    # The integers strictly inside the window, with eps = num/den:
-    # ((2+eps)n - 2) d / (d-1) = ((2den + num)n - 2den) d / (den (d-1)).
-    num, den = eps.numerator, eps.denominator
-    first = 2 * d * n // (d - 1) + 1
-    last = _ceil_div(((2 * den + num) * n - 2 * den) * d, den * (d - 1)) - 1
+    first, last = _window_ends(d, n, _window_terms(d, eps))
     if last < first:
         return False
     cover = prime_cover(d, first)

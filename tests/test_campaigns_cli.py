@@ -9,7 +9,9 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from quaddisc.campaigns import (
     _load_prior,
     _segments,
     _validate,
+    _window,
     expected_match,
     parse_record,
     record_key,
@@ -40,7 +43,8 @@ from quaddisc.campaigns import (
 )
 from quaddisc.cli import main
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError
-from quaddisc.verifier import COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD
+from quaddisc.verifier import (COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD,
+                               prime_window_all_residues)
 
 
 def read_records(path):
@@ -480,6 +484,37 @@ def test_expected_match_windows():
     assert expected_match("conjecture", c13, {"n": 1}) is False
 
 
+@st.composite
+def _window_chunks(draw):
+    """d, eps (None, or a positive fraction from 1/1000, where most windows
+    are empty, to 30) and 21 or more ascending n, each 1 to 3 above the one
+    before, cut into chunks.  The n start below d = 7's failures at 468..470,
+    or at 1, near the n whose window starts at the first sieve block's end,
+    or anywhere below 40,000."""
+    d, start = draw(st.one_of(
+        st.tuples(st.just(7), st.integers(440, 467)),
+        st.tuples(st.integers(4, 36), st.one_of(st.just(1), st.integers(24000, 33000),
+                                                st.integers(1, 40000)))))
+    eps = draw(st.one_of(st.none(), st.fractions(min_value=Fraction(1, 1000), max_value=30,
+                                                 max_denominator=1000)))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=20, max_size=200))
+    ns = list(accumulate(gaps, initial=start))
+    cuts = sorted(draw(st.sets(st.integers(1, len(ns)), max_size=4)) | {len(ns)})
+    return d, eps, ns, [ns[i:j] for i, j in zip([0, *cuts], cuts) if i < j]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_window_chunks())
+def test_window_runs_match_each_n(case):
+    # one cover lookup decides a run of n; the per-n check is its oracle
+    d, eps, ns, chunks = case
+    params = {"d": d, "eps_fraction": eps}
+    runs = [run for chunk in chunks for run in _window(params, chunk, False)]
+    assert all(run[1:3] == (None, None) and run[4:] == (None, 0) for run in runs)
+    assert [(n, run[3]) for run in runs for n in run[0]] == [
+        (n, prime_window_all_residues(d, n, eps)) for n in ns]
+
+
 # (command, params, first n): every command, each conjecture id, and
 # verify-remark11 --all, whose bundled rows fix their own n
 REGISTRY_SAMPLES = [
@@ -871,12 +906,16 @@ def test_cli_never_loads_numpy(argv):
 
 # Modules a CLI process does not import at start-up: dataclasses brings in
 # inspect, ast and dis, fractions brings in decimal, and only a pool repays
-# multiprocessing.  A window check with --eps imports fractions once it runs.
+# multiprocessing.  A window check imports fractions only for --eps: its
+# default window validates and computes a chunk without it.
 _STARTUP_PROBE = """
 import sys
 import quaddisc.cli
 print(sorted({modules!r} & set(sys.modules)))
-from quaddisc.campaigns import CampaignConfig, _validate
+from quaddisc.campaigns import CampaignConfig, _chunk, _validate
+params = _validate(CampaignConfig("window-check", {{"d": 5}}))
+_chunk("window-check", False, (params, list(range(200, 300))))
+print("fractions" in sys.modules)
 _validate(CampaignConfig("window-check", {{"d": 5, "eps": "2/9"}}))
 print("fractions" in sys.modules)
 """
@@ -890,4 +929,4 @@ def test_cli_startup_imports():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "False", "True"]

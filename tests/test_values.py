@@ -19,8 +19,8 @@ def _check(config):
     return {}
 
 
-def _compute(params, n):
-    return n, n, True, None
+def _compute(params, ns, timing):
+    return [(ns, None, None, True, None, 0)]
 
 
 def _expect(params, n):
