@@ -29,6 +29,9 @@ want() {
 # 2; the 3k-1 run to n = 1200 is a long cold-scan sweep, which does the same
 # on a slower machine.  The d = 4 window check from n = 1 meets empty windows
 # and 45 failures below its threshold 79, which each K cuts into other runs.
+# The d = 4 window check over 24000..25000 has first(n) in (65521, 65535] for
+# n = 24571..24575, past the last prime of sieve block 0: those n take the
+# per-n walk, and sieve block 1 is built from block 0's primes.
 for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50" \
@@ -38,7 +41,8 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "conjecture --id 1.4 --n-from 3 --n-to 140" \
             "window-check --d 7 --n-from 300 --n-to 3000" \
             "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000" \
-            "window-check --d 4 --n-from 1 --n-to 3000"; do
+            "window-check --d 4 --n-from 1 --n-to 3000" \
+            "window-check --d 4 --n-from 24000 --n-to 25000"; do
   for par in 1 2; do
     status=0
     $quaddisc $args --no-timing --parallelism $par > "$tmp/out$par.jsonl" \
@@ -57,8 +61,9 @@ done
 # 1.2 record, whose flags send its lines through the JSON parser, every 5th
 # record of the run under a scan ceiling, whose error records do too, and every
 # 4th conjecture 1.3 squares record, which takes the collision certificates of
-# n = 7 and 79 and recomputes them.  Every 13th d = 7 window record goes too,
-# the failure at n = 328 among them, while the failures at 468..470 stay in
+# n = 7 and 79 and recomputes them, and every 9th conjecture 1.4 record, whose
+# primes come from nth_primes.  Every 13th d = 7 window record goes too, the
+# failure at n = 328 among them, while the failures at 468..470 stay in
 # the prior file and make the exit 2.  The resumed file holds the fresh
 # records, and its summary and exit status are the fresh ones.
 for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
@@ -66,7 +71,8 @@ for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
             "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5" \
-            "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4"; do
+            "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4" \
+            "conjecture --id 1.4 --n-from 3 --n-to 140|9"; do
   args=${case%|*} every=${case#*|}
   status=0
   $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from functools import lru_cache
 from itertools import chain, count
 
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, radical, simple_sieve
+from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, _sieve_block, radical
 
 
 class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
@@ -100,6 +99,20 @@ def _distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
     return True
 
 
+def _guarded(test: Callable, seq: HalfQuadratic, n: int, m: int) -> bool:
+    """test(seq, n, m) for n, m >= 1, after the n == 1 and pigeonhole (m < n)
+    shortcuts; ValueError for n or m below 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if n == 1:
+        return True
+    if m < n:
+        return False
+    return test(seq, n, m)
+
+
 def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
     """True iff f(1..n) are pairwise distinct modulo m.
 
@@ -107,36 +120,13 @@ def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
     False when m < n by pigeonhole.  The scans use the divisor-class test of
     _separates instead; this pass is the oracle it is tested against.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n == 1:
-        return True
-    if m < n:
-        return False
-    return _distinct(seq, n, m)
+    return _guarded(_distinct, seq, n, m)
 
 
 def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
     """Distinctness for an APCase sequence by the divisor-class test of
     _separates, with the n == 1 and pigeonhole shortcuts of pairwise_distinct."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n == 1:
-        return True
-    if m < n:
-        return False
-    return _separates(case.seq, n, m)
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> list[int]:
-    """Primes below 2^12: they factor every 2m < 2^24 without a further trial
-    divisor, and take about 20 kB.  Built on first use, not at import."""
-    return simple_sieve(1 << 12)
+    return _guarded(_separates, case.seq, n, m)
 
 
 def _divisors_upto(x: int, limit: int) -> list[int]:
@@ -144,11 +134,12 @@ def _divisors_upto(x: int, limit: int) -> list[int]:
 
     Only primes up to limit can divide such a g, so x is trial-divided by the
     primes up to min(limit, sqrt(x)); what is left of x is then 1, a prime, or
-    a product of primes above limit.
+    a product of primes above limit.  The primes of sieve block 0, those below
+    2^16, factor every x < 2^32 without a further trial divisor.
     """
     divs = [1]
     bound = min(limit, math.isqrt(x))
-    table = _trial_primes()
+    table = _sieve_block(0)
     for p in chain(table, range(table[-1] + 2, bound + 1, 2)):
         if p > bound:
             break

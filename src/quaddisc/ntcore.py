@@ -138,31 +138,20 @@ def first_prime_in_ap(
     raise ScanCeilingError(f"prime == {residue} (mod {modulus}) from {lower_bound}", ceiling)
 
 
-def simple_sieve(limit: int) -> list[int]:
-    """All primes <= limit, in increasing order."""
-    if limit < 2:
-        return []
-    # Odd numbers only: flags[i] stands for 2i + 1.
-    flags = bytearray([1]) * ((limit + 1) // 2)
-    flags[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            first = p * p // 2
-            flags[first::p] = bytes(len(range(first, len(flags), p)))
-    return [2, *compress(range(1, limit + 1, 2), flags)]
-
-
 @lru_cache(maxsize=_CACHED_BLOCKS)
 def _sieve_block(index: int) -> tuple[int, ...]:
     """All primes in [index * _SIEVE_BLOCK, (index + 1) * _SIEVE_BLOCK), in
     increasing order, by sieving the block's odd numbers with the odd primes up
-    to its square root."""
+    to its square root.  Those come from the lower blocks, since the root is
+    below lo for every index >= 1.  Block 0 has no lower block, so it strikes
+    with every odd number from 3 up to its root, 255: a composite strikes only
+    numbers that its prime factors have already struck."""
     lo = index * _SIEVE_BLOCK
     hi = lo + _SIEVE_BLOCK
+    root = math.isqrt(hi - 1)
     # flags[i] stands for lo + 2i + 1; lo is even.
     flags = bytearray([1]) * (_SIEVE_BLOCK // 2)
-    for p in simple_sieve(math.isqrt(hi - 1))[1:]:
+    for p in primes_in_range(3, root + 1) if index else range(3, root + 1, 2):
         # the first odd multiple of p from max(p * p, lo) on
         if p * p >= lo:
             first = (p * p - lo) >> 1
@@ -235,17 +224,15 @@ def prime_cover(d: int, x: int) -> int | None:
 
 
 def nth_primes(n: int) -> list[int]:
-    """The first n primes [2, 3, 5, ...] in increasing order."""
+    """The first n primes [2, 3, 5, ...] in increasing order, read from the
+    sieve blocks 0, 1, ... until they hold n primes."""
     if n < 1:
         raise ValueError(f"nth_primes requires n >= 1, got {n}")
-    if n < 6:
-        return [2, 3, 5, 7, 11][:n]
-    # Rosser-style upper bound for the n-th prime.
-    bound = int(n * (math.log(n) + math.log(math.log(n)))) + 10
-    primes = simple_sieve(bound)
+    primes: list[int] = []
+    index = 0
     while len(primes) < n:
-        bound *= 2
-        primes = simple_sieve(bound)
+        primes += _sieve_block(index)
+        index += 1
     return primes[:n]
 
 

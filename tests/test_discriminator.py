@@ -299,7 +299,9 @@ def test_least_modulus_pair_matches_occupancy_oracle():
 def test_divisors_upto_matches_sympy():
     sympy = pytest.importorskip("sympy")
     xs = [*range(1, 2001), 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2**41,
-          65537 * 65539, 2 * 65537 * 65539, 2 * 4294967311]  # 4294967311 is prime
+          65537 * 65539, 2 * 65537 * 65539, 2 * 4294967311,  # 4294967311 is prime
+          # prime factors between 2^12 and 2^16, which the trial table holds
+          4099 * 4111, 2 * 65521**2, 65521 * 65537]
     for x in xs:
         divisors = sympy.divisors(x)
         for limit in (1, 2, 3, 10, 97, 5000, 10**6, x):

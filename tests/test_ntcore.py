@@ -15,7 +15,6 @@ from quaddisc.ntcore import (
     nth_primes,
     primes_in_range,
     radical,
-    simple_sieve,
 )
 
 LIMIT = 10**6
@@ -163,12 +162,18 @@ def test_first_prime_in_ap_ceiling():
         first_prime_in_ap(1, 4, 102, ceiling=104)  # first candidate is 105
 
 
-def test_nth_primes():
+def test_nth_primes(prime_flags):
     assert nth_primes(1) == [2]
     assert nth_primes(3) == [2, 3, 5]
     assert nth_primes(10)[-1] == 29
     ps = nth_primes(1000)
     assert len(ps) == 1000 and ps[-1] == 7919
+    # sieve block 0 holds exactly 6,542 primes; the 6,543rd, 65,537, is the
+    # first that nth_primes reads from block 1
+    expected = np.flatnonzero(prime_flags).tolist()
+    for n in (6542, 6543):
+        assert nth_primes(n) == expected[:n]
+    assert nth_primes(6543)[-1] == 65537
     with pytest.raises(ValueError):
         nth_primes(0)
 
@@ -200,7 +205,7 @@ def test_first_prime_of_form_errors():
         first_prime_of_form("x^2+x+1", 14, ceiling=20)  # 13 < 14, next form prime is 31
 
 
-def test_primes_in_range_matches_simple_sieve(prime_flags):
+def test_primes_in_range_matches_flags(prime_flags):
     for lo, hi in [(0, 100), (10, 30), (990000, 1000000), (2, 3), (50, 50)]:
         expected = [x for x in range(max(lo, 0), hi) if x <= LIMIT and prime_flags[x]]
         assert primes_in_range(lo, hi) == expected
@@ -232,11 +237,17 @@ def test_primes_in_range_cached_blocks(prime_flags):
     assert primes_in_range(far - 300, far + 300) == [
         x for x in range(far - 300, far + 300) if trial_division_prime(x)
     ]
+    # 65537^2 lies in the first block whose base primes reach 65,537, so they
+    # span sieve blocks 0 and 1; the block below takes them from block 0 alone
+    sq = 65537 * 65537
+    assert primes_in_range(sq - 300, sq + 300) == [
+        x for x in range(sq - 300, sq + 300) if is_prime(x)
+    ]
 
 
-def test_simple_sieve_counts():
-    assert len(simple_sieve(10**6)) == 78498
-    assert len(simple_sieve(1)) == 0
+def test_prime_counts():
+    assert len(primes_in_range(0, 10**6 + 1)) == 78498
+    assert primes_in_range(0, 2) == []
 
 
 def test_scan_ceiling_attributes():
