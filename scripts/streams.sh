@@ -13,18 +13,28 @@ quaddisc=${QUADDISC:-quaddisc}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+# A CLI that does not start fails every case below with a wrong exit status,
+# which would hide the cause: check that it starts first.
+$quaddisc tables > /dev/null || {
+  echo "the CLI does not start: '$quaddisc tables' failed; install quaddisc or set" \
+       "\$QUADDISC, e.g. QUADDISC=\"python -m quaddisc.cli\" with PYTHONPATH=\$PWD/src" >&2
+  exit 1
+}
+
 # The exit status a campaign must give.
 want() {
   case "$1" in
     "window-check --d 7"*) echo "exit 2" ;;
-    *"--scan-ceiling 50") echo "exit 3" ;;
+    *"--scan-ceiling "*) echo "exit 3" ;;
     *) echo "exit 0" ;;
   esac
 }
 
 # d = 7 exits 2: its window misses a class at n = 468..470, above the bundled
 # threshold 333 (the known red of acceptance criterion 9).  The 3k+1 run under
-# a scan ceiling of 50 exits 3, with error records.  verify-remark11 --all
+# a scan ceiling of 50 exits 3, with error records, and so does the d = 5
+# window check under a ceiling of 5000: the windows of n from 1802 on end past
+# it, a cut that falls inside another chunk at each K.  verify-remark11 --all
 # computes its first rows in the parent and then starts a pool at parallelism
 # 2; the 3k-1 run to n = 1200 is a long cold-scan sweep, which does the same
 # on a slower machine.  The d = 4 window check from n = 1 meets empty windows
@@ -42,7 +52,8 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "window-check --d 7 --n-from 300 --n-to 3000" \
             "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000" \
             "window-check --d 4 --n-from 1 --n-to 3000" \
-            "window-check --d 4 --n-from 24000 --n-to 25000"; do
+            "window-check --d 4 --n-from 24000 --n-to 25000" \
+            "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000"; do
   for par in 1 2; do
     status=0
     $quaddisc $args --no-timing --parallelism $par > "$tmp/out$par.jsonl" \
@@ -61,18 +72,24 @@ done
 # 1.2 record, whose flags send its lines through the JSON parser, every 5th
 # record of the run under a scan ceiling, whose error records do too, and every
 # 4th conjecture 1.3 squares record, which takes the collision certificates of
-# n = 7 and 79 and recomputes them, and every 9th conjecture 1.4 record, whose
-# primes come from nth_primes.  Every 13th d = 7 window record goes too, the
-# failure at n = 328 among them, while the failures at 468..470 stay in
-# the prior file and make the exit 2.  The resumed file holds the fresh
-# records, and its summary and exit status are the fresh ones.
+# n = 7 and 79 and recomputes them, and every 5th conjecture 1.3 choose2 record,
+# n = 3 among them, while n = 1, whose expected match is False for every
+# variant, stays in the prior file and is counted from it, and every 9th
+# conjecture 1.4 record, whose primes come from nth_primes.  Every 17th record
+# of the d = 5 window check under a ceiling goes, error records among them.
+# Every 13th d = 7 window record goes too, the failure at n = 328 among them,
+# while the failures at 468..470 stay in the prior file and make the exit 2.
+# The resumed file holds the fresh records, and its summary and exit status
+# are the fresh ones.
 for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
             "window-check --d 7 --n-from 300 --n-to 3000|13" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
             "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5" \
             "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4" \
-            "conjecture --id 1.4 --n-from 3 --n-to 140|9"; do
+            "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100|5" \
+            "conjecture --id 1.4 --n-from 3 --n-to 140|9" \
+            "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000|17"; do
   args=${case%|*} every=${case#*|}
   status=0
   $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \

@@ -16,9 +16,10 @@ import os
 import re
 import sys
 import time
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 from .conjectures import (
@@ -147,7 +148,7 @@ def _load_prior(path: Path, prefixes: dict[str, tuple]) -> dict[tuple, dict]:
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
-class Command(Value, namedtuple("Command", "help options check compute expect one_of segments",
+class Command(Value, namedtuple("Command", "help options check compute certified one_of segments",
                                 defaults=(False, None))):
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
@@ -158,15 +159,12 @@ class Command(Value, namedtuple("Command", "help options check compute expect on
     compute(params, ns, timing) returns the records of ascending ns as runs
     (ns, least_m, predicted, match, extra, ms), in order: each run's n share
     those outcome fields, extra record fields (a dict or None) and ms, which
-    is 0 unless timing.  expect(params, n) is the match the certified ranges
-    assert, or None outside them.  Both get the params of n's segment.
-    one_of marks options that exclude each other, one of them required."""
+    is 0 unless timing.  certified(params) is (start, value): records with n
+    >= start are asserted to have match == value, or value(n) for conjecture
+    1.3's rule, and a start of None asserts nothing.  Both get a segment's
+    params.  one_of marks options that exclude each other, one required."""
 
     __slots__ = ()
-
-
-def _from_threshold(threshold: int | None, n: int) -> bool | None:
-    return True if threshold is not None and n >= threshold else None
 
 
 def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: list[int], timing: bool) -> list:
@@ -234,7 +232,11 @@ def _check_window(config: CampaignConfig) -> dict:
 
 
 def _window_n(p: dict, n: int) -> tuple:
-    return None, None, prime_window_all_residues(p["d"], n, p.get("eps_fraction")), None
+    d, eps = p["d"], p.get("eps_fraction")
+    last = _window_ends(d, n, _window_terms(d, eps))[1]
+    if last > p["ceiling"]:
+        raise ScanCeilingError(f"window of n = {n} up to {last}", p["ceiling"])
+    return None, None, prime_window_all_residues(d, n, eps), None
 
 
 def _window(p: dict, ns: list[int], timing: bool) -> list:
@@ -243,8 +245,9 @@ def _window(p: dict, ns: list[int], timing: bool) -> list:
     as n grows, so cover(first(n_hi)) <= last(n_lo) gives cover(first(n)) <=
     last(n) for every n of n_lo..n_hi: one lookup passes them all, and each of
     their records carries the lookup's time over their count.  Where it does
-    not hold, or the table has no cover, the n split in halves, down to one
-    n, which _window_n decides as every command decides one n."""
+    not hold, the table has no cover, or last(n_hi) passes the scan ceiling
+    (checked first, so no block past it is sieved), the n split in halves,
+    down to one n, which _window_n decides as every command decides one n."""
     d, terms = p["d"], _window_terms(p["d"], p.get("eps_fraction"))
     clock = time.perf_counter if timing else float  # float() is 0.0, no clock read
     runs = []
@@ -254,7 +257,8 @@ def _window(p: dict, ns: list[int], timing: bool) -> list:
             runs.extend(_each_n(_window_n, p, ns[lo:hi], timing))
             return
         t0 = clock()
-        cover = prime_cover(d, _window_ends(d, ns[hi - 1], terms)[0])
+        first, last = _window_ends(d, ns[hi - 1], terms)
+        cover = prime_cover(d, first) if last <= p["ceiling"] else None
         if cover is not None and cover <= _window_ends(d, ns[lo], terms)[1]:
             runs.append((ns[lo:hi], None, None, True, None, int((clock() - t0) * 1000 / (hi - lo))))
         else:
@@ -266,21 +270,13 @@ def _window(p: dict, ns: list[int], timing: bool) -> list:
     return runs
 
 
-@lru_cache(maxsize=64)
-def _window_threshold(d: int, eps: str | None) -> int | None:
-    """The n from which the window of d and --eps is certified.  The
-    threshold certifies the default window; a wider one (larger eps) holds
+def _window_threshold(d: int, eps: Fraction | None) -> int | None:
+    """The n from which the window of d and the parsed --eps is certified.
+    The threshold certifies the default window; a wider one (larger eps) holds
     wherever it does, a narrower one is uncertified."""
-    if eps is not None:
-        from fractions import Fraction
-
-        if Fraction(eps) < window_eps(d):
-            return None
+    if eps is not None and eps < window_eps(d):
+        return None
     return WINDOW_THRESHOLD.get(d)
-
-
-def _expect_window(p: dict, n: int) -> bool | None:
-    return _from_threshold(_window_threshold(p["d"], p.get("eps")), n)
 
 
 _CONJECTURES = {
@@ -322,18 +318,20 @@ def _conjecture(p: dict, n: int) -> tuple:
     return rep.observed, rep.predicted, rep.agrees, extra
 
 
-def _expect_conjecture(p: dict, n: int) -> bool | None:
+def _certified_conjecture(p: dict) -> tuple:
     if p["id"] == "1.1":
-        return _from_threshold(PAIR_THRESHOLD.get(p["d"]), n)
-    if p["id"] != "1.3":
-        return True
+        return PAIR_THRESHOLD.get(p["d"]), True
+    return 1, partial(_expect13, p) if p["id"] == "1.3" else True
+
+
+def _expect13(p: dict, n: int) -> bool:
     # 1.3: the literal prediction bound 2n-1 provably fails for the squares
     # variant whenever the first form prime >= 2n-1 is exactly 2n-1 (that prime
     # divides a difference of two squares with k+l = p), and at the degenerate
     # n = 1 where the form value 1 is an admissible modulus.
     if n == 1:
         return False
-    return not (p["variant"] == "squares" and n >= 2
+    return not (p["variant"] == "squares"
                 and first_prime_of_form(p["form"], 2 * n - 1) == 2 * n - 1)
 
 
@@ -357,8 +355,8 @@ COMMANDS = {
         options=(("--d", _INT), ("--c", _INT)),
         check=_check_apcase,
         compute=partial(_each_n, _theorem11),
-        expect=lambda p, n: (
-            True if p["d"] in PREDICTION_THRESHOLD and n > PREDICTION_THRESHOLD[p["d"]] else None
+        certified=lambda p: (
+            PREDICTION_THRESHOLD[p["d"]] + 1 if p["d"] in PREDICTION_THRESHOLD else None, True
         ),
     ),
     "verify-remark11": Command(
@@ -367,7 +365,7 @@ COMMANDS = {
                  ("--d", {"type": int})),
         check=lambda config: {},
         compute=partial(_each_n, _theorem11),
-        expect=lambda p, n: False,
+        certified=lambda p: (1, False),
         one_of=True,
         segments=_remark11_rows,
     ),
@@ -377,7 +375,7 @@ COMMANDS = {
         check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
         compute=partial(_each_n, lambda p, n: _verified(verify_theorem12(p["case"], n,
                                                                          p["ceiling"]))),
-        expect=lambda p, n: _from_threshold(THEOREM12_CASES[p["case"]].threshold, n),
+        certified=lambda p: (THEOREM12_CASES[p["case"]].threshold, True),
     ),
     "verify-remark12": Command(
         help="8k(2k-/+1) sequences vs plain primes",
@@ -387,7 +385,7 @@ COMMANDS = {
         ),
         compute=partial(_each_n, lambda p, n: _verified(verify_remark12(p["sign"], n,
                                                                         p["ceiling"]))),
-        expect=lambda p, n: _from_threshold(REMARK12_CASES[p["sign"]].threshold, n),
+        certified=lambda p: (REMARK12_CASES[p["sign"]].threshold, True),
     ),
     "corollary11": Command(
         help="d = 4, 5 specializations with certified thresholds",
@@ -395,14 +393,14 @@ COMMANDS = {
                  ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
         check=_check_apcase,
         compute=partial(_each_n, _theorem11),
-        expect=lambda p, n: _from_threshold(COROLLARY11_THRESHOLD.get((p["d"], p["c"])), n),
+        certified=lambda p: (COROLLARY11_THRESHOLD.get((p["d"], p["c"])), True),
     ),
     "window-check": Command(
         help="prime in every coprime class inside the scan window",
         options=(("--d", _INT), ("--eps", {"help": "override window parameter, e.g. 2/9"})),
         check=_check_window,
         compute=_window,
-        expect=_expect_window,
+        certified=lambda p: (_window_threshold(p["d"], p.get("eps_fraction")), True),
     ),
     "conjecture": Command(
         help="run one conjecture checker over a range of n",
@@ -413,14 +411,14 @@ COMMANDS = {
                                 "help": "sequence variant for 1.3"})),
         check=_check_conjecture,
         compute=partial(_each_n, _conjecture),
-        expect=_expect_conjecture,
+        certified=_certified_conjecture,
     ),
     "discriminator": Command(
         help="raw least modulus for a (A k^2 + B k)/2 sequence",
         options=(("--A", _INT), ("--B", _INT)),
         check=_check_discriminator,
         compute=partial(_each_n, _discriminator),
-        expect=lambda p, n: None,
+        certified=lambda p: (None, None),
     ),
 }
 
@@ -468,10 +466,13 @@ def _json_value(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _tally(expect: Callable[[dict, int], bool | None], params: dict, runs) -> tuple:
+def _tally(certified: tuple, runs) -> tuple:
     """The summary counts (records, match, mismatch, unexpected, ceiling) of
-    (ns, match, error) runs, n that share an outcome, in a segment with these
-    params, computed or read back for --resume."""
+    (ns, match, error) runs, n that share an outcome, in a segment whose
+    Command.certified is (start, value), computed or read back for --resume.
+    One bisect finds a run's asserted n, those from start on; only conjecture
+    1.3's value is a rule, called for each of them."""
+    start, value = certified
     records = match_count = mismatch = unexpected = ceiling = 0
     for ns, match, error in runs:
         k = len(ns)
@@ -480,10 +481,12 @@ def _tally(expect: Callable[[dict, int], bool | None], params: dict, runs) -> tu
         mismatch += k * (match is False)
         if error:
             ceiling += k * (error == "scan_ceiling")
-        else:
-            for n in ns:
-                exp = expect(params, n)
-                unexpected += exp is not None and match != exp
+        elif start is not None:
+            first = bisect_left(ns, start)
+            if callable(value):
+                unexpected += sum(match != value(n) for n in ns[first:])
+            else:
+                unexpected += (match != value) * (k - first)
     return records, match_count, mismatch, unexpected, ceiling
 
 
@@ -507,12 +510,15 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
                 + (f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"))
         lines.append(head + (tail + head).join(map(str, ns)) + tail)
         runs.append((ns, match, extra.get("error") if extra else None))
-    return "".join(lines), _tally(spec.expect, params, runs)
+    return "".join(lines), _tally(spec.certified(params), runs)
 
 
 def expected_match(command: str, params: dict, rec: dict) -> bool | None:
     """The asserted match value for this record, or None outside certified ranges."""
-    return COMMANDS[command].expect(params, rec["n"])
+    start, value = COMMANDS[command].certified(params)
+    if start is None or rec["n"] < start:
+        return None
+    return value(rec["n"]) if callable(value) else value
 
 
 # --- the campaign runner ----------------------------------------------------------
@@ -636,12 +642,12 @@ def run(config: CampaignConfig) -> int:
     summary = [0] * 5
     pending = segments
     if prior:
-        expect = COMMANDS[config.command].expect
+        certified = COMMANDS[config.command].certified
         pending = []
         for (seg, ns), prefix in zip(segments, prefixes):
             found = prior.get(prefix, {})
             pending.append((seg, [n for n in ns if n not in found]))
-            counts = _tally(expect, seg, (((n,), *found[n]) for n in ns if n in found))
+            counts = _tally(certified(seg), (((n,), *found[n]) for n in ns if n in found))
             summary = [s + c for s, c in zip(summary, counts)]
         del prior
     try:

@@ -33,6 +33,7 @@ from quaddisc.campaigns import (
     _identity,
     _load_prior,
     _segments,
+    _tally,
     _validate,
     _window,
     expected_match,
@@ -42,9 +43,12 @@ from quaddisc.campaigns import (
     serialize_record,
 )
 from quaddisc.cli import main
-from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError
-from quaddisc.verifier import (COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD,
-                               prime_window_all_residues)
+from quaddisc.conjectures import PAIR_THRESHOLD
+from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form
+from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
+                               PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
+                               WINDOW_THRESHOLD, _window_ends, _window_terms,
+                               prime_window_all_residues, window_eps)
 
 
 def read_records(path):
@@ -452,6 +456,41 @@ def test_exit_ceiling(tmp_path, capsys):
     assert "ceiling=1" in capsys.readouterr().err
 
 
+def test_window_check_honours_scan_ceiling(capsys):
+    # every window of n = 1000..1002 ends above 100, so no n is decided
+    assert main(["window-check", "--d", "4", "--n-from", "1000", "--n-to", "1002",
+                 "--scan-ceiling", "100", "--no-timing"]) == EXIT_CEILING
+    out, err = capsys.readouterr()
+    recs = [parse_record(line) for line in out.splitlines()]
+    assert [rec["n"] for rec in recs] == [1000, 1001, 1002]
+    assert all(rec["error"] == "scan_ceiling" and rec["match"] is None for rec in recs)
+    assert "window of n = 1000 up to 2960" in recs[0]["detail"]
+    assert err.startswith("# summary cmd=window-check records=3 match=0 mismatch=0 "
+                          "unexpected=0 ceiling=3 ")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_window_check_ceiling_cuts_the_range(tmp_path, capsys, monkeypatch, serial_pool,
+                                             parallelism):
+    # a ceiling of 200 cuts d = 4's n = 40..100 where the windows pass it:
+    # below, each n is decided as without a ceiling, then each is an error
+    monkeypatch.setattr("quaddisc.campaigns._POOL_AFTER_S", 0.0)
+    path = tmp_path / "w.jsonl"
+    assert main(["window-check", "--d", "4", "--n-from", "40", "--n-to", "100",
+                 "--scan-ceiling", "200", "--no-timing", "--parallelism", str(parallelism),
+                 "--out", str(path)]) == EXIT_CEILING
+    terms = _window_terms(4, None)
+    past = [n for n in range(40, 101) if _window_ends(4, n, terms)[1] > 200]
+    assert past == list(range(past[0], 101)) and 40 < past[0] < 100
+    recs = read_records(path)
+    assert [rec["n"] for rec in recs] == list(range(40, 101))
+    assert [rec.get("error") for rec in recs] == [
+        "scan_ceiling" if n in past else None for n in range(40, 101)]
+    assert [rec["match"] for rec in recs if rec["n"] not in past] == [
+        prime_window_all_residues(4, n) for n in range(40, past[0])]
+    assert f"ceiling={len(past)} " in capsys.readouterr().err
+
+
 def test_exit_io_failure(tmp_path, capsys):
     rc = main(["verify-theorem11", "--d", "4", "--c", "1", "--n-from", "6", "--n-to", "6",
                "--out", str(tmp_path / "missing" / "out.jsonl")])
@@ -484,6 +523,106 @@ def test_expected_match_windows():
     assert expected_match("conjecture", c13, {"n": 1}) is False
 
 
+def _expect_oracle(command, p, n):
+    """The match the certified ranges assert for the record of n in a segment
+    with params p, or None: each command's rule stated for one n at a time,
+    the oracle of Command.certified and _tally."""
+    def from_threshold(threshold):
+        return True if threshold is not None and n >= threshold else None
+
+    d = p.get("d")
+    if command == "verify-theorem11":
+        return True if d in PREDICTION_THRESHOLD and n > PREDICTION_THRESHOLD[d] else None
+    if command == "verify-remark11":
+        return False
+    if command == "verify-theorem12":
+        return from_threshold(THEOREM12_CASES[p["case"]].threshold)
+    if command == "verify-remark12":
+        return from_threshold(REMARK12_CASES[p["sign"]].threshold)
+    if command == "corollary11":
+        return from_threshold(COROLLARY11_THRESHOLD.get((d, p["c"])))
+    if command == "window-check":
+        if p.get("eps") is not None and Fraction(p["eps"]) < window_eps(d):
+            return None
+        return from_threshold(WINDOW_THRESHOLD.get(d))
+    if command == "discriminator":
+        return None
+    if p["id"] == "1.1":
+        return from_threshold(PAIR_THRESHOLD.get(d))
+    if p["id"] != "1.3":
+        return True
+    if n == 1:
+        return False
+    return not (p["variant"] == "squares"
+                and first_prime_of_form(p["form"], 2 * n - 1) == 2 * n - 1)
+
+
+# Every command, a table row and a d outside the tables where a threshold
+# depends on d, each conjecture 1.3 form and variant, and windows with eps
+# None, narrower than the default (uncertified) and wider.
+TALLY_CAMPAIGNS = [
+    CampaignConfig("verify-theorem11", {"d": 4, "c": -3}),
+    CampaignConfig("verify-theorem11", {"d": 37, "c": 1}),
+    CampaignConfig("verify-remark11", {"all": False, "d": 7}),
+    *(CampaignConfig("verify-theorem12", {"case": case}) for case in THEOREM12_CASES),
+    *(CampaignConfig("verify-remark12", {"sign": sign}) for sign in REMARK12_CASES),
+    *(CampaignConfig("corollary11", {"d": d, "c": c}) for d, c in COROLLARY11_THRESHOLD),
+    CampaignConfig("window-check", {"d": 4, "eps": None}),
+    CampaignConfig("window-check", {"d": 5, "eps": "1/100"}),
+    CampaignConfig("window-check", {"d": 7, "eps": "8/35"}),
+    CampaignConfig("window-check", {"d": 6, "eps": "7/3"}),
+    CampaignConfig("window-check", {"d": 37, "eps": None}),
+    CampaignConfig("conjecture", {"id": "1.1", "d": 4}),
+    CampaignConfig("conjecture", {"id": "1.1", "d": 11}),
+    CampaignConfig("conjecture", {"id": "1.2"}),
+    *(CampaignConfig("conjecture", {"id": "1.3", "form": form, "variant": variant})
+      for form in ("x^2+x+1", "4x^2+1") for variant in ("choose2", "squares")),
+    CampaignConfig("conjecture", {"id": "1.4"}, 3, 3),
+    CampaignConfig("discriminator", {"A": 32, "B": -8}),
+]
+
+
+@st.composite
+def _tally_case(draw):
+    """A campaign's segment params, and the runs that count its n: ascending
+    n from 1 or from up to 400, past every threshold of TALLY_CAMPAIGNS, cut
+    into computed runs that share a drawn outcome, and resumed holes, one-n
+    tuples as --resume counts them."""
+    config = draw(st.sampled_from(TALLY_CAMPAIGNS))
+    seg = _segments(config, dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING))[0][0]
+    start = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    ns = list(accumulate(draw(st.lists(st.integers(1, 4), max_size=60)), initial=start))
+    outcome = st.tuples(st.sampled_from([True, False, None]),
+                        st.sampled_from([None, None, None, "scan_ceiling", "other"]))
+    found = draw(st.sets(st.sampled_from(ns)))
+    pending = [n for n in ns if n not in found]
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(pending))), max_size=6))
+                  | {len(pending)})
+    runs = [(pending[i:j], *draw(outcome)) for i, j in zip([0, *cuts], cuts) if i < j]
+    runs += [((n,), *draw(outcome)) for n in sorted(found)]
+    return config.command, seg, runs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_tally_case())
+def test_tally_matches_each_n(case):
+    # one bisect per run counts what the per-n rule counts record by record
+    command, seg, runs = case
+    each = [(n, match, error) for ns, match, error in runs for n in ns]
+    expected = (len(each), sum(match is True for _, match, _ in each),
+                sum(match is False for _, match, _ in each),
+                sum(not error and _expect_oracle(command, seg, n) not in (None, match)
+                    for n, match, error in each),
+                sum(error == "scan_ceiling" for _, _, error in each))
+    assert _tally(COMMANDS[command].certified(seg), runs) == expected
+    for n, _, _ in each:
+        assert expected_match(command, seg, {"n": n}) == _expect_oracle(command, seg, n)
+
+
+def test_tally_campaigns_cover_every_command():
+    assert {config.command for config in TALLY_CAMPAIGNS} == set(COMMANDS)
+
+
 @st.composite
 def _window_chunks(draw):
     """d, eps (None, or a positive fraction from 1/1000, where most windows
@@ -508,7 +647,7 @@ def _window_chunks(draw):
 def test_window_runs_match_each_n(case):
     # one cover lookup decides a run of n; the per-n check is its oracle
     d, eps, ns, chunks = case
-    params = {"d": d, "eps_fraction": eps}
+    params = {"d": d, "eps_fraction": eps, "ceiling": DEFAULT_SCAN_CEILING}
     runs = [run for chunk in chunks for run in _window(params, chunk, False)]
     assert all(run[1:3] == (None, None) and run[4:] == (None, 0) for run in runs)
     assert [(n, run[3]) for run in runs for n in run[0]] == [
@@ -747,7 +886,7 @@ TEMPLATE_CAMPAIGNS = [
 def test_record_template_matches_serialize_record():
     # _chunk writes records from a per-campaign template; the encoder on the
     # record _dispatch builds is its oracle, and counts taken record by record
-    # from those records and the command's expect the oracle of its counts
+    # from those records and _expect_oracle the oracle of its counts
     assert {config.command for config in TEMPLATE_CAMPAIGNS} == set(COMMANDS)
     shapes = set()
     unexpected = 0
@@ -761,10 +900,10 @@ def test_record_template_matches_serialize_record():
         timed = "".join(_chunk(config.command, True, segment)[0] for segment in segments)
         assert re.sub(r'"ms":\d+', '"ms":0', timed) == expected, config
 
-        expect = COMMANDS[config.command].expect
         matches = [rec["match"] for rec in oracle]
         ceiling = [rec.get("error") == "scan_ceiling" for rec in oracle]
-        surprises = sum(not error and expect(seg, n) not in (None, rec["match"])
+        surprises = sum(not error
+                        and _expect_oracle(config.command, seg, n) not in (None, rec["match"])
                         for (seg, n), rec, error in zip(items, oracle, ceiling))
         counts = tuple(map(sum, zip(*(counts for _, counts in chunks))))
         assert counts == (len(oracle), matches.count(True), matches.count(False), surprises,
@@ -913,7 +1052,7 @@ import sys
 import quaddisc.cli
 print(sorted({modules!r} & set(sys.modules)))
 from quaddisc.campaigns import CampaignConfig, _chunk, _validate
-params = _validate(CampaignConfig("window-check", {{"d": 5}}))
+params = dict(_validate(CampaignConfig("window-check", {{"d": 5}})), ceiling=1 << 40)
 _chunk("window-check", False, (params, list(range(200, 300))))
 print("fractions" in sys.modules)
 _validate(CampaignConfig("window-check", {{"d": 5, "eps": "2/9"}}))
