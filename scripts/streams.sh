@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Streams identical across parallelism: the same --no-timing records, summary
 # and exit status at --parallelism 1 and 2, for fresh runs and for resumes of
-# streams with deleted lines.  Exits non-zero at the first difference.
+# streams with deleted lines, one of them among another campaign's records.
+# Exits non-zero at the first difference.
 #
 # The CLI comes from $QUADDISC (default: quaddisc, as `pip install .` puts it
 # on PATH); from a checkout without installing:
@@ -79,9 +80,13 @@ done
 # of the d = 5 window check under a ceiling goes, error records among them.
 # Every 13th d = 7 window record goes too, the failure at n = 328 among them,
 # while the failures at 468..470 stay in the prior file and make the exit 2.
-# The resumed file holds the fresh records, and its summary and exit status
-# are the fresh ones.
-for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --all|5" \
+# The d = 5 window file from n = 206 also holds, after its first 100 lines,
+# the d = 7 window records of n = 300..400, another campaign's records at
+# some of its own n: the resume counts none of them and leaves them in place.
+# The resumed file holds the fresh records (and those foreign lines), and its
+# summary and exit status are the fresh ones.
+for case in "window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 --n-from 300 --n-to 400" \
+            "verify-remark11 --all|5" \
             "window-check --d 7 --n-from 300 --n-to 3000|13" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
             "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
@@ -90,15 +95,19 @@ for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --
             "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100|5" \
             "conjecture --id 1.4 --n-from 3 --n-to 140|9" \
             "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000|17"; do
-  args=${case%|*} every=${case#*|}
+  IFS='|' read -r args every foreign <<< "$case"
   status=0
   $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \
     || status=$?
   echo "exit $status" >> "$tmp/full.txt"
   awk -v every="$every" 'NR % every != 3 % every' "$tmp/full.jsonl" > "$tmp/holes.jsonl"
   cmp -s "$tmp/holes.jsonl" "$tmp/full.jsonl" && { echo "$args: no line deleted" >&2; exit 1; }
+  : > "$tmp/foreign.jsonl"
+  [ -z "$foreign" ] || $quaddisc $foreign --no-timing > "$tmp/foreign.jsonl" 2> /dev/null
+  { head -n 100 "$tmp/holes.jsonl"; cat "$tmp/foreign.jsonl"; tail -n +101 "$tmp/holes.jsonl"; } \
+    > "$tmp/prior.jsonl"
   for par in 1 2; do
-    cp "$tmp/holes.jsonl" "$tmp/resumed$par.jsonl"
+    cp "$tmp/prior.jsonl" "$tmp/resumed$par.jsonl"
     status=0
     $quaddisc $args --no-timing --parallelism $par --out "$tmp/resumed$par.jsonl" --resume \
       2> "$tmp/err$par.txt" || status=$?
@@ -107,7 +116,8 @@ for case in "window-check --d 5 --n-from 206 --n-to 3000|17" "verify-remark11 --
   cmp "$tmp/resumed1.jsonl" "$tmp/resumed2.jsonl"
   cmp "$tmp/err1.txt" "$tmp/err2.txt"
   cmp "$tmp/full.txt" "$tmp/err1.txt"
-  cmp <(sort "$tmp/full.jsonl") <(sort "$tmp/resumed1.jsonl")
+  cmp <(sort "$tmp/full.jsonl" "$tmp/foreign.jsonl") <(sort "$tmp/resumed1.jsonl")
   grep -qx "$(want "$args")" "$tmp/full.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
-  echo "ok  $args --resume ($(($(wc -l < "$tmp/full.jsonl") - $(wc -l < "$tmp/holes.jsonl"))) deleted)"
+  echo "ok  $args --resume ($(($(wc -l < "$tmp/full.jsonl") - $(wc -l < "$tmp/holes.jsonl"))) deleted," \
+       "$(wc -l < "$tmp/foreign.jsonl") foreign)"
 done

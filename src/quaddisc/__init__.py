@@ -30,7 +30,6 @@ from .verifier import (
     VerificationRecord,
     predicted_prime,
     prime_window_all_residues,
-    verify_remark11,
     verify_remark12,
     verify_theorem11,
     verify_theorem12,

@@ -1,12 +1,12 @@
 """Campaign execution: parallel record computation, JSONL emission, resume.
 
 A campaign's work is an ordered list of segments, each the params that
-identify its records and an ascending list of n: one segment n_from..n_to for
-most commands, one per bundled row for the counterexample suite.  It emits one
-line-delimited JSON record per n, segment by segment, in the same order
-regardless of parallelism.  Records are append-friendly and greppable; a
-resumed campaign skips every key already present in the output file and
-reproduces the same summary from the combined records.
+identify its records and an ascending sequence of n: one segment, the range
+n_from..n_to, for most commands, one per bundled row for the counterexample
+suite.  It emits one line-delimited JSON record per n, segment by segment, in
+the same order regardless of parallelism.  Records are append-friendly and
+greppable; a resumed campaign skips every key already present in the output
+file and reproduces the same summary from the combined records.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import time
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -100,25 +100,28 @@ _JSON_INT = "(?:0|-?[1-9][0-9]{0,99})"
 _OUTCOMES = {"null": (None, None), "true": (True, None), "false": (False, None)}
 
 
-def _load_prior(path: Path, prefixes: dict[str, tuple]) -> dict[tuple, dict]:
+def _load_prior(path: Path, command: str, segments: list) -> list[dict]:
     """(match, error) of each record already present at path, one table per
-    prefix, its record_key without n, keyed by n: all the summary reads of
-    it.  Only newline-terminated lines are records: a corrupt one is warned
-    about and skipped, and a last line without its newline, cut mid-write, is
-    warned about and truncated away, so its record is recomputed and appended
-    records start on a line of their own.
+    segment of command, in order, keyed by n: all the summary reads of it.
+    Only newline-terminated lines are records: a corrupt one is warned about
+    and skipped, and a last line without its newline, cut mid-write, is warned
+    about and truncated away, so its record is recomputed and appended records
+    start on a line of their own.
 
-    prefixes maps the campaign's segment heads (see _head), one at least, to
-    their prefixes.  A line that is exactly what _chunk writes for one of
-    them, a head, n and the outcome fields with null, bool or int values and
-    no extra field, goes to that prefix's table and is read from its literal
-    match, without a JSON parse; every other line goes through parse_record
-    and record_key, the oracle of this path, and so to its own prefix."""
-    prior: dict[tuple, dict] = {}
+    A line that is exactly what _chunk writes, a segment's head (see _head), n
+    and the outcome fields with null, bool or int values and no extra field,
+    is read from its literal match, without a JSON parse; every other line
+    goes through parse_record and record_key, the oracle of this path, to the
+    segment whose record_key without n is its own.  Other campaigns' records
+    are skipped."""
+    heads, prefixes, tables = {}, {}, []
+    for seg, _ in segments:
+        tables.append(prefixes.setdefault(record_key(_identity(command, seg, 0))[:-1], {}))
+        heads[_head(command, seg)] = tables[-1]
     if not path.exists():
-        return prior
+        return tables
     template = re.compile(
-        f'({"|".join(map(re.escape, prefixes))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
+        f'({"|".join(map(re.escape, heads))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
         f'"predicted":(?:null|{_JSON_INT}),"match":(null|true|false),"ms":{_JSON_INT}}}\n'
     ).fullmatch
     # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
@@ -132,17 +135,17 @@ def _load_prior(path: Path, prefixes: dict[str, tuple]) -> dict[tuple, dict]:
             fast = template(line)
             if fast is not None:
                 head, n, match = fast.groups()
-                prior.setdefault(prefixes[head], {})[int(n)] = _OUTCOMES[match]
+                heads[head][int(n)] = _OUTCOMES[match]
                 continue
             if line.isspace():
                 continue
             try:
                 rec = parse_record(line)
                 outcome = rec.get("match"), rec.get("error")
-                prior.setdefault(record_key(rec)[:-1], {})[rec["n"]] = outcome
+                prefixes.get(record_key(rec)[:-1], {})[rec["n"]] = outcome
             except (ValueError, KeyError, TypeError):  # TypeError: an unhashable key field
                 print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
-    return prior
+    return tables
 
 
 # --- the commands: one spec each, from CLI options to expectation ---------------
@@ -154,33 +157,32 @@ class Command(Value, namedtuple("Command", "help options check compute certified
     dest is a params key.  check(config) raises ValueError for an invalid
     config, else returns the params that, with the scan ceiling, identify the
     campaign; those in _KEY_FIELDS key its records.  segments(config, params)
-    returns its work as (params, ascending n list) pairs, in output order; None
-    is the one segment n_from..n_to, which the CLI reads from --n-from/--n-to.
-    compute(params, ns, timing) returns the records of ascending ns as runs
-    (ns, least_m, predicted, match, extra, ms), in order: each run's n share
-    those outcome fields, extra record fields (a dict or None) and ms, which
-    is 0 unless timing.  certified(params) is (start, value): records with n
-    >= start are asserted to have match == value, or value(n) for conjecture
-    1.3's rule, and a start of None asserts nothing.  Both get a segment's
-    params.  one_of marks options that exclude each other, one required."""
+    returns its work as (params, ascending n) pairs, in output order; None is
+    range(n_from, n_to + 1), which the CLI reads from --n-from/--n-to.
+    compute(params, ns) returns the records of ascending ns as runs (ns,
+    least_m, predicted, match, extra, ms), in order: each run's n share those
+    outcome fields, extra record fields (a dict or None) and ms, the whole ms
+    each took.  certified(params) is (start, value): records with n >= start
+    are asserted to have match == value, or value(n) for conjecture 1.3's
+    rule, and a start of None asserts nothing.  Both get a segment's params.
+    one_of marks options that exclude each other, one required."""
 
     __slots__ = ()
 
 
-def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: list[int], timing: bool) -> list:
+def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: Sequence[int]) -> list:
     """One run per n from compute(p, n), the least_m, predicted, match and
     extra fields of one n: ms times that call, and a scan past the ceiling
     makes an error record."""
     runs, clock = [], time.perf_counter
     for n in ns:
-        t0 = clock() if timing else 0.0
+        t0 = clock()
         try:
             least_m, predicted, match, extra = compute(p, n)
         except ScanCeilingError as e:
             runs.append(([n], None, None, None, {"error": "scan_ceiling", "detail": str(e)}, 0))
         else:
-            ms = int((clock() - t0) * 1000) if timing else 0
-            runs.append(([n], least_m, predicted, match, extra, ms))
+            runs.append(([n], least_m, predicted, match, extra, int((clock() - t0) * 1000)))
     return runs
 
 
@@ -239,7 +241,7 @@ def _window_n(p: dict, n: int) -> tuple:
     return None, None, prime_window_all_residues(d, n, eps), None
 
 
-def _window(p: dict, ns: list[int], timing: bool) -> list:
+def _window(p: dict, ns: Sequence[int]) -> list:
     """The window outcomes of ascending ns as runs.  first(n) and last(n), the
     ends of n's window (verifier._window_ends), and prime_cover never decrease
     as n grows, so cover(first(n_hi)) <= last(n_lo) gives cover(first(n)) <=
@@ -249,12 +251,11 @@ def _window(p: dict, ns: list[int], timing: bool) -> list:
     (checked first, so no block past it is sieved), the n split in halves,
     down to one n, which _window_n decides as every command decides one n."""
     d, terms = p["d"], _window_terms(p["d"], p.get("eps_fraction"))
-    clock = time.perf_counter if timing else float  # float() is 0.0, no clock read
-    runs = []
+    clock, runs = time.perf_counter, []
 
     def decide(lo: int, hi: int) -> None:
         if hi - lo == 1:
-            runs.extend(_each_n(_window_n, p, ns[lo:hi], timing))
+            runs.extend(_each_n(_window_n, p, ns[lo:hi]))
             return
         t0 = clock()
         first, last = _window_ends(d, ns[hi - 1], terms)
@@ -444,7 +445,7 @@ def _head(command: str, params: dict) -> str:
 def _dispatch(command: str, params: dict, n: int) -> dict:
     """The record of n, computed as the one-n run [n], as a dict; serialized,
     it is the slow oracle of the text _chunk writes."""
-    [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n], True)
+    [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n])
     rec = _identity(command, params, n)
     rec.update(least_m=least_m, predicted=predicted, match=match, ms=ms)
     if extra:
@@ -490,7 +491,7 @@ def _tally(certified: tuple, runs) -> tuple:
     return records, match_count, mismatch, unexpected, ceiling
 
 
-def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[str, tuple]:
+def _chunk(command: str, timing: bool, chunk: tuple[dict, Sequence[int]]) -> tuple[str, tuple]:
     """The records of a chunk, (params, items) of one segment, as JSONL text,
     ms zeroed unless timing, and the _tally of their outcomes.
 
@@ -504,9 +505,9 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, list[int]]) -> tuple[s
     spec = COMMANDS[command]
     head = _head(command, params)
     lines, runs = [], []
-    for ns, least_m, predicted, match, extra, ms in spec.compute(params, items, timing):
+    for ns, least_m, predicted, match, extra, ms in spec.compute(params, items):
         tail = (f',"least_m":{_json_value(least_m)},"predicted":{_json_value(predicted)},'
-                f'"match":{_json_value(match)},"ms":{ms}'
+                f'"match":{_json_value(match)},"ms":{ms if timing else 0}'
                 + (f',{_ENCODER.encode(extra)[1:-1]}}}\n' if extra else "}\n"))
         lines.append(head + (tail + head).join(map(str, ns)) + tail)
         runs.append((ns, match, extra.get("error") if extra else None))
@@ -539,9 +540,9 @@ def _validate(config: CampaignConfig) -> dict:
     return COMMANDS[config.command].check(config)
 
 
-def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, list[int]]]:
+def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, Sequence[int]]]:
     """The campaign's work: its command's segments, by default the one segment
-    n_from..n_to of params."""
+    range(n_from, n_to + 1) of params."""
     segments = COMMANDS[config.command].segments
     if segments is not None:
         return segments(config, params)
@@ -549,7 +550,7 @@ def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, list[int
         raise ValueError(f"n_from {config.n_from} exceeds n_to {config.n_to}")
     if config.n_from < 1:
         raise ValueError(f"n must be >= 1, got {config.n_from}")
-    return [(params, list(range(config.n_from, config.n_to + 1)))]
+    return [(params, range(config.n_from, config.n_to + 1))]
 
 
 # A pool's start, imports and round trips cost tens of ms, so a campaign forks
@@ -571,7 +572,7 @@ def _pool(processes: int):
     return multiprocessing.get_context(method).Pool(processes)
 
 
-def _compute(command: str, segments: list[tuple[dict, list[int]]], parallelism: int,
+def _compute(command: str, segments: list[tuple[dict, Sequence[int]]], parallelism: int,
              timing: bool = True):
     """(text, counts) of _chunk for each chunk of segments, in order.  Each
     segment is cut into chunks of max(1, total // (8 * parallelism)) of its n,
@@ -627,12 +628,10 @@ def run(config: CampaignConfig) -> int:
     parallelism = min(config.parallelism, cores) or cores
 
     t0 = time.perf_counter()
-    prior: dict[tuple, dict] = {}
+    tables = []
     try:
         if config.resume:
-            prefixes = [record_key(_identity(config.command, seg, 0))[:-1] for seg, _ in segments]
-            prior = _load_prior(Path(config.output), {
-                _head(config.command, seg): prefix for (seg, _), prefix in zip(segments, prefixes)})
+            tables = _load_prior(Path(config.output), config.command, segments)
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:
@@ -641,15 +640,14 @@ def run(config: CampaignConfig) -> int:
 
     summary = [0] * 5
     pending = segments
-    if prior:
+    if any(tables):
         certified = COMMANDS[config.command].certified
         pending = []
-        for (seg, ns), prefix in zip(segments, prefixes):
-            found = prior.get(prefix, {})
+        for (seg, ns), found in zip(segments, tables):
             pending.append((seg, [n for n in ns if n not in found]))
             counts = _tally(certified(seg), (((n,), *found[n]) for n in ns if n in found))
             summary = [s + c for s, c in zip(summary, counts)]
-        del prior
+        del tables
     try:
         for text, counts in _compute(config.command, pending, parallelism, config.timing):
             out.write(text)

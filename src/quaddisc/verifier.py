@@ -10,7 +10,6 @@ n-ranges of the campaigns.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
@@ -75,7 +74,6 @@ WINDOW_THRESHOLD = {
 }
 
 
-@lru_cache(maxsize=64)
 def window_eps(d: int) -> Fraction:
     """Default window width parameter 2 / (max(11, d) - 2)."""
     from fractions import Fraction  # only window checks pay for its import
@@ -116,14 +114,6 @@ def verify_theorem11(
     PREDICTION_THRESHOLD[d] when 4 <= d <= 36."""
     least = least_modulus(APCase(d, c).seq, n, ceiling=ceiling)
     return VerificationRecord(d, c, n, least, predicted_prime(d, c, n, ceiling))
-
-
-def verify_remark11(d: int, ceiling: int = DEFAULT_SCAN_CEILING) -> VerificationRecord:
-    """Run the bundled counterexample for d: at n = PREDICTION_THRESHOLD[d] with
-    the bundled residue, the match is expected to FAIL."""
-    if d not in PREDICTION_THRESHOLD:
-        raise ValueError(f"d must be in [4, 36], got {d}")
-    return verify_theorem11(d, COUNTEREXAMPLE_RESIDUE[d], PREDICTION_THRESHOLD[d], ceiling)
 
 
 # --- admissible modulus classes -------------------------------------------------

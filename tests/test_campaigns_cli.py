@@ -29,7 +29,6 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _chunk,
     _dispatch,
-    _head,
     _identity,
     _load_prior,
     _segments,
@@ -87,17 +86,15 @@ def _prefix(command, params):
     return record_key(_identity(command, params, 0))[:-1]
 
 
-_THEOREM11 = _prefix("verify-theorem11", {"d": 4, "c": 1})
-_WINDOW = _prefix("window-check", {"d": 4})
-_THEOREM11_PREFIXES = {_head("verify-theorem11", {"d": 4, "c": 1}): _THEOREM11}
-_WINDOW_PREFIXES = {_head("window-check", {"d": 4}): _WINDOW}
+_THEOREM11 = [({"d": 4, "c": 1}, range(6, 9))]
+_WINDOW = [({"d": 4}, range(79, 81))]
 
 
 def test_resume_scan_empty_and_valid(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text("")
-    assert _load_prior(path, _THEOREM11_PREFIXES) == {}
-    assert _load_prior(tmp_path / "absent.jsonl", _THEOREM11_PREFIXES) == {}
+    assert _load_prior(path, "verify-theorem11", _THEOREM11) == [{}]
+    assert _load_prior(tmp_path / "absent.jsonl", "verify-theorem11", _THEOREM11) == [{}]
 
     recs = [
         {"cmd": "verify-theorem11", "d": 4, "c": 1, "n": n, "least_m": 1,
@@ -105,8 +102,8 @@ def test_resume_scan_empty_and_valid(tmp_path, capsys):
         for n in (6, 7, 8)
     ]
     path.write_text("".join(serialize_record(r) + "\n" for r in recs))
-    assert _load_prior(path, _THEOREM11_PREFIXES) == {_THEOREM11: dict.fromkeys((6, 7, 8),
-                                                                             (True, None))}
+    assert _load_prior(path, "verify-theorem11", _THEOREM11) == [
+        dict.fromkeys((6, 7, 8), (True, None))]
     assert capsys.readouterr().err == ""
 
 
@@ -116,7 +113,7 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
                              "predicted": None, "match": True, "ms": 0})
     lines = [good, good.replace('"n":79', '"n":80'), good[: len(good) // 2]]
     path.write_text("\n".join(lines) + "\n")
-    assert _load_prior(path, _WINDOW_PREFIXES) == {_WINDOW: dict.fromkeys((79, 80), (True, None))}
+    assert _load_prior(path, "window-check", _WINDOW) == [dict.fromkeys((79, 80), (True, None))]
     assert "corrupt record" in capsys.readouterr().err
 
 
@@ -126,8 +123,25 @@ def test_resume_scan_skips_unhashable_key_field(tmp_path, capsys):
     good = serialize_record({"cmd": "window-check", "d": 4, "n": 79, "least_m": None,
                              "predicted": None, "match": True, "ms": 0})
     path.write_text(good.replace('"n":79', '"n":[79]') + "\n" + good + "\n")
-    assert _load_prior(path, _WINDOW_PREFIXES) == {_WINDOW: {79: (True, None)}}
+    assert _load_prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
     assert f"corrupt record at {path}:1" in capsys.readouterr().err
+
+
+def test_resume_scan_drops_other_campaigns(tmp_path, capsys):
+    # records of another d, another command or another row go to no table,
+    # with extra fields or without, even at an n of the segment
+    path = tmp_path / "records.jsonl"
+    window = {"cmd": "window-check", "d": 4, "n": 79, "least_m": None, "predicted": None,
+              "match": True, "ms": 0}
+    others = [dict(window, d=7, match=False), dict(window, d=7, n=80, flags=[True]),
+              dict(window, cmd="conjecture", id="1.2", match=None, flags=[True]),
+              {"cmd": "verify-remark11", "d": 4, "c": -3, "n": 80, "least_m": 25,
+               "predicted": 29, "match": False, "ms": 0}]
+    path.write_text("".join(serialize_record(r) + "\n" for r in [*others, window]))
+    assert _load_prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
+    rows = [({"d": 4, "c": -3}, [8]), ({"d": 5, "c": -1}, [14])]
+    assert _load_prior(path, "verify-remark11", rows) == [{80: (False, None)}, {}]
+    assert capsys.readouterr().err == ""
 
 
 def run_to_file(tmp_path, name, argv):
@@ -338,7 +352,34 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys, serial_pool)
         assert capsys.readouterr() == serial
     assert [size for size, _ in serial_pool] == [19, 2]
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
-    assert serial_pool[0][1] == serial_pool[1][1] == [(params, [n]) for n in range(5, 24)]
+    assert serial_pool[0][1] == serial_pool[1][1] == [(params, range(n, n + 1))
+                                                      for n in range(5, 24)]
+
+
+def test_segments_and_chunks_are_ranges(monkeypatch):
+    # a default segment, and every chunk _compute cuts from it, is a range: a
+    # campaign of 10^6 n holds no list of its n before it computes one
+    import tracemalloc
+
+    import quaddisc.campaigns as campaigns
+
+    chunks = []
+    monkeypatch.setattr(campaigns, "_chunk",
+                        lambda command, timing, chunk: chunks.append(chunk) or ("", (0,) * 5))
+    config = CampaignConfig("window-check", {"d": 4}, 1, 10**6)
+    params = dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING)
+    tracemalloc.start()
+    try:
+        segments = _segments(config, params)
+        assert list(campaigns._compute("window-check", segments, 1, False)) == [("", (0,) * 5)] * 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert segments == [(params, range(1, 10**6 + 1))]
+    assert all(type(ns) is range and ns.step == 1 for _, ns in chunks)
+    assert [ns.start for _, ns in chunks[1:]] == [ns.stop for _, ns in chunks[:-1]]
+    assert chunks[0][1].start == 1 and chunks[-1][1].stop == 10**6 + 1
 
 
 def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
@@ -587,15 +628,19 @@ def _tally_case(draw):
     """A campaign's segment params, and the runs that count its n: ascending
     n from 1 or from up to 400, past every threshold of TALLY_CAMPAIGNS, cut
     into computed runs that share a drawn outcome, and resumed holes, one-n
-    tuples as --resume counts them."""
+    tuples as --resume counts them.  The n are either a range, cut into range
+    slices as a fresh segment is, or a list with gaps and holes."""
     config = draw(st.sampled_from(TALLY_CAMPAIGNS))
     seg = _segments(config, dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING))[0][0]
     start = draw(st.one_of(st.just(1), st.integers(1, 400)))
-    ns = list(accumulate(draw(st.lists(st.integers(1, 4), max_size=60)), initial=start))
     outcome = st.tuples(st.sampled_from([True, False, None]),
                         st.sampled_from([None, None, None, "scan_ceiling", "other"]))
-    found = draw(st.sets(st.sampled_from(ns)))
-    pending = [n for n in ns if n not in found]
+    if draw(st.booleans()):  # a fresh default segment: a range, cut into range slices
+        found, pending = set(), range(start, start + draw(st.integers(1, 60)))
+    else:
+        ns = list(accumulate(draw(st.lists(st.integers(1, 4), max_size=60)), initial=start))
+        found = draw(st.sets(st.sampled_from(ns)))
+        pending = [n for n in ns if n not in found]
     cuts = sorted(draw(st.sets(st.integers(1, max(1, len(pending))), max_size=6))
                   | {len(pending)})
     runs = [(pending[i:j], *draw(outcome)) for i, j in zip([0, *cuts], cuts) if i < j]
@@ -648,8 +693,8 @@ def test_window_runs_match_each_n(case):
     # one cover lookup decides a run of n; the per-n check is its oracle
     d, eps, ns, chunks = case
     params = {"d": d, "eps_fraction": eps, "ceiling": DEFAULT_SCAN_CEILING}
-    runs = [run for chunk in chunks for run in _window(params, chunk, False)]
-    assert all(run[1:3] == (None, None) and run[4:] == (None, 0) for run in runs)
+    runs = [run for chunk in chunks for run in _window(params, chunk)]
+    assert all(run[1:3] == (None, None) and run[4] is None for run in runs)
     assert [(n, run[3]) for run in runs for n in run[0]] == [
         (n, prime_window_all_residues(d, n, eps)) for n in ns]
 
@@ -714,19 +759,21 @@ def test_resume_keyer_matches_key_for(command, params, n):
             record_key(_identity(command, seg, m)) for m in items]
 
 
-def _segment_params(config):
-    return [seg for seg, _ in _segments(config, dict(_validate(config), ceiling=10**6))]
+def _segments_of(config):
+    return _segments(config, dict(_validate(config), ceiling=10**6))
 
 
-# Segment heads that the template read is given, and heads of other campaigns
-# that it is not: their lines go through parse_record like any other.
-_KNOWN = [("window-check", seg) for seg in _segment_params(
-    CampaignConfig("window-check", {"d": 5, "eps": "1/3"}, 206, 206))] + [
-    ("verify-remark11", seg) for seg in _segment_params(
-        CampaignConfig("verify-remark11", {"all": True, "d": None}))[:3]]
-_OTHER = [("window-check", seg) for seg in _segment_params(
+# Campaigns whose segments the template read is given, one campaign a read,
+# and segments of campaigns that it never is.  Lines of every campaign but
+# the one read go through parse_record like any other, and to no table.
+_KNOWN = {
+    "window-check": _segments_of(CampaignConfig("window-check", {"d": 5, "eps": "1/3"}, 206, 206)),
+    "verify-remark11": _segments_of(
+        CampaignConfig("verify-remark11", {"all": True, "d": None}))[:3],
+}
+_OTHER = [("window-check", seg) for seg, _ in _segments_of(
     CampaignConfig("window-check", {"d": 6, "eps": None}, 103, 103))] + [
-    ("conjecture", seg) for seg in _segment_params(CampaignConfig("conjecture", {"id": "1.2"}))]
+    ("conjecture", seg) for seg, _ in _segments_of(CampaignConfig("conjecture", {"id": "1.2"}))]
 
 # Edits of a template line after which it is no longer one; json.loads reads
 # most of them, some to the same key and outcome.
@@ -747,13 +794,15 @@ _REFUSED = {
 
 @st.composite
 def _prior_line(draw):
-    """(bytes of one line, whether the template read must take it)."""
+    """(bytes of one line, the command of _KNOWN whose template read must
+    take it, or None)."""
     # template lines half the time and few n, so that keys repeat
     kind = draw(st.sampled_from(["template"] * len(_REFUSED) + ["error", "blank", *_REFUSED]))
     if kind == "blank":
-        return draw(st.sampled_from([b"\n", b"  \n"])), False
+        return draw(st.sampled_from([b"\n", b"  \n"])), None
     known = draw(st.booleans())
-    command, seg = draw(st.sampled_from(_KNOWN if known else _OTHER))
+    command, seg = draw(st.sampled_from(
+        [(c, seg) for c, segments in _KNOWN.items() for seg, _ in segments] if known else _OTHER))
     big = st.integers(-10**120, 10**120)
     n = draw(st.integers(0, 3) | big)
     rec = _identity(command, seg, n)
@@ -770,7 +819,8 @@ def _prior_line(draw):
         line = _REFUSED[kind](line)
     fits = all(len(str(abs(v))) <= 100 for v in (n, rec["least_m"], rec["predicted"])
                if v is not None)
-    return line.encode("utf-8", "surrogateescape") + b"\n", known and kind == "template" and fits
+    taken = known and kind == "template" and fits
+    return line.encode("utf-8", "surrogateescape") + b"\n", command if taken else None
 
 
 def _oracle_prior(path: Path) -> tuple[dict, str, int]:
@@ -799,40 +849,40 @@ def _oracle_prior(path: Path) -> tuple[dict, str, int]:
 @given(lines=st.lists(_prior_line(), max_size=25),
        tail=st.sampled_from(["", "cut", "no newline"]))
 def test_template_read_matches_oracle(lines, tail):
-    # _load_prior with heads reads exactly the template lines without
-    # parse_record; each prefix's table holds the oracle's records under that
-    # prefix, in order, and its warnings and file bytes are the oracle's
+    # _load_prior, given the segments of one campaign, reads exactly that
+    # campaign's template lines without parse_record; table i holds the
+    # oracle's records under segment i's prefix, in order, no table holds
+    # another campaign's, and its warnings and file bytes are the oracle's
     import quaddisc.campaigns as campaigns
 
     data = b"".join(line for line, _ in lines)
     if tail and lines:
         last = lines[-1][0][:-1]
         data += last[:len(last) // 2] if tail == "cut" else last
-    prefixes = {_head(command, seg): _prefix(command, seg) for command, seg in _KNOWN}
     real, calls = campaigns.parse_record, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prior.jsonl"
         path.write_bytes(data)
         oracle, oracle_err, oracle_calls = _oracle_prior(path)
         oracle_bytes = path.read_bytes()
-        path.write_bytes(data)
-        err = io.StringIO()
-        campaigns.parse_record = lambda line: calls.append(line) or real(line)
-        try:
-            with contextlib.redirect_stderr(err):
-                prior = _load_prior(path, prefixes)
-        finally:
-            campaigns.parse_record = real
-        grouped = {}
-        for key, outcome in oracle.items():
-            grouped.setdefault(key[:-1], []).append((key, outcome))
-        for prefix in {*prior, *grouped}:
-            table = prior.get(prefix, {})
-            assert [((*prefix, ("n", n)), outcome) for n, outcome in table.items()] == \
-                grouped.get(prefix, [])
-        assert err.getvalue() == oracle_err
-        assert path.read_bytes() == oracle_bytes
-    assert len(calls) == oracle_calls - sum(taken for _, taken in lines)
+        for command, segments in _KNOWN.items():
+            path.write_bytes(data)
+            err = io.StringIO()
+            calls.clear()
+            campaigns.parse_record = lambda line: calls.append(line) or real(line)
+            try:
+                with contextlib.redirect_stderr(err):
+                    tables = _load_prior(path, command, segments)
+            finally:
+                campaigns.parse_record = real
+            assert len(tables) == len(segments)
+            for (seg, _), table in zip(segments, tables):
+                prefix = _prefix(command, seg)
+                assert [((*prefix, ("n", n)), outcome) for n, outcome in table.items()] == [
+                    (key, outcome) for key, outcome in oracle.items() if key[:-1] == prefix]
+            assert err.getvalue() == oracle_err
+            assert path.read_bytes() == oracle_bytes
+            assert len(calls) == oracle_calls - sum(taken == command for _, taken in lines)
 
 
 @pytest.mark.parametrize("command,params,n", REGISTRY_SAMPLES)

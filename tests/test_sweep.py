@@ -6,7 +6,6 @@ come out exactly as the cold scan from n gives it, for each sequence family,
 across gaps in the n-set, past a scan ceiling and at any parallelism.
 """
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -266,9 +265,14 @@ def test_resume_never_hints_from_prior_records(tmp_path):
     assert path.read_text().splitlines(keepends=True)[-1] == fresh[11]
 
 
-def fake_clock(costs):
-    """A perf_counter under which the k-th chunk _compute times takes costs[k] s."""
-    return itertools.accumulate(c for cost in costs for c in (0.0, cost)).__next__
+def fake_clock(monkeypatch, costs):
+    """Make the k-th chunk _compute times take costs[k] s: the clock reads the
+    costs of the chunks done so far, so it stands still inside a chunk, whose
+    compute reads it too."""
+    done, real = [], campaigns._chunk
+    monkeypatch.setattr(campaigns, "_chunk", lambda *args: (real(*args), done.append(1))[0])
+    monkeypatch.setattr(campaigns, "time",
+                        SimpleNamespace(perf_counter=lambda: sum(costs[:len(done)])))
 
 
 T = campaigns._POOL_AFTER_S
@@ -289,7 +293,7 @@ T = campaigns._POOL_AFTER_S
 def test_switch_rule(monkeypatch, serial_pool, costs, pooled):
     # 32 items at K = 2 make 16 chunks of 2; the pool is handed the chunks left
     serial = cold_stream("verify-theorem12", {"case": "3k-1"}, range(4, 36))
-    monkeypatch.setattr(campaigns, "time", SimpleNamespace(perf_counter=fake_clock(costs)))
+    fake_clock(monkeypatch, costs)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     text = "".join(t for t, _ in _compute("verify-theorem12", [(params, list(range(4, 36)))], 2,
                                           timing=False))

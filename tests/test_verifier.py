@@ -21,7 +21,6 @@ from quaddisc.verifier import (
     ModulusClass,
     predicted_prime,
     prime_window_all_residues,
-    verify_remark11,
     verify_remark12,
     verify_theorem11,
     verify_theorem12,
@@ -103,13 +102,20 @@ def test_verify_theorem11_examples():
     assert not rec.match and rec.least_m == 25 and rec.predicted == 29
 
 
-def test_verify_remark11_spot_rows():
-    rec = verify_remark11(4)
+def _remark11_row(d):
+    """The bundled counterexample row of d: its residue at its threshold."""
+    return verify_theorem11(d, COUNTEREXAMPLE_RESIDUE[d], PREDICTION_THRESHOLD[d])
+
+
+def test_verify_remark11_spot_rows(capsys):
+    rec = _remark11_row(4)
     assert not rec.match and rec.n == 8 and rec.c == -3
-    rec = verify_remark11(12)
+    rec = _remark11_row(12)
     assert not rec.match and rec.n == 27 and rec.c == 5
-    with pytest.raises(ValueError):
-        verify_remark11(37)
+    assert main(["verify-remark11", "--d", "37", "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid campaign: d must be in [4, 36], got 37\n"
 
 
 def test_remark11_d6_row_does_not_reproduce():
@@ -120,7 +126,7 @@ def test_remark11_d6_row_does_not_reproduce():
     # bundled row is corrected to that n.
     rec = verify_theorem11(6, 1, 10)
     assert rec.match and rec.least_m == rec.predicted == 31
-    rec = verify_remark11(6)
+    rec = _remark11_row(6)
     assert rec.n == 9 and rec.c == 1
     assert not rec.match and rec.least_m == 27 and rec.predicted == 31
 
