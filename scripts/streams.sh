@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Streams identical across parallelism: the same --no-timing records, summary
 # and exit status at --parallelism 1 and 2, for fresh runs and for resumes of
-# streams with deleted lines, one of them among another campaign's records.
+# streams with deleted lines, one of them among another campaign's records,
+# and of a window stream cut mid-line after its first half.
 # Exits non-zero at the first difference.
 #
 # The CLI comes from $QUADDISC (default: quaddisc, as `pip install .` puts it
@@ -120,4 +121,35 @@ for case in "window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 -
   grep -qx "$(want "$args")" "$tmp/full.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
   echo "ok  $args --resume ($(($(wc -l < "$tmp/full.jsonl") - $(wc -l < "$tmp/holes.jsonl"))) deleted," \
        "$(wc -l < "$tmp/foreign.jsonl") foreign)"
+done
+
+# A window resume whose prior lost its second half, cut mid-line, without and
+# with every 13th line of its first half deleted too.  The cut tail is warned
+# about and truncated; what is left to compute is the deleted n, in order,
+# then the second half, one range when nothing else is missing.  At each K the
+# resumed file is byte for byte the prior without its cut line, followed by
+# the fresh records it lacks: the fresh file itself when only the tail was cut.
+args="window-check --d 4 --n-from 1 --n-to 20000"
+$quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt"
+for every in 0 13; do
+  awk -v every="$every" 'NR <= 10000 && (every == 0 || NR % every)' "$tmp/full.jsonl" \
+    > "$tmp/kept.jsonl"
+  awk -v every="$every" 'NR > 10000 || (every && NR % every == 0)' "$tmp/full.jsonl" \
+    > "$tmp/lost.jsonl"
+  { cat "$tmp/kept.jsonl"; sed -n 10001p "$tmp/full.jsonl" | head -c 40; } > "$tmp/prior.jsonl"
+  for par in 1 2; do
+    cp "$tmp/prior.jsonl" "$tmp/resumed.jsonl"
+    $quaddisc $args --no-timing --parallelism $par --out "$tmp/resumed.jsonl" --resume \
+      2> "$tmp/err$par.txt"
+    mv "$tmp/resumed.jsonl" "$tmp/resumed$par.jsonl"
+  done
+  cmp "$tmp/err1.txt" "$tmp/err2.txt"
+  cmp "$tmp/resumed1.jsonl" "$tmp/resumed2.jsonl"
+  cmp <(cat "$tmp/kept.jsonl" "$tmp/lost.jsonl") "$tmp/resumed1.jsonl"
+  [ "$every" != 0 ] || cmp "$tmp/full.jsonl" "$tmp/resumed1.jsonl"
+  grep -qx "warning: skipping corrupt record at $tmp/resumed.jsonl:$(($(wc -l < "$tmp/kept.jsonl") + 1))" \
+    "$tmp/err1.txt"
+  cmp "$tmp/full.txt" <(grep -v '^warning: ' "$tmp/err1.txt")
+  echo "ok  $args --resume (second half cut mid-line, $(($(wc -l < "$tmp/lost.jsonl") - 10000))" \
+       "deleted before it)"
 done

@@ -1,19 +1,18 @@
 """Campaign execution: parallel record computation, JSONL emission, resume.
 
 A campaign's work is an ordered list of segments, each the params that
-identify its records and an ascending sequence of n: one segment, the range
-n_from..n_to, for most commands, one per bundled row for the counterexample
-suite.  It emits one line-delimited JSON record per n, segment by segment, in
-the same order regardless of parallelism.  Records are append-friendly and
-greppable; a resumed campaign skips every key already present in the output
-file and reproduces the same summary from the combined records.
+identify its records and a range of n: one segment, n_from..n_to, for most
+commands, one per bundled row for the counterexample suite.  It emits one
+line-delimited JSON record per n, segment by segment, in the same order
+regardless of parallelism.  Records are append-friendly and greppable; a
+resumed campaign skips every key already present in the output file and
+reproduces the same summary from the combined records.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 import time
 from bisect import bisect_left
@@ -94,60 +93,6 @@ def parse_record(line: str) -> dict:
     return rec
 
 
-# A canonical JSON int, as str(int) writes it, of at most 100 digits: a longer
-# one could exceed Python's int-to-str digit limit, which json.loads enforces.
-_JSON_INT = "(?:0|-?[1-9][0-9]{0,99})"
-_OUTCOMES = {"null": (None, None), "true": (True, None), "false": (False, None)}
-
-
-def _load_prior(path: Path, command: str, segments: list) -> list[dict]:
-    """(match, error) of each record already present at path, one table per
-    segment of command, in order, keyed by n: all the summary reads of it.
-    Only newline-terminated lines are records: a corrupt one is warned about
-    and skipped, and a last line without its newline, cut mid-write, is warned
-    about and truncated away, so its record is recomputed and appended records
-    start on a line of their own.
-
-    A line that is exactly what _chunk writes, a segment's head (see _head), n
-    and the outcome fields with null, bool or int values and no extra field,
-    is read from its literal match, without a JSON parse; every other line
-    goes through parse_record and record_key, the oracle of this path, to the
-    segment whose record_key without n is its own.  Other campaigns' records
-    are skipped."""
-    heads, prefixes, tables = {}, {}, []
-    for seg, _ in segments:
-        tables.append(prefixes.setdefault(record_key(_identity(command, seg, 0))[:-1], {}))
-        heads[_head(command, seg)] = tables[-1]
-    if not path.exists():
-        return tables
-    template = re.compile(
-        f'({"|".join(map(re.escape, heads))})({_JSON_INT}),"least_m":(?:null|{_JSON_INT}),'
-        f'"predicted":(?:null|{_JSON_INT}),"match":(null|true|false),"ms":{_JSON_INT}}}\n'
-    ).fullmatch
-    # A byte that is not UTF-8 reads as a lone surrogate that encodes back to
-    # itself, so it cannot stop the run, and a cut tail's byte count stays exact.
-    with open(path, "r+", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.endswith("\n"):
-                print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
-                fh.truncate(fh.seek(0, os.SEEK_END) - len(line.encode("utf-8", "surrogateescape")))
-                break
-            fast = template(line)
-            if fast is not None:
-                head, n, match = fast.groups()
-                heads[head][int(n)] = _OUTCOMES[match]
-                continue
-            if line.isspace():
-                continue
-            try:
-                rec = parse_record(line)
-                outcome = rec.get("match"), rec.get("error")
-                prefixes.get(record_key(rec)[:-1], {})[rec["n"]] = outcome
-            except (ValueError, KeyError, TypeError):  # TypeError: an unhashable key field
-                print(f"warning: skipping corrupt record at {path}:{lineno}", file=sys.stderr)
-    return tables
-
-
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
@@ -157,7 +102,7 @@ class Command(Value, namedtuple("Command", "help options check compute certified
     dest is a params key.  check(config) raises ValueError for an invalid
     config, else returns the params that, with the scan ceiling, identify the
     campaign; those in _KEY_FIELDS key its records.  segments(config, params)
-    returns its work as (params, ascending n) pairs, in output order; None is
+    returns its work as (params, range of n) pairs, in output order; None is
     range(n_from, n_to + 1), which the CLI reads from --n-from/--n-to.
     compute(params, ns) returns the records of ascending ns as runs (ns,
     least_m, predicted, match, extra, ms), in order: each run's n share those
@@ -200,14 +145,14 @@ def _theorem11(p: dict, n: int) -> tuple:
     return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"]))
 
 
-def _remark11_rows(config: CampaignConfig, params: dict) -> list[tuple[dict, list[int]]]:
+def _remark11_rows(config: CampaignConfig, params: dict) -> list[tuple[dict, range]]:
     """One segment per bundled row: its d and c, and its threshold as the one n."""
     p = config.params
     if not p.get("all") and p["d"] not in PREDICTION_THRESHOLD:
         raise ValueError(f"d must be in [4, 36], got {p['d']}")
     ds = sorted(PREDICTION_THRESHOLD) if p.get("all") else [p["d"]]
-    return [(dict(params, d=d, c=COUNTEREXAMPLE_RESIDUE[d]), [PREDICTION_THRESHOLD[d]])
-            for d in ds]
+    return [(dict(params, d=d, c=COUNTEREXAMPLE_RESIDUE[d]),
+             range(PREDICTION_THRESHOLD[d], PREDICTION_THRESHOLD[d] + 1)) for d in ds]
 
 
 def _check_member(config: CampaignConfig, key: str, table: dict, message: str) -> dict:
@@ -230,6 +175,7 @@ def _check_window(config: CampaignConfig) -> dict:
             raise ValueError(f"--eps must be a fraction such as 2/9, got {eps!r}") from None
         if value <= 0:
             raise ValueError(f"--eps must be positive, got {eps!r}")
+        eps = str(value)  # one key per window: 2/6 and 0.5 write and resume as 1/3 and 1/2
     return {"d": d, "eps": eps, "eps_fraction": value}
 
 
@@ -540,7 +486,7 @@ def _validate(config: CampaignConfig) -> dict:
     return COMMANDS[config.command].check(config)
 
 
-def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, Sequence[int]]]:
+def _segments(config: CampaignConfig, params: dict) -> list[tuple[dict, range]]:
     """The campaign's work: its command's segments, by default the one segment
     range(n_from, n_to + 1) of params."""
     segments = COMMANDS[config.command].segments
@@ -628,26 +574,18 @@ def run(config: CampaignConfig) -> int:
     parallelism = min(config.parallelism, cores) or cores
 
     t0 = time.perf_counter()
-    tables = []
     try:
+        prior = None
         if config.resume:
-            tables = _load_prior(Path(config.output), config.command, segments)
+            from .prior import resume  # only a resume compiles and holds its reader
+            prior = resume(Path(config.output), config.command, segments)
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:
         print(f"error: cannot open output: {e}", file=sys.stderr)
         return EXIT_IO
 
-    summary = [0] * 5
-    pending = segments
-    if any(tables):
-        certified = COMMANDS[config.command].certified
-        pending = []
-        for (seg, ns), found in zip(segments, tables):
-            pending.append((seg, [n for n in ns if n not in found]))
-            counts = _tally(certified(seg), (((n,), *found[n]) for n in ns if n in found))
-            summary = [s + c for s, c in zip(summary, counts)]
-        del tables
+    pending, summary = prior or (segments, [0] * 5)
     try:
         for text, counts in _compute(config.command, pending, parallelism, config.timing):
             out.write(text)

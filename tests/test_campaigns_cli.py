@@ -30,7 +30,6 @@ from quaddisc.campaigns import (
     _chunk,
     _dispatch,
     _identity,
-    _load_prior,
     _segments,
     _tally,
     _validate,
@@ -44,6 +43,7 @@ from quaddisc.campaigns import (
 from quaddisc.cli import main
 from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form
+from quaddisc.prior import _OUTCOMES, _code, _load_prior, resume
 from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
                                PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
                                WINDOW_THRESHOLD, _window_ends, _window_terms,
@@ -90,11 +90,31 @@ _THEOREM11 = [({"d": 4, "c": 1}, range(6, 9))]
 _WINDOW = [({"d": 4}, range(79, 81))]
 
 
+def _prior(path, command, segments):
+    """_load_prior's table of each segment as {n: (match, error)}, each n
+    with a record mapped to the (match, error) that stands for its code."""
+    return [{n: _OUTCOMES[code] for n, code in zip(ns, table) if code}
+            for (_, ns), table in zip(segments, _load_prior(path, command, segments))]
+
+
+def test_outcome_codes_keep_what_tally_reads():
+    # every (match, error) counts as the one that stands for its code, in any
+    # certified range: asserted True or False from n = 1, or nothing
+    matches = [True, False, None, 1, 0, 1.0, 0.0, 2, -1, "x", "", [], [1], {}]
+    errors = [None, "", 0, [], "scan_ceiling", "other", ["x"], 1]
+    for match in matches:
+        for error in errors:
+            for certified in ((1, True), (1, False), (None, None)):
+                assert _tally(certified, [(range(1, 4), match, error)]) == _tally(
+                    certified, [(range(1, 4), *_OUTCOMES[_code(match, error)])]), (match, error)
+    assert sorted({_code(m, e) for m in matches for e in errors}) == list(range(1, len(_OUTCOMES)))
+
+
 def test_resume_scan_empty_and_valid(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text("")
-    assert _load_prior(path, "verify-theorem11", _THEOREM11) == [{}]
-    assert _load_prior(tmp_path / "absent.jsonl", "verify-theorem11", _THEOREM11) == [{}]
+    assert _prior(path, "verify-theorem11", _THEOREM11) == [{}]
+    assert _prior(tmp_path / "absent.jsonl", "verify-theorem11", _THEOREM11) == [{}]
 
     recs = [
         {"cmd": "verify-theorem11", "d": 4, "c": 1, "n": n, "least_m": 1,
@@ -102,7 +122,7 @@ def test_resume_scan_empty_and_valid(tmp_path, capsys):
         for n in (6, 7, 8)
     ]
     path.write_text("".join(serialize_record(r) + "\n" for r in recs))
-    assert _load_prior(path, "verify-theorem11", _THEOREM11) == [
+    assert _prior(path, "verify-theorem11", _THEOREM11) == [
         dict.fromkeys((6, 7, 8), (True, None))]
     assert capsys.readouterr().err == ""
 
@@ -113,7 +133,7 @@ def test_resume_scan_skips_corrupt_line(tmp_path, capsys):
                              "predicted": None, "match": True, "ms": 0})
     lines = [good, good.replace('"n":79', '"n":80'), good[: len(good) // 2]]
     path.write_text("\n".join(lines) + "\n")
-    assert _load_prior(path, "window-check", _WINDOW) == [dict.fromkeys((79, 80), (True, None))]
+    assert _prior(path, "window-check", _WINDOW) == [dict.fromkeys((79, 80), (True, None))]
     assert "corrupt record" in capsys.readouterr().err
 
 
@@ -123,7 +143,7 @@ def test_resume_scan_skips_unhashable_key_field(tmp_path, capsys):
     good = serialize_record({"cmd": "window-check", "d": 4, "n": 79, "least_m": None,
                              "predicted": None, "match": True, "ms": 0})
     path.write_text(good.replace('"n":79', '"n":[79]') + "\n" + good + "\n")
-    assert _load_prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
+    assert _prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
     assert f"corrupt record at {path}:1" in capsys.readouterr().err
 
 
@@ -138,9 +158,9 @@ def test_resume_scan_drops_other_campaigns(tmp_path, capsys):
               {"cmd": "verify-remark11", "d": 4, "c": -3, "n": 80, "least_m": 25,
                "predicted": 29, "match": False, "ms": 0}]
     path.write_text("".join(serialize_record(r) + "\n" for r in [*others, window]))
-    assert _load_prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
-    rows = [({"d": 4, "c": -3}, [8]), ({"d": 5, "c": -1}, [14])]
-    assert _load_prior(path, "verify-remark11", rows) == [{80: (False, None)}, {}]
+    assert _prior(path, "window-check", _WINDOW) == [{79: (True, None)}]
+    rows = [({"d": 4, "c": -3}, range(8, 81)), ({"d": 5, "c": -1}, range(14, 81))]
+    assert _prior(path, "verify-remark11", rows) == [{80: (False, None)}, {}]
     assert capsys.readouterr().err == ""
 
 
@@ -380,6 +400,36 @@ def test_segments_and_chunks_are_ranges(monkeypatch):
     assert all(type(ns) is range and ns.step == 1 for _, ns in chunks)
     assert [ns.start for _, ns in chunks[1:]] == [ns.stop for _, ns in chunks[:-1]]
     assert chunks[0][1].start == 1 and chunks[-1][1].stop == 10**6 + 1
+
+
+def test_resume_memory_does_not_grow_with_the_range(tmp_path, capsys):
+    # --resume keeps one byte per n and its pending n as a range: resuming a
+    # complete window prior holds the table and no more, and resuming one cut
+    # after its first half holds a few copies of one chunk's text (its runs,
+    # their join, its encoded bytes and the chunk written before), not a
+    # record per n.  5 * 10^4 n, not more: tracemalloc makes each of the
+    # read's allocations cost about a microsecond.
+    import tracemalloc
+
+    n = 5 * 10**4
+    path = tmp_path / "window.jsonl"
+    config = CampaignConfig("window-check", {"d": 4}, 1, n, parallelism=1, output=str(path),
+                            timing=False)
+    assert run(config) == EXIT_OK
+    fresh = path.read_bytes()
+    lines = fresh.splitlines(keepends=True)
+    chunk_text = len(b"".join(lines[n // 2:])) // 8  # the last n / 2 in 8 chunks
+    for prior, bound in ((fresh, n + 2**17), (b"".join(lines[:n // 2]), n + 8 * chunk_text)):
+        path.write_bytes(prior)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(config._replace(resume=True)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == fresh
+        assert peak < bound, (len(prior), peak, bound)
 
 
 def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
@@ -627,9 +677,9 @@ TALLY_CAMPAIGNS = [
 def _tally_case(draw):
     """A campaign's segment params, and the runs that count its n: ascending
     n from 1 or from up to 400, past every threshold of TALLY_CAMPAIGNS, cut
-    into computed runs that share a drawn outcome, and resumed holes, one-n
-    tuples as --resume counts them.  The n are either a range, cut into range
-    slices as a fresh segment is, or a list with gaps and holes."""
+    into computed runs that share a drawn outcome, and holes, found as one-n
+    tuples.  The n are either a range, cut into range slices as a fresh
+    segment is, or a list with gaps and holes."""
     config = draw(st.sampled_from(TALLY_CAMPAIGNS))
     seg = _segments(config, dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING))[0][0]
     start = draw(st.one_of(st.just(1), st.integers(1, 400)))
@@ -666,6 +716,84 @@ def test_tally_matches_each_n(case):
 
 def test_tally_campaigns_cover_every_command():
     assert {config.command for config in TALLY_CAMPAIGNS} == set(COMMANDS)
+
+
+_TALLY_SEGMENTS = [_segments(config, dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING))[0][0]
+                   for config in TALLY_CAMPAIGNS]
+
+
+@st.composite
+def _resume_case(draw):
+    """A campaign of TALLY_CAMPAIGNS, its segments (one, or three
+    counterexample rows), each a range of up to 12 n about its certified
+    start, and prior lines: its own records and those of any other campaign,
+    at n in range, just outside it, true, a float or null, with match and
+    error values of every class _tally tells apart, in any order, so that n
+    repeat and others are holes."""
+    i = draw(st.integers(0, len(TALLY_CAMPAIGNS) - 1))
+    command = TALLY_CAMPAIGNS[i].command
+    rows = ([dict(_TALLY_SEGMENTS[i], d=d, c=COUNTEREXAMPLE_RESIDUE[d]) for d in (4, 5, 6)]
+            if command == "verify-remark11" else [_TALLY_SEGMENTS[i]])
+    segments = []
+    for seg in rows:
+        lo = max(1, (COMMANDS[command].certified(seg)[0] or 1) - draw(st.integers(0, 6)))
+        segments.append((seg, range(lo, lo + draw(st.integers(1, 12)))))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 3)):
+            line_command, (seg, ns) = command, draw(st.sampled_from(segments))
+        else:
+            j = draw(st.integers(0, len(TALLY_CAMPAIGNS) - 1))
+            line_command, seg, ns = TALLY_CAMPAIGNS[j].command, _TALLY_SEGMENTS[j], segments[0][1]
+        n = draw(st.sampled_from(ns) | st.sampled_from([ns.start - 1, ns.stop, True, None]))
+        if n not in (None, True) and draw(st.integers(0, 4)) == 0:
+            n = float(n)
+        rec = _identity(line_command, seg, n)
+        rec.update(least_m=None, predicted=None, ms=0,
+                   match=draw(st.sampled_from([True, False, None, 1, 0, "x"])))
+        error = draw(st.sampled_from([None, None, None, "scan_ceiling", "other", ["x"]]))
+        if error is not None:
+            rec["error"] = error
+        lines.append(serialize_record(rec) + "\n")
+    return command, segments, lines
+
+
+def _resume_oracle(command, segments, lines):
+    """The n --resume leaves of each segment, and the summary counts of the
+    prior lines, as they were taken before outcome tables: a dict per prefix
+    of each record's (match, error) by its n, and one _tally run per found n."""
+    found = {}
+    for line in lines:
+        rec = parse_record(line)
+        found.setdefault(record_key(rec)[:-1], {})[rec["n"]] = rec.get("match"), rec.get("error")
+    certified = COMMANDS[command].certified
+    pending, summary = [], [0] * 5
+    for seg, ns in segments:
+        table = found.get(_prefix(command, seg), {})
+        pending.append([n for n in ns if n not in table])
+        counts = _tally(certified(seg), (((n,), *table[n]) for n in ns if n in table))
+        summary = [s + c for s, c in zip(summary, counts)]
+    return pending, summary
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_resume_case())
+def test_resume_counts_runs_as_records(case):
+    # the table-and-runs count of every command, conjecture 1.3's per-n rule
+    # included, is the record-by-record count, and the n left of a segment
+    # are a range when they are one run
+    command, segments, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prior.jsonl"
+        path.write_text("".join(lines))
+        pending, summary = resume(path, command, segments)
+    want_pending, want_summary = _resume_oracle(command, segments, lines)
+    assert [seg for seg, _ in pending] == [seg for seg, _ in segments]
+    assert [list(ns) for _, ns in pending] == want_pending
+    assert summary == want_summary
+    for _, ns in pending:
+        one_run = len(ns) > 0 and ns[-1] - ns[0] == len(ns) - 1
+        assert (type(ns) is range) == one_run
 
 
 @st.composite
@@ -765,11 +893,12 @@ def _segments_of(config):
 
 # Campaigns whose segments the template read is given, one campaign a read,
 # and segments of campaigns that it never is.  Lines of every campaign but
-# the one read go through parse_record like any other, and to no table.
+# the one read go through parse_record like any other, and to no table.  The
+# known segments hold n = 1..3, so that a drawn n of 0..3 falls in or out.
 _KNOWN = {
-    "window-check": _segments_of(CampaignConfig("window-check", {"d": 5, "eps": "1/3"}, 206, 206)),
-    "verify-remark11": _segments_of(
-        CampaignConfig("verify-remark11", {"all": True, "d": None}))[:3],
+    "window-check": _segments_of(CampaignConfig("window-check", {"d": 5, "eps": "1/3"}, 1, 3)),
+    "verify-remark11": [(seg, range(1, 4)) for seg, _ in _segments_of(
+        CampaignConfig("verify-remark11", {"all": True, "d": None}))[:3]],
 }
 _OTHER = [("window-check", seg) for seg, _ in _segments_of(
     CampaignConfig("window-check", {"d": 6, "eps": None}, 103, 103))] + [
@@ -851,8 +980,9 @@ def _oracle_prior(path: Path) -> tuple[dict, str, int]:
 def test_template_read_matches_oracle(lines, tail):
     # _load_prior, given the segments of one campaign, reads exactly that
     # campaign's template lines without parse_record; table i holds the
-    # oracle's records under segment i's prefix, in order, no table holds
-    # another campaign's, and its warnings and file bytes are the oracle's
+    # outcome code of the oracle's record of each n of segment i under its
+    # prefix, no table holds another campaign's, and its warnings and file
+    # bytes are the oracle's
     import quaddisc.campaigns as campaigns
 
     data = b"".join(line for line, _ in lines)
@@ -876,10 +1006,11 @@ def test_template_read_matches_oracle(lines, tail):
             finally:
                 campaigns.parse_record = real
             assert len(tables) == len(segments)
-            for (seg, _), table in zip(segments, tables):
+            for (seg, ns), table in zip(segments, tables):
                 prefix = _prefix(command, seg)
-                assert [((*prefix, ("n", n)), outcome) for n, outcome in table.items()] == [
-                    (key, outcome) for key, outcome in oracle.items() if key[:-1] == prefix]
+                assert {n: code for n, code in zip(ns, table) if code} == {
+                    key[-1][1]: _code(*outcome) for key, outcome in oracle.items()
+                    if key[:-1] == prefix and key[-1][1] in ns}
             assert err.getvalue() == oracle_err
             assert path.read_bytes() == oracle_bytes
             assert len(calls) == oracle_calls - sum(taken == command for _, taken in lines)
@@ -914,8 +1045,9 @@ def test_resume_reads_template_lines_without_parsing(tmp_path, monkeypatch, caps
 # Campaigns whose records take every shape the record template writes: each
 # command, a scan-ceiling error, conjecture 1.2 flags, 1.1 and 1.3
 # certificates, verify-remark11's segment per row, unexpected outcomes (d = 7
-# above its bundled window threshold) and --eps strings the encoder escapes
-# (Fraction reads Arabic-Indic digits and strips whitespace).
+# above its bundled window threshold) and --eps spellings that records carry
+# as str(Fraction(eps)), 2/9 (Fraction reads Arabic-Indic digits and strips
+# whitespace).
 TEMPLATE_CAMPAIGNS = [
     CampaignConfig("verify-theorem11", {"d": 4, "c": -3}, 1, 30),
     CampaignConfig("verify-remark11", {"all": True, "d": None}),
@@ -999,6 +1131,23 @@ def test_cli_window_check_with_eps(tmp_path):
     assert rc == EXIT_OK
     recs = read_records(path)
     assert all(r["match"] for r in recs) and recs[0]["eps"] == "2/9"
+
+
+def test_eps_spellings_key_one_campaign(tmp_path, capsys):
+    # records carry --eps as str(Fraction(eps)), so every spelling of one
+    # window writes the same records and resumes the others' file whole
+    argv = ["window-check", "--d", "5", "--n-from", "206", "--n-to", "210", "--no-timing"]
+    rc, path = run_to_file(tmp_path, "w.jsonl", argv + ["--eps", "2/6"])
+    assert rc == EXIT_OK and {r["eps"] for r in read_records(path)} == {"1/3"}
+    fresh, summary = path.read_bytes(), capsys.readouterr().err
+    assert main(argv + ["--eps", "1/3"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == fresh
+    for eps in ("1/3", "3/9", " 1/3\t", "١/٣"):
+        assert main(argv + ["--eps", eps, "--out", str(path), "--resume"]) == EXIT_OK
+        assert path.read_bytes() == fresh
+        assert capsys.readouterr().err == summary
+    assert main(argv + ["--eps", "0.5"]) == EXIT_OK
+    assert {r["eps"] for r in map(json.loads, capsys.readouterr().out.splitlines())} == {"1/2"}
 
 
 def test_exit_invalid_malformed_eps(capsys):
