@@ -42,8 +42,11 @@ want() {
 # on a slower machine.  The d = 4 window check from n = 1 meets empty windows
 # and 45 failures below its threshold 79, which each K cuts into other runs.
 # The d = 4 window check over 24000..25000 has first(n) in (65521, 65535] for
-# n = 24571..24575, past the last prime of sieve block 0: those n take the
-# per-n walk, and sieve block 1 is built from block 0's primes.
+# n = 24571..24575, past the last prime of sieve block 0: the walks of those
+# windows start in sieve block 1, which is built from block 0's primes.  The
+# d = 31 window check below its threshold 24334 misses a class at 12,837 of
+# its n, which each K cuts into other failing runs, and the d = 2999 windows
+# need more primes than two sieve blocks hold to meet all 2998 classes.
 for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200" \
             "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50" \
@@ -55,6 +58,8 @@ for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
             "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000" \
             "window-check --d 4 --n-from 1 --n-to 3000" \
             "window-check --d 4 --n-from 24000 --n-to 25000" \
+            "window-check --d 31 --n-from 1 --n-to 24333" \
+            "window-check --d 2999 --eps 200 --n-from 600 --n-to 1400" \
             "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000"; do
   for par in 1 2; do
     status=0

@@ -31,7 +31,7 @@ from .conjectures import (
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
 from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value, _MR_LIMIT,
-                     first_prime_of_form, prime_cover)
+                     first_prime_of_form)
 from .verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -40,6 +40,7 @@ from .verifier import (
     REMARK12_CASES,
     WINDOW_THRESHOLD,
     _window_ends,
+    _window_scan,
     _window_terms,
     prime_window_all_residues,
     verify_remark12,
@@ -189,13 +190,15 @@ def _window_n(p: dict, n: int) -> tuple:
 
 def _window(p: dict, ns: Sequence[int]) -> list:
     """The window outcomes of ascending ns as runs.  first(n) and last(n), the
-    ends of n's window (verifier._window_ends), and prime_cover never decrease
-    as n grows, so cover(first(n_hi)) <= last(n_lo) gives cover(first(n)) <=
-    last(n) for every n of n_lo..n_hi: one lookup passes them all, and each of
-    their records carries the lookup's time over their count.  Where it does
-    not hold, the table has no cover, or last(n_hi) passes the scan ceiling
-    (checked first, so no block past it is sieved), the n split in halves,
-    down to one n, which _window_n decides as every command decides one n."""
+    ends of n's window (verifier._window_ends), never decrease as n grows, so
+    every window of a run n_lo..n_hi contains [first(n_hi), last(n_lo)] and
+    lies inside [first(n_lo), last(n_hi)].  A walk (verifier._window_scan)
+    that meets every class in the first interval passes the whole run, one
+    that misses a class in the second fails it, and each record of the run
+    carries the walks' time over its count.  Where neither decides, or
+    last(n_hi) passes the scan ceiling (checked first, so no block past it is
+    sieved), the n split in halves, down to one n, which _window_n decides as
+    every command decides one n."""
     d, terms = p["d"], _window_terms(p["d"], p.get("eps_fraction"))
     clock, runs = time.perf_counter, []
 
@@ -204,14 +207,20 @@ def _window(p: dict, ns: Sequence[int]) -> list:
             runs.extend(_each_n(_window_n, p, ns[lo:hi]))
             return
         t0 = clock()
-        first, last = _window_ends(d, ns[hi - 1], terms)
-        cover = prime_cover(d, first) if last <= p["ceiling"] else None
-        if cover is not None and cover <= _window_ends(d, ns[lo], terms)[1]:
-            runs.append((ns[lo:hi], None, None, True, None, int((clock() - t0) * 1000 / (hi - lo))))
-        else:
+        outer_first, inner_last = _window_ends(d, ns[lo], terms)
+        inner_first, outer_last = _window_ends(d, ns[hi - 1], terms)
+        match = None
+        if outer_last <= p["ceiling"]:
+            if _window_scan(d, inner_first, inner_last):
+                match = True
+            elif not _window_scan(d, outer_first, outer_last):
+                match = False
+        if match is None:
             mid = (lo + hi) // 2
             decide(lo, mid)
             decide(mid, hi)
+        else:
+            runs.append((ns[lo:hi], None, None, match, None, int((clock() - t0) * 1000 / (hi - lo))))
 
     decide(0, len(ns))
     return runs
@@ -540,6 +549,7 @@ def _compute(command: str, segments: list[tuple[dict, Sequence[int]]], paralleli
         result = work(chunk)
         last = time.perf_counter() - t0
         yield result
+        del result  # the caller has written it: the next chunk is computed without it
         spent += last
         done += len(chunk[1])
         left = len(chunks) - i
@@ -590,6 +600,7 @@ def run(config: CampaignConfig) -> int:
         for text, counts in _compute(config.command, pending, parallelism, config.timing):
             out.write(text)
             out.flush()
+            del text  # so the next chunk is computed without this one's text
             summary = [s + c for s, c in zip(summary, counts)]
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)

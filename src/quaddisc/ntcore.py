@@ -177,52 +177,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _coprime_residues(d: int) -> frozenset[int]:
-    """The residues modulo d that are coprime to d."""
-    return frozenset(a for a in range(d) if math.gcd(a, d) == 1)
-
-
-@lru_cache(maxsize=_CACHED_BLOCKS)
-def _cover_table(d: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(starts, covers): starts are the primes of sieve block index, and
-    covers[i] is the least prime y such that the primes in [starts[i], y] meet
-    every class coprime to d.  That y never decreases as the start grows, so
-    one two-pointer pass over this block's primes and the next block's finds
-    them all, O(1) amortized per prime.  covers ends at the first start whose
-    classes the two blocks do not complete; so does every later start."""
-    starts = _sieve_block(index)
-    primes = starts + _sieve_block(index + 1)
-    counts = dict.fromkeys(_coprime_residues(d), 0)  # primes in [start, y] per class
-    missing = len(counts)
-    covers: list[int] = []
-    j = 0
-    for p in starts:
-        while missing and j < len(primes):
-            c = counts.get(r := primes[j] % d)
-            j += 1
-            if c is not None:
-                missing -= c == 0
-                counts[r] = c + 1
-        if missing:
-            break
-        covers.append(primes[j - 1])
-        c = counts.get(r := p % d)
-        if c is not None:
-            missing += c == 1
-            counts[r] = c - 1
-    return starts, tuple(covers)
-
-
-def prime_cover(d: int, x: int) -> int | None:
-    """The least y such that the primes in [x, y] meet every residue class
-    coprime to d, from the cached cover table of x's sieve block; None where
-    that table has no cover for x (the block after x's ends first)."""
-    starts, covers = _cover_table(d, x // _SIEVE_BLOCK)
-    i = bisect_left(starts, x)
-    return covers[i] if i < len(covers) else None
-
-
 def nth_primes(n: int) -> list[int]:
     """The first n primes [2, 3, 5, ...] in increasing order, read from the
     sieve blocks 0, 1, ... until they hold n primes."""

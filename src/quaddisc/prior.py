@@ -103,33 +103,34 @@ def _read_prior(path: Path, heads: dict, prefixes: dict) -> None:
                     table[n - start] = _code(rec.get("match"), rec.get("error"))
 
 
-def _runs(table: bytearray):
-    """(start, stop, code) of each maximal run of one code in table, in order.
-    A run ends where a search for any other byte from its start stops; unlike
-    a backreference pattern such as (.)\\1*, that search keeps no state per
-    byte it passes."""
-    other = [re.compile(rb"[^\x%02x]" % code).search for code in range(len(_OUTCOMES))]
-    start = 0
-    while start < len(table):
-        code = table[start]
-        stop = other[code](table, start)
-        stop = len(table) if stop is None else stop.start()
-        yield start, stop, code
-        start = stop
+# A maximal run of one outcome code: the repeat of one literal byte keeps no
+# state per byte it passes, unlike a backreference pattern such as (.)\1*.
+_RUN = re.compile(b"|".join(re.escape(bytes([code])) + b"+" for code in range(len(_OUTCOMES))))
+
+
+def _runs(ns: range, table: bytearray, holes: list):
+    """(ns, match, error) of each maximal run of one code in the table of
+    ns, in order, for _tally; the runs without a record, code 0, go to holes
+    instead, as ranges of n.  One walk over the table finds both."""
+    for run in _RUN.finditer(table):
+        start, stop = run.span()
+        if table[start]:
+            yield ns[start:stop], *_OUTCOMES[table[start]]
+        else:
+            holes.append(ns[start:stop])
 
 
 def resume(path: Path, command: str, segments: list) -> tuple[list, list]:
     """The work segments leave after the records already at path, and the
     summary counts of those records.  Each segment's table (_load_prior) is
-    walked by its runs of one code: a run with a record is one _tally run, as
-    a computed run is, and the runs without are the n left, a range when they
-    are one run, such as a cut tail."""
+    walked once by its runs of one code (_runs): a run with a record is one
+    _tally run, as a computed run is, and the runs without are the n left, a
+    range when they are one run, such as a cut tail."""
     certified = COMMANDS[command].certified
     pending, summary = [], [0] * 5
     for (seg, ns), table in zip(segments, _load_prior(path, command, segments)):
-        holes = [ns[start:stop] for start, stop, code in _runs(table) if not code]
+        holes = []
+        counts = _tally(certified(seg), _runs(ns, table, holes))
         pending.append((seg, holes[0] if len(holes) == 1 else [n for hole in holes for n in hole]))
-        counts = _tally(certified(seg), ((ns[start:stop], *_OUTCOMES[code])
-                                         for start, stop, code in _runs(table) if code))
         summary = [s + c for s, c in zip(summary, counts)]
     return pending, summary

@@ -9,17 +9,17 @@ n-ranges of the campaigns.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     Value,
     _check_prime_query,
-    _coprime_residues,
     first_prime_in_ap,
     is_prime,
-    prime_cover,
     primes_in_range,
 )
 
@@ -240,14 +240,33 @@ COROLLARY11_THRESHOLD = {
 }
 
 
+# How many integers the window walk takes at a time: a walk stops within one
+# piece of the prime that completes the classes, so a window of millions of
+# integers costs a few pieces when its first primes meet every class.  Paired
+# in-process runs of campaigns._window on 2 cores chose it: on the bundled d's
+# windows (from their thresholds, below d = 31's, at scattered n) 2^9 was up
+# to 9% faster and 2^11 up to 9% slower; on d = 2999's wide windows, 2^9 was
+# 28% slower and 2^11 14% faster.
+_WALK_PIECE = 1 << 10
+
+
+@lru_cache(maxsize=64)
+def _coprime_residues(d: int) -> frozenset[int]:
+    """The residues modulo d that are coprime to d."""
+    return frozenset(a for a in range(d) if math.gcd(a, d) == 1)
+
+
 def _window_scan(d: int, first: int, last: int) -> bool:
     """Whether the primes in [first, last] meet every class coprime to d, by
-    walking them: the oracle of the cover table and its fallback."""
+    a walk up from first that takes them _WALK_PIECE integers at a time and
+    stops at last or at the piece where the last class is met."""
     wanted = set(_coprime_residues(d))
-    for p in primes_in_range(first, last + 1):
-        wanted.discard(p % d)
+    while first <= last:
+        piece = min(first + _WALK_PIECE, last + 1)
+        wanted.difference_update([p % d for p in primes_in_range(first, piece)])
         if not wanted:
             return True
+        first = piece
     return False
 
 
@@ -271,18 +290,11 @@ def _window_ends(d: int, n: int, terms: tuple[int, int, int]) -> tuple[int, int]
 
 def prime_window_all_residues(d: int, n: int, eps: Fraction | None = None) -> bool:
     """True iff the open interval (2dn/(d-1), ((2+eps)n-2)d/(d-1)) contains a
-    prime in every residue class coprime to d, eps defaulting to window_eps(d).
-    The integers inside are [first, last] (_window_ends), which passes iff
-    prime_cover(d, first) <= last, or by a walk over the window's primes where
-    the cover table has none for first."""
+    prime in every residue class coprime to d, eps defaulting to window_eps(d):
+    the walk (_window_scan) over the integers inside, [first, last]
+    (_window_ends)."""
     if d < 4:
         raise ValueError(f"d must be >= 4, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    first, last = _window_ends(d, n, _window_terms(d, eps))
-    if last < first:
-        return False
-    cover = prime_cover(d, first)
-    if cover is not None:
-        return cover <= last
-    return _window_scan(d, first, last)
+    return _window_scan(d, *_window_ends(d, n, _window_terms(d, eps)))

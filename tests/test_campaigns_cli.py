@@ -432,6 +432,26 @@ def test_resume_memory_does_not_grow_with_the_range(tmp_path, capsys):
         assert peak < bound, (len(prior), peak, bound)
 
 
+def test_chunk_text_is_dropped_before_the_next_chunk(tmp_path):
+    # a chunk's text is released once written, so the next chunk is computed
+    # beside none of it: the peak is that chunk's own copies (its digit
+    # strings, their join and the write's encoding), about three texts, where
+    # keeping the last one made it four and a half
+    import tracemalloc
+
+    path = tmp_path / "window.jsonl"
+    config = CampaignConfig("window-check", {"d": 4}, 1, 10**5, parallelism=1, output=str(path),
+                            timing=False)
+    tracemalloc.start()
+    try:
+        assert run(config) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_text = path.stat().st_size // 8
+    assert peak < 3.5 * chunk_text, (peak, chunk_text)
+
+
 def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
     # unclamped, K = 10^8 would cut 200 one-item chunks and size a pool of 199
     import quaddisc.campaigns as campaigns
@@ -818,13 +838,28 @@ def _window_chunks(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_window_chunks())
 def test_window_runs_match_each_n(case):
-    # one cover lookup decides a run of n; the per-n check is its oracle
+    # one walk decides a run of n, passing or failing; the per-n check is its
+    # oracle
     d, eps, ns, chunks = case
     params = {"d": d, "eps_fraction": eps, "ceiling": DEFAULT_SCAN_CEILING}
     runs = [run for chunk in chunks for run in _window(params, chunk)]
     assert all(run[1:3] == (None, None) and run[4] is None for run in runs)
     assert [(n, run[3]) for run in runs for n in run[0]] == [
         (n, prime_window_all_residues(d, n, eps)) for n in ns]
+
+
+def test_window_certifies_failing_runs():
+    # below d = 31's threshold most windows miss a class: a walk over the
+    # union of a run's windows that misses one fails the whole run, so 16
+    # chunks of n = 1..24333 come back as a few hundred runs, not one per
+    # failing n
+    params = {"d": 31, "eps_fraction": None, "ceiling": DEFAULT_SCAN_CEILING}
+    ns = range(1, 24334)
+    size = -(-len(ns) // 16)
+    runs = [run for i in range(0, len(ns), size) for run in _window(params, ns[i:i + size])]
+    assert [n for run in runs for n in run[0]] == list(ns)
+    assert {run[3] for run in runs} == {True, False}
+    assert len(runs) <= 1000
 
 
 # (command, params, first n): every command, each conjecture id, and

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quaddisc import ntcore
 from quaddisc.cli import main
 from quaddisc.discriminator import APCase, least_modulus
-from quaddisc.ntcore import _SIEVE_BLOCK, is_prime, prime_cover
+from quaddisc.ntcore import _SIEVE_BLOCK, is_prime, primes_in_range
 from quaddisc.verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,
@@ -19,6 +22,7 @@ from quaddisc.verifier import (
     THETA_ERROR_BOUND,
     WINDOW_THRESHOLD,
     ModulusClass,
+    _window_scan,
     predicted_prime,
     prime_window_all_residues,
     verify_remark12,
@@ -377,8 +381,8 @@ def window_first(d, n):
 
 
 def test_window_cover_table_matches_oracle_at_block_edges():
-    # the cover table of a block reaches into the next one; windows that start
-    # within a few hundred of k * 2^16 cross from one table to the next
+    # windows that start within a few hundred of k * 2^16 walk from one sieve
+    # block into the next
     rng = random.Random("cover-edges")
     outcomes = set()
     for d in range(4, 65):  # 37..64 lie outside the bundled tables
@@ -389,12 +393,10 @@ def test_window_cover_table_matches_oracle_at_block_edges():
             assert got == window_oracle(d, n, eps), (d, n, eps)
             outcomes.add(got)
     assert outcomes == {True, False}
-    # a start near the end of a block takes its cover from the next block
-    assert _SIEVE_BLOCK < prime_cover(31, _SIEVE_BLOCK - 100) < 2 * _SIEVE_BLOCK
-    # 65521 is the last prime below 2^16, so a window that starts past it has
-    # no cover in block 0's table and falls back to the walk
+    # 65521 is the last prime below 2^16, so this window's primes all lie in
+    # block 1
     d, n = 5, 26212
-    assert window_first(d, n) == 65531 and prime_cover(d, 65531) is None
+    assert window_first(d, n) == 65531
     outcomes = set()
     for eps in (Fraction(1, 2000), Fraction(1, 1000)):
         got = prime_window_all_residues(d, n, eps)
@@ -404,11 +406,9 @@ def test_window_cover_table_matches_oracle_at_block_edges():
 
 
 def test_window_cover_falls_back_for_wide_windows():
-    # 2999 is prime: its 2998 classes need more primes than the two sieve
-    # blocks a cover table spans, so the table of block 0 has no cover, and
-    # only a window wide enough to hold those primes passes
+    # 2999 is prime: its 2998 classes need more primes than two sieve blocks
+    # hold, so only a window wide enough to hold those primes passes
     d, n = 2999, 1000
-    assert prime_cover(d, window_first(d, n)) is None
     outcomes = set()
     for eps in (Fraction(50), Fraction(200)):
         got = prime_window_all_residues(d, n, eps)
@@ -417,20 +417,36 @@ def test_window_cover_falls_back_for_wide_windows():
     assert outcomes == {True, False}
 
 
-def test_prime_cover_is_least_and_monotone():
-    # cover(x) is the least y whose primes [x, y] meet every class coprime to
-    # d, so no window ending below it passes; it depends only on the first
-    # prime >= x, and never decreases
-    for d in (4, 7, 12, 30, 64):
-        wanted = {a for a in range(d) if math.gcd(a, d) == 1}
-        last = 0
-        for x in range(2, 2000, 7):
-            y = prime_cover(d, x)
-            seen = {p % d for p in range(x, y + 1) if is_prime(p)}
-            assert wanted <= seen and is_prime(y) and y % d in wanted, (d, x)
-            assert not wanted <= {p % d for p in range(x, y) if is_prime(p)}, (d, x)
-            assert y >= last
-            last = y
+@pytest.mark.parametrize("d,eps,most", [(4, None, 3), (2999, Fraction(200), 16)])
+def test_window_walk_sieves_few_blocks(d, eps, most):
+    # the window of n = 10^9 spans about 3 * 10^6 sieve blocks for d = 2999
+    # and eps = 200, but its first primes meet every class, so the walk stops
+    # after a few blocks, block 0 (the base primes) among them
+    ntcore._sieve_block.cache_clear()
+    try:
+        assert prime_window_all_residues(d, 10**9, eps) is True
+        assert ntcore._sieve_block.cache_info().misses <= most
+    finally:
+        ntcore._sieve_block.cache_clear()
+
+
+@st.composite
+def _walk_intervals(draw):
+    """d and [first, last]: an interval of up to 3 * 2^16 + 1 integers that
+    starts within 3000 of a sieve block edge, or an empty one."""
+    d = draw(st.integers(4, 64))
+    first = draw(st.integers(1, 4)) * _SIEVE_BLOCK + draw(st.integers(-3000, 3000))
+    width = draw(st.one_of(st.integers(-5, 0), st.integers(0, 4000),
+                           st.integers(0, 3 * _SIEVE_BLOCK)))
+    return d, first, first + width
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_walk_intervals())
+def test_window_scan_matches_the_primes_of_its_interval(case):
+    d, first, last = case
+    seen = {p % d for p in primes_in_range(first, last + 1)}
+    assert _window_scan(d, first, last) == (seen >= {a for a in range(d) if math.gcd(a, d) == 1})
 
 
 def test_window_eps_default():
