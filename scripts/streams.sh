@@ -9,18 +9,71 @@
 # on PATH); from a checkout without installing:
 #
 #   PYTHONPATH=$PWD/src QUADDISC="python -m quaddisc.cli" scripts/streams.sh
+#
+# With --against REV it also runs the same corpus on the source of REV, checked
+# out with `git worktree add --detach` into a temporary directory that is
+# removed on exit, and compares the two trees: stdout bytes, stderr bytes,
+# exit codes and resumed files, at K = 1 and 2, fresh and resumed.  Both trees
+# run from source, as `PYTHONPATH=<tree>/src python -m quaddisc.cli`; it
+# prints every difference and exits non-zero if there is any, before the
+# checks within this tree run.
+#
+#   scripts/streams.sh --against HEAD~1
 set -euo pipefail
 
-quaddisc=${QUADDISC:-quaddisc}
+against=
+case "${1:-}" in
+  --against) against=${2:?usage: scripts/streams.sh [--against REV]} ;;
+  "") ;;
+  *) echo "usage: scripts/streams.sh [--against REV]" >&2; exit 1 ;;
+esac
+
+root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+cleanup() {
+  [ ! -d "$tmp/tree" ] || git -C "$root" worktree remove --force "$tmp/tree" || true
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+if [ -n "$against" ]; then
+  git -C "$root" worktree add --quiet --detach "$tmp/tree" "$against"
+  quaddisc="env PYTHONPATH=$root/src python -m quaddisc.cli"
+  base="env PYTHONPATH=$tmp/tree/src python -m quaddisc.cli"
+else
+  quaddisc=${QUADDISC:-quaddisc}
+fi
 
 # A CLI that does not start fails every case below with a wrong exit status,
 # which would hide the cause: check that it starts first.
-$quaddisc tables > /dev/null || {
-  echo "the CLI does not start: '$quaddisc tables' failed; install quaddisc or set" \
-       "\$QUADDISC, e.g. QUADDISC=\"python -m quaddisc.cli\" with PYTHONPATH=\$PWD/src" >&2
-  exit 1
+for cli in "$quaddisc" ${base:+"$base"}; do
+  $cli tables > /dev/null || {
+    echo "the CLI does not start: '$cli tables' failed; install quaddisc or set" \
+         "\$QUADDISC, e.g. QUADDISC=\"python -m quaddisc.cli\" with PYTHONPATH=\$PWD/src" >&2
+    exit 1
+  }
+done
+
+# Command-line prefixes whose output the change under test alters on purpose.
+# --against does not run an allowed line on REV unless REV's own corpus runs
+# it too; then it runs it, lets it differ, and warns when it does not, since
+# the entry is stale once REV gives the same output.  Here: verify-theorem11
+# rejects d >= 2^32 with exit 1, where radical(d) used to trial-divide
+# 2^61 - 1 by every odd number up to its square root.
+allowed=("verify-theorem11 --d 2305843009213693951 ")
+
+is_allowed() {
+  local prefix
+  for prefix in "${allowed[@]}"; do
+    [[ "$1 " != "$prefix"* ]] || return 0
+  done
+  return 1
+}
+
+# Whether --against skips command line $1 on REV: it is allowed, and REV's
+# corpus does not hold it, quoted as in the arrays below.
+skip_on_base() {
+  is_allowed "$1" && ! grep -qsF "\"$1\"" "$tmp/tree/scripts/streams.sh"
 }
 
 # The exit status a campaign must give.
@@ -28,8 +81,16 @@ want() {
   case "$1" in
     "window-check --d 7"*) echo "exit 2" ;;
     *"--scan-ceiling "*) echo "exit 3" ;;
+    *"--variant cubes"* | "verify-theorem11 --d 2305843009213693951 "* | \
+      "verify-remark11 --d 37" | *"--n-from 6 --n-to 5") echo "exit 1" ;;
     *) echo "exit 0" ;;
   esac
+}
+
+# Fails unless the stderr file $2 of command line $1 ends in the exit status
+# the command must give.
+exits_as() {
+  grep -qx "$(want "$1")" "$2" || { echo "$1: want $(want "$1") in $2" >&2; exit 1; }
 }
 
 # d = 7 exits 2: its window misses a class at n = 468..470, above the bundled
@@ -46,32 +107,42 @@ want() {
 # windows start in sieve block 1, which is built from block 0's primes.  The
 # d = 31 window check below its threshold 24334 misses a class at 12,837 of
 # its n, which each K cuts into other failing runs, and the d = 2999 windows
-# need more primes than two sieve blocks hold to meet all 2998 classes.
-for args in "verify-theorem12 --case 3k+1 --n-from 4 --n-to 300" \
-            "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200" \
-            "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50" \
-            "conjecture --id 1.2 --n-from 1 --n-to 150" \
-            "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200" \
-            "verify-remark11 --all" \
-            "conjecture --id 1.4 --n-from 3 --n-to 140" \
-            "window-check --d 7 --n-from 300 --n-to 3000" \
-            "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000" \
-            "window-check --d 4 --n-from 1 --n-to 3000" \
-            "window-check --d 4 --n-from 24000 --n-to 25000" \
-            "window-check --d 31 --n-from 1 --n-to 24333" \
-            "window-check --d 2999 --eps 200 --n-from 600 --n-to 1400" \
-            "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000"; do
-  for par in 1 2; do
-    status=0
-    $quaddisc $args --no-timing --parallelism $par > "$tmp/out$par.jsonl" \
-      2> "$tmp/err$par.txt" || status=$?
-    echo "exit $status" >> "$tmp/err$par.txt"
-  done
-  cmp "$tmp/out1.jsonl" "$tmp/out2.jsonl"
-  cmp "$tmp/err1.txt" "$tmp/err2.txt"
-  grep -qx "$(want "$args")" "$tmp/err1.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
-  echo "ok  $args ($(want "$args"))"
-done
+# need more primes than two sieve blocks hold to meet all 2998 classes.  Then
+# one run of each other command and conjecture, across its certified start
+# where it has one, and windows above a threshold and with a wide eps.  An
+# unknown --variant exits 1 with argparse's usage, and so do a d outside the
+# bundled rows, an empty range and a d from 2^32 on; 4294967291, the largest
+# prime below 2^32, runs.
+fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
+       "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200"
+       "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50"
+       "conjecture --id 1.2 --n-from 1 --n-to 150"
+       "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200"
+       "verify-remark11 --all"
+       "conjecture --id 1.4 --n-from 3 --n-to 140"
+       "window-check --d 7 --n-from 300 --n-to 3000"
+       "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000"
+       "window-check --d 4 --n-from 1 --n-to 3000"
+       "window-check --d 4 --n-from 24000 --n-to 25000"
+       "window-check --d 31 --n-from 1 --n-to 24333"
+       "window-check --d 2999 --eps 200 --n-from 600 --n-to 1400"
+       "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000"
+       "verify-theorem11 --d 4 --c 1 --n-from 1 --n-to 300"
+       "verify-theorem11 --d 30 --c 7 --n-from 150 --n-to 400"
+       "verify-theorem12 --case 3k-1 --n-from 4 --n-to 700"
+       "verify-theorem12 --case 2k+1 --n-from 1 --n-to 400"
+       "verify-remark12 --sign minus --n-from 1 --n-to 300"
+       "corollary11 --d 5 --r -1 --n-from 1 --n-to 300"
+       "conjecture --id 1.1 --d 2 --n-from 1 --n-to 100"
+       "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100"
+       "conjecture --id 1.3 --form x^2+x+1 --variant cubes --n-from 1 --n-to 3"
+       "discriminator --A 32 --B -8 --n-from 1 --n-to 300"
+       "verify-theorem11 --d 2305843009213693951 --c 1 --n-from 1 --n-to 1"
+       "verify-theorem11 --d 4294967291 --c 1 --n-from 1 --n-to 3"
+       "window-check --d 31 --n-from 24334 --n-to 30000"
+       "window-check --d 36 --eps 3/2 --n-from 1 --n-to 20000"
+       "verify-remark11 --d 37"
+       "verify-theorem11 --d 4 --c 1 --n-from 6 --n-to 5")
 
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2
@@ -89,44 +160,21 @@ done
 # The d = 5 window file from n = 206 also holds, after its first 100 lines,
 # the d = 7 window records of n = 300..400, another campaign's records at
 # some of its own n: the resume counts none of them and leaves them in place.
+# Every 7th Theorem 1.1 record goes, and every 6th discriminator record.
 # The resumed file holds the fresh records (and those foreign lines), and its
 # summary and exit status are the fresh ones.
-for case in "window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 --n-from 300 --n-to 400" \
-            "verify-remark11 --all|5" \
-            "window-check --d 7 --n-from 300 --n-to 3000|13" \
-            "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7" \
-            "conjecture --id 1.2 --n-from 1 --n-to 150|11" \
-            "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5" \
-            "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4" \
-            "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100|5" \
-            "conjecture --id 1.4 --n-from 3 --n-to 140|9" \
-            "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000|17"; do
-  IFS='|' read -r args every foreign <<< "$case"
-  status=0
-  $quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt" \
-    || status=$?
-  echo "exit $status" >> "$tmp/full.txt"
-  awk -v every="$every" 'NR % every != 3 % every' "$tmp/full.jsonl" > "$tmp/holes.jsonl"
-  cmp -s "$tmp/holes.jsonl" "$tmp/full.jsonl" && { echo "$args: no line deleted" >&2; exit 1; }
-  : > "$tmp/foreign.jsonl"
-  [ -z "$foreign" ] || $quaddisc $foreign --no-timing > "$tmp/foreign.jsonl" 2> /dev/null
-  { head -n 100 "$tmp/holes.jsonl"; cat "$tmp/foreign.jsonl"; tail -n +101 "$tmp/holes.jsonl"; } \
-    > "$tmp/prior.jsonl"
-  for par in 1 2; do
-    cp "$tmp/prior.jsonl" "$tmp/resumed$par.jsonl"
-    status=0
-    $quaddisc $args --no-timing --parallelism $par --out "$tmp/resumed$par.jsonl" --resume \
-      2> "$tmp/err$par.txt" || status=$?
-    echo "exit $status" >> "$tmp/err$par.txt"
-  done
-  cmp "$tmp/resumed1.jsonl" "$tmp/resumed2.jsonl"
-  cmp "$tmp/err1.txt" "$tmp/err2.txt"
-  cmp "$tmp/full.txt" "$tmp/err1.txt"
-  cmp <(sort "$tmp/full.jsonl" "$tmp/foreign.jsonl") <(sort "$tmp/resumed1.jsonl")
-  grep -qx "$(want "$args")" "$tmp/full.txt" || { echo "$args: want $(want "$args")" >&2; exit 1; }
-  echo "ok  $args --resume ($(($(wc -l < "$tmp/full.jsonl") - $(wc -l < "$tmp/holes.jsonl"))) deleted," \
-       "$(wc -l < "$tmp/foreign.jsonl") foreign)"
-done
+resumes=("window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 --n-from 300 --n-to 400"
+         "verify-remark11 --all|5"
+         "window-check --d 7 --n-from 300 --n-to 3000|13"
+         "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7"
+         "conjecture --id 1.2 --n-from 1 --n-to 150|11"
+         "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50|5"
+         "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200|4"
+         "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100|5"
+         "conjecture --id 1.4 --n-from 3 --n-to 140|9"
+         "window-check --d 5 --n-from 200 --n-to 3000 --scan-ceiling 5000|17"
+         "verify-theorem11 --d 4 --c 1 --n-from 1 --n-to 300|7"
+         "discriminator --A 32 --B -8 --n-from 1 --n-to 300|6")
 
 # A window resume whose prior lost its second half, cut mid-line, without and
 # with every 13th line of its first half deleted too.  The cut tail is warned
@@ -134,27 +182,144 @@ done
 # then the second half, one range when nothing else is missing.  At each K the
 # resumed file is byte for byte the prior without its cut line, followed by
 # the fresh records it lacks: the fresh file itself when only the tail was cut.
-args="window-check --d 4 --n-from 1 --n-to 20000"
-$quaddisc $args --no-timing --parallelism 1 > "$tmp/full.jsonl" 2> "$tmp/full.txt"
-for every in 0 13; do
-  awk -v every="$every" 'NR <= 10000 && (every == 0 || NR % every)' "$tmp/full.jsonl" \
-    > "$tmp/kept.jsonl"
-  awk -v every="$every" 'NR > 10000 || (every && NR % every == 0)' "$tmp/full.jsonl" \
-    > "$tmp/lost.jsonl"
-  { cat "$tmp/kept.jsonl"; sed -n 10001p "$tmp/full.jsonl" | head -c 40; } > "$tmp/prior.jsonl"
-  for par in 1 2; do
-    cp "$tmp/prior.jsonl" "$tmp/resumed.jsonl"
-    $quaddisc $args --no-timing --parallelism $par --out "$tmp/resumed.jsonl" --resume \
-      2> "$tmp/err$par.txt"
-    mv "$tmp/resumed.jsonl" "$tmp/resumed$par.jsonl"
+cut="window-check --d 4 --n-from 1 --n-to 20000"
+
+# Runs the command after $1 with its stderr in file $1, then its exit status.
+errs_to() {
+  local err=$1 status=0
+  shift
+  "$@" 2> "$err" || status=$?
+  echo "exit $status" >> "$err"
+}
+
+# Every run of the corpus on one CLI, into files of directory $2: stdout in
+# .out and the resumed files in .jsonl, each with its stderr in .err ending in
+# its exit status.  A resume runs on $tmp/resumed.jsonl, the path its warnings
+# name, in either tree.  $3 = base skips the lines skip_on_base names.
+record() {
+  local cli=$1 dir=$2 side=${3:-} i par args every foreign
+  mkdir -p "$dir"
+  for i in "${!fresh[@]}"; do
+    args=${fresh[$i]}
+    [ "$side" != base ] || ! skip_on_base "$args" || continue
+    for par in 1 2; do
+      errs_to "$dir/fresh$i.$par.err" $cli $args --no-timing --parallelism $par \
+        > "$dir/fresh$i.$par.out"
+    done
   done
-  cmp "$tmp/err1.txt" "$tmp/err2.txt"
-  cmp "$tmp/resumed1.jsonl" "$tmp/resumed2.jsonl"
-  cmp <(cat "$tmp/kept.jsonl" "$tmp/lost.jsonl") "$tmp/resumed1.jsonl"
-  [ "$every" != 0 ] || cmp "$tmp/full.jsonl" "$tmp/resumed1.jsonl"
-  grep -qx "warning: skipping corrupt record at $tmp/resumed.jsonl:$(($(wc -l < "$tmp/kept.jsonl") + 1))" \
-    "$tmp/err1.txt"
-  cmp "$tmp/full.txt" <(grep -v '^warning: ' "$tmp/err1.txt")
-  echo "ok  $args --resume (second half cut mid-line, $(($(wc -l < "$tmp/lost.jsonl") - 10000))" \
+  for i in "${!resumes[@]}"; do
+    IFS='|' read -r args every foreign <<< "${resumes[$i]}"
+    errs_to "$dir/full$i.err" $cli $args --no-timing --parallelism 1 > "$dir/full$i.out"
+    awk -v every="$every" 'NR % every != 3 % every' "$dir/full$i.out" > "$dir/holes$i.out"
+    : > "$dir/foreign$i.out"
+    [ -z "$foreign" ] || $cli $foreign --no-timing > "$dir/foreign$i.out" 2> /dev/null
+    { head -n 100 "$dir/holes$i.out"; cat "$dir/foreign$i.out"; tail -n +101 "$dir/holes$i.out"; } \
+      > "$dir/prior$i.out"
+    for par in 1 2; do
+      cp "$dir/prior$i.out" "$tmp/resumed.jsonl"
+      errs_to "$dir/resumed$i.$par.err" \
+        $cli $args --no-timing --parallelism $par --out "$tmp/resumed.jsonl" --resume
+      mv "$tmp/resumed.jsonl" "$dir/resumed$i.$par.jsonl"
+    done
+  done
+  errs_to "$dir/cut.err" $cli $cut --no-timing --parallelism 1 > "$dir/cut.out"
+  for every in 0 13; do
+    awk -v every="$every" 'NR <= 10000 && (every == 0 || NR % every)' "$dir/cut.out" \
+      > "$dir/kept$every.out"
+    awk -v every="$every" 'NR > 10000 || (every && NR % every == 0)' "$dir/cut.out" \
+      > "$dir/lost$every.out"
+    { cat "$dir/kept$every.out"; sed -n 10001p "$dir/cut.out" | head -c 40; } \
+      > "$dir/cutprior$every.out"
+    for par in 1 2; do
+      cp "$dir/cutprior$every.out" "$tmp/resumed.jsonl"
+      errs_to "$dir/cut$every.$par.err" \
+        $cli $cut --no-timing --parallelism $par --out "$tmp/resumed.jsonl" --resume
+      mv "$tmp/resumed.jsonl" "$dir/cut$every.$par.jsonl"
+    done
+  done
+}
+
+# --against: each of the files after the command line $1 that differs between
+# this tree's run and REV's, with the command line and the first lines of the
+# difference, counted in $diffs.
+diffs=0
+compare() {
+  local args=$1 file
+  shift
+  for file; do
+    cmp -s "$tmp/rev/$file" "$tmp/head/$file" && continue
+    diffs=$((diffs + 1))
+    echo "DIFF $file: $args" >&2
+    diff "$tmp/rev/$file" "$tmp/head/$file" | head -n 20 >&2 || true
+  done
+}
+
+record "$quaddisc" "$tmp/head"
+if [ -n "$against" ]; then
+  record "$base" "$tmp/rev" base
+  for i in "${!fresh[@]}"; do
+    args=${fresh[$i]}
+    if skip_on_base "$args"; then
+      echo "allowed  $args (not run on $against)"
+    elif is_allowed "$args"; then
+      same=$diffs
+      compare "$args" "fresh$i."{1,2}.{out,err}
+      if [ "$diffs" = "$same" ]; then
+        echo "warning: '$args' gives the same output on $against; drop its allowed entry" >&2
+      else
+        diffs=$same
+        echo "allowed  $args (differs from $against)"
+      fi
+    else
+      compare "$args" "fresh$i."{1,2}.{out,err}
+    fi
+  done
+  for i in "${!resumes[@]}"; do
+    IFS='|' read -r args every _ <<< "${resumes[$i]}"
+    compare "$args --resume (every=$every)" "full$i".{out,err} \
+      "resumed$i."{1,2}.{jsonl,err}
+  done
+  compare "$cut" cut.{out,err}
+  for every in 0 13; do
+    compare "$cut --resume (cut tail, every=$every)" "cut$every."{1,2}.{jsonl,err}
+  done
+  [ "$diffs" = 0 ] || { echo "$diffs files differ from $against" >&2; exit 1; }
+  echo "ok  identical to $against"
+fi
+
+# The checks within this tree.
+d=$tmp/head
+for i in "${!fresh[@]}"; do
+  args=${fresh[$i]}
+  cmp "$d/fresh$i.1.out" "$d/fresh$i.2.out"
+  cmp "$d/fresh$i.1.err" "$d/fresh$i.2.err"
+  exits_as "$args" "$d/fresh$i.1.err"
+  echo "ok  $args ($(want "$args"))"
+done
+
+for i in "${!resumes[@]}"; do
+  IFS='|' read -r args every foreign <<< "${resumes[$i]}"
+  cmp -s "$d/holes$i.out" "$d/full$i.out" && { echo "$args: no line deleted" >&2; exit 1; }
+  cmp "$d/resumed$i.1.jsonl" "$d/resumed$i.2.jsonl"
+  cmp "$d/resumed$i.1.err" "$d/resumed$i.2.err"
+  cmp "$d/full$i.err" "$d/resumed$i.1.err"
+  cmp <(sort "$d/full$i.out" "$d/foreign$i.out") <(sort "$d/resumed$i.1.jsonl")
+  exits_as "$args" "$d/full$i.err"
+  echo "ok  $args --resume ($(($(wc -l < "$d/full$i.out") - $(wc -l < "$d/holes$i.out"))) deleted," \
+       "$(wc -l < "$d/foreign$i.out") foreign)"
+done
+
+exits_as "$cut" "$d/cut.err"
+for every in 0 13; do
+  exits_as "$cut" "$d/cut$every.1.err"
+  exits_as "$cut" "$d/cut$every.2.err"
+  cmp "$d/cut$every.1.err" "$d/cut$every.2.err"
+  cmp "$d/cut$every.1.jsonl" "$d/cut$every.2.jsonl"
+  cmp <(cat "$d/kept$every.out" "$d/lost$every.out") "$d/cut$every.1.jsonl"
+  [ "$every" != 0 ] || cmp "$d/cut.out" "$d/cut$every.1.jsonl"
+  grep -qx "warning: skipping corrupt record at $tmp/resumed.jsonl:$(($(wc -l < "$d/kept$every.out") + 1))" \
+    "$d/cut$every.1.err"
+  cmp "$d/cut.err" <(grep -v '^warning: ' "$d/cut$every.1.err")
+  echo "ok  $cut --resume (second half cut mid-line, $(($(wc -l < "$d/lost$every.out") - 10000))" \
        "deleted before it)"
 done

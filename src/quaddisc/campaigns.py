@@ -139,6 +139,11 @@ def _verified(vrec) -> tuple:
 def _check_apcase(config: CampaignConfig) -> dict:
     p = config.params
     APCase(p["d"], p["c"])  # validates coprimality and range
+    # the primes below 2^16, sieve block 0, factor every d below 2^32 at once;
+    # radical(d) of a larger d trial-divides by odd numbers up to sqrt(d)
+    if p["d"] >= 1 << 32:
+        raise ValueError(f"d must be below 2^32, which the primes below 2^16 factor, "
+                         f"got {p['d']}")
     return {"d": p["d"], "c": p["c"]}
 
 
@@ -397,17 +402,6 @@ def _head(command: str, params: dict) -> str:
     return serialize_record(_identity(command, params, 0))[:-2]
 
 
-def _dispatch(command: str, params: dict, n: int) -> dict:
-    """The record of n, computed as the one-n run [n], as a dict; serialized,
-    it is the slow oracle of the text _chunk writes."""
-    [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n])
-    rec = _identity(command, params, n)
-    rec.update(least_m=least_m, predicted=predicted, match=match, ms=ms)
-    if extra:
-        rec.update(extra)
-    return rec
-
-
 def _json_value(value) -> str:
     """value as the encoder writes it, without the encoder for None, a bool or
     an int."""
@@ -455,7 +449,7 @@ def _chunk(command: str, timing: bool, chunk: tuple[dict, Sequence[int]]) -> tup
     its run's tail, the outcome fields; one join writes a run.  The encoder
     runs once per chunk for the head, and then only for extra fields and
     values that are not None, a bool or an int.  The text equals
-    serialize_record(_dispatch(...)) of each n, the slow oracle."""
+    serialize_record of each n's record built as a dict, the tests' oracle."""
     params, items = chunk
     spec = COMMANDS[command]
     head = _head(command, params)

@@ -28,8 +28,9 @@ from .ntcore import (
 # Conjectured thresholds: for gap parameter d, agreement is expected from this n on.
 PAIR_THRESHOLD = {1: 5, 2: 6, 3: 6, 4: 10, 5: 9, 6: 8, 7: 9, 8: 18, 9: 11, 10: 9}
 
-#: Sequence variants admitted by the polynomial-form conjecture checker.
-VARIANTS = ("choose2", "squares")
+#: The sequence variants of the polynomial-form conjecture checker, by name:
+#: binomial(k, 2), which conjectures 1.1 and 1.2 use too, and k^2.
+VARIANTS = {"choose2": HalfQuadratic(1, -1), "squares": HalfQuadratic(2, 0)}
 
 
 class ConjectureReport(Value, namedtuple("ConjectureReport", "conjecture params n observed "
@@ -39,14 +40,6 @@ class ConjectureReport(Value, namedtuple("ConjectureReport", "conjecture params 
     certificate (a dict) and class_flags (a pair of bools) default to None."""
 
     __slots__ = ()
-
-
-def _variant_seq(variant: str) -> HalfQuadratic:
-    if variant == "choose2":
-        return HalfQuadratic.choose_two()
-    if variant == "squares":
-        return HalfQuadratic.squares()
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def _collision_certificate(seq: HalfQuadratic, n: int, m: int) -> dict | None:
@@ -106,7 +99,7 @@ def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> C
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seq = HalfQuadratic.choose_two()
+    seq = VARIANTS["choose2"]
     gap = 2 * d
     observed = least_modulus_pair(seq, n, gap, ceiling=ceiling)
     predicted = first_prime_with_prime_gap(2 * n - 1, gap, ceiling)
@@ -120,7 +113,7 @@ def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
     is that m and m + 1 are each a power of two or a prime times a power of two."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seq = HalfQuadratic.choose_two()
+    seq = VARIANTS["choose2"]
     m = least_modulus_pair(seq, n, 1, ceiling=ceiling)
     flags = (classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1))
     agrees = flags[0] and flags[1]
@@ -149,7 +142,9 @@ def conjecture13_check(
         raise ValueError(f"unknown form {form!r}; expected one of {sorted(POLYNOMIAL_FORMS)}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seq = _variant_seq(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
+    seq = VARIANTS[variant]
     f = POLYNOMIAL_FORMS[form]
     observed = _scan((form, seq), n, lambda lower: (v for v in map(f, count(0)) if v >= lower),
                      lambda v: _separates(seq, n, v), ceiling, f"form modulus {form} for n={n}")

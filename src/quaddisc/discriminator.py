@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from itertools import chain, count
+from itertools import count
 
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, _sieve_block, radical
+from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, _prime_factors, radical
 
 
 class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
@@ -30,16 +30,6 @@ class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
     def from_factors(cls, outer: int, slope: int, shift: int) -> "HalfQuadratic":
         """The sequence outer * k * (slope*k + shift)."""
         return cls(2 * outer * slope, 2 * outer * shift)
-
-    @classmethod
-    def choose_two(cls) -> "HalfQuadratic":
-        """binomial(k, 2) = k*(k-1)/2."""
-        return cls(1, -1)
-
-    @classmethod
-    def squares(cls) -> "HalfQuadratic":
-        """k^2."""
-        return cls(2, 0)
 
     def term(self, k: int) -> int:
         return (self.a * k * k + self.b * k) // 2
@@ -130,31 +120,17 @@ def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
 
 
 def _divisors_upto(x: int, limit: int) -> list[int]:
-    """The divisors g <= limit of x, unordered, for x, limit >= 1.
-
-    Only primes up to limit can divide such a g, so x is trial-divided by the
-    primes up to min(limit, sqrt(x)); what is left of x is then 1, a prime, or
-    a product of primes above limit.  The primes of sieve block 0, those below
-    2^16, factor every x < 2^32 without a further trial divisor.
-    """
+    """The divisors g <= limit of x, unordered, for x, limit >= 1, built from
+    the primes up to limit that divide x (ntcore._prime_factors): only those
+    can divide such a g."""
     divs = [1]
-    bound = min(limit, math.isqrt(x))
-    table = _sieve_block(0)
-    for p in chain(table, range(table[-1] + 2, bound + 1, 2)):
-        if p > bound:
-            break
-        if x % p:
-            continue
+    for p, e in _prime_factors(x, limit):
         new: list[int] = []
         pk = p
-        while x % p == 0:
-            x //= p
+        for _ in range(e):
             new += [g * pk for g in divs if g * pk <= limit]
             pk *= p
         divs += new
-        bound = min(bound, math.isqrt(x))
-    if 1 < x <= limit:
-        divs += [g * x for g in divs if g * x <= limit]
     return divs
 
 

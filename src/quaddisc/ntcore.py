@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 #: Default ceiling for open-ended prime scans (first prime of a polynomial form,
 #: de Polignac pairs, ...).  Termination of those scans is not provable, so they
@@ -92,22 +93,7 @@ def radical(d: int) -> int:
     """Product of the distinct primes dividing d; radical(1) == 1."""
     if d < 1:
         raise ValueError(f"radical requires d >= 1, got {d}")
-    r = 1
-    x = d
-    if x % 2 == 0:
-        r = 2
-        while x % 2 == 0:
-            x //= 2
-    p = 3
-    while p * p <= x:
-        if x % p == 0:
-            r *= p
-            while x % p == 0:
-                x //= p
-        p += 2
-    if x > 1:
-        r *= x
-    return r
+    return math.prod(p for p, _ in _prime_factors(d, d))
 
 
 def _check_prime_query(residue: int, modulus: int, lower_bound: int) -> None:
@@ -163,6 +149,30 @@ def _sieve_block(index: int) -> tuple[int, ...]:
         flags[0] = 0  # 1 is not prime
     primes = tuple(compress(range(lo + 1, hi, 2), flags))
     return (2, *primes) if index == 0 else primes
+
+
+def _prime_factors(x: int, limit: int) -> Iterator[tuple[int, int]]:
+    """(p, e), in increasing p, for each prime p <= limit dividing x, x >= 1,
+    with p^e the power of p in x.  The package's one trial division: by the
+    primes of sieve block 0, those below 2^16, then by odd numbers, up to
+    min(limit, sqrt(x)) for what is left of x.  That is then 1, a prime, or a
+    product of primes above limit, and a prime is yielded when it is <= limit.
+    Block 0 factors every x < 2^32 without a further trial divisor."""
+    bound = min(limit, math.isqrt(x))
+    table = _sieve_block(0)
+    for p in chain(table, range(table[-1] + 2, bound + 1, 2)):
+        if p > bound:
+            break
+        if x % p:
+            continue
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        yield p, e
+        bound = min(bound, math.isqrt(x))
+    if 1 < x <= limit:
+        yield x, 1
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -1,10 +1,22 @@
-"""Fixtures shared by the campaign tests."""
+"""Fixtures and the record oracle shared by the campaign tests."""
 
 from functools import partial
 
 import pytest
 
 import quaddisc.campaigns as campaigns
+from quaddisc.campaigns import COMMANDS, _identity
+
+
+def dispatch(command: str, params: dict, n: int) -> dict:
+    """The record of n, computed as the one-n run [n], as a dict; serialized,
+    it is the slow oracle of the text campaigns._chunk writes."""
+    [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n])
+    rec = _identity(command, params, n)
+    rec.update(least_m=least_m, predicted=predicted, match=match, ms=ms)
+    if extra:
+        rec.update(extra)
+    return rec
 
 
 class SerialPool:

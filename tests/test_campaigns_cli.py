@@ -28,7 +28,6 @@ from quaddisc.campaigns import (
     EXIT_OK,
     CampaignConfig,
     _chunk,
-    _dispatch,
     _identity,
     _segments,
     _tally,
@@ -48,6 +47,8 @@ from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
                                PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
                                WINDOW_THRESHOLD, _window_ends, _window_terms,
                                prime_window_all_residues, window_eps)
+
+from conftest import dispatch
 
 
 def read_records(path):
@@ -533,6 +534,30 @@ def test_exit_invalid_scan_ceiling_from_2_64(capsys):
     capsys.readouterr()
 
 
+def test_theorem11_rejects_d_from_2_32_in_time(capsys):
+    # radical(d) trial-divides past the sieved primes below 2^16 by odd numbers
+    # up to sqrt(d), which for the prime 2^61 - 1 does not end: a campaign
+    # rejects d >= 2^32 before any work, and runs 4294967291, the largest prime
+    # below 2^32, which the sieved primes factor at once
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    argv = [sys.executable, "-m", "quaddisc.cli", "verify-theorem11", "--c", "1",
+            "--n-from", "1", "--no-timing"]
+    proc = subprocess.run(argv + ["--d", str(2**61 - 1), "--n-to", "1"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr == ("error: invalid campaign: d must be below 2^32, which the primes "
+                           f"below 2^16 factor, got {2**61 - 1}\n")
+    proc = subprocess.run(argv + ["--d", "4294967291", "--n-to", "3"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert [json.loads(line)["n"] for line in proc.stdout.splitlines()] == [1, 2, 3]
+    assert proc.stderr.startswith("# summary cmd=verify-theorem11 records=3 ")
+    assert main(argv[3:] + ["--d", str(2**32), "--n-to", "1"]) == EXIT_INVALID
+    assert "below 2^32" in capsys.readouterr().err
+
+
 def test_exit_mismatch_on_violated_expectation(tmp_path, monkeypatch, capsys):
     # claim the d=5, c=-1 corollary threshold is lower than it really is; the
     # known failing record at n = 14 must then flip the exit status
@@ -903,7 +928,7 @@ def test_resume_key_matches_record_key(monkeypatch, command, params, n):
         for seg, ns in segments:
             prefix = _prefix(command, seg)
             for m in ns:
-                rec = _dispatch(command, seg, m)
+                rec = dispatch(command, seg, m)
                 assert rec.get("error") == (None if ceiling > 10 else "scan_ceiling")
                 assert (*prefix, ("n", m)) == record_key(rec)
 
@@ -1102,7 +1127,7 @@ TEMPLATE_CAMPAIGNS = [
 
 def test_record_template_matches_serialize_record():
     # _chunk writes records from a per-campaign template; the encoder on the
-    # record _dispatch builds is its oracle, and counts taken record by record
+    # record conftest.dispatch builds is its oracle, and counts taken record by record
     # from those records and _expect_oracle the oracle of its counts
     assert {config.command for config in TEMPLATE_CAMPAIGNS} == set(COMMANDS)
     shapes = set()
@@ -1111,7 +1136,7 @@ def test_record_template_matches_serialize_record():
         segments = _segments(config, dict(_validate(config), ceiling=config.scan_ceiling))
         chunks = [_chunk(config.command, False, segment) for segment in segments]
         items = [(seg, n) for seg, ns in segments for n in ns]
-        oracle = [dict(_dispatch(config.command, seg, n), ms=0) for seg, n in items]
+        oracle = [dict(dispatch(config.command, seg, n), ms=0) for seg, n in items]
         expected = "".join(serialize_record(rec) + "\n" for rec in oracle)
         assert "".join(text for text, _ in chunks) == expected, config
         timed = "".join(_chunk(config.command, True, segment)[0] for segment in segments)

@@ -75,7 +75,7 @@ def test_conjecture13_squares_forced_disagreement():
     cert = rep.certificate
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == 7
     k, l = cert["k"], cert["l"]
-    seq = HalfQuadratic.squares()
+    seq = HalfQuadratic(2, 0)
     assert seq.term(k) % 7 == seq.term(l) % 7
     assert cert["term_k"] == k * k and cert["term_l"] == l * l
 

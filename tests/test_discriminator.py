@@ -47,7 +47,7 @@ def coprime_cs(d):
 
 
 SEQ_4K4K1 = HalfQuadratic.from_factors(4, 4, -1)  # 4k(4k-1)
-CHOOSE2 = HalfQuadratic.choose_two()
+CHOOSE2 = HalfQuadratic(1, -1)
 
 
 def test_halfquadratic_validation():
@@ -97,7 +97,7 @@ def test_pairwise_distinct_examples():
 
 
 def test_pairwise_distinct_matches_oracle_grid():
-    for seq in (SEQ_4K4K1, CHOOSE2, HalfQuadratic.squares(), APCase(7, -5).seq):
+    for seq in (SEQ_4K4K1, CHOOSE2, HalfQuadratic(2, 0), APCase(7, -5).seq):
         for n in (1, 2, 3, 5, 17, 64, 65, 66, 130):
             for m in (1, 2, 3, n - 1, n, n + 1, 2 * n + 7, 509, 510):
                 if m < 1:

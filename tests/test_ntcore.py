@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quaddisc.ntcore import (
     DEFAULT_SCAN_CEILING,
     ScanCeilingError,
+    _prime_factors,
     classify_two_power_times_prime,
     first_prime_in_ap,
     first_prime_of_form,
@@ -127,6 +130,27 @@ def test_radical_exhaustive_small(smallest_factor):
             while x % p == 0:
                 x //= p
         assert radical(d) == prod
+
+
+# Primes for each path of the factoriser: small ones, 65521, the last prime of
+# sieve block 0, the primes past it that only the odd-number continuation
+# reaches, and primes above every limit drawn below.
+_FACTOR_PRIMES = (2, 3, 5, 7, 251, 257, 65521, 65537, 65539, 131071, 4294967311, 2**61 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FACTOR_PRIMES), st.integers(1, 4), max_size=4),
+       st.integers(1, 2**18))
+@example({}, 1)  # x = 1
+@example({3: 20}, 10**6)  # a prime power
+@example({2: 1, 65539: 1}, 1000)  # a prime cofactor above limit
+@example({2: 1, 65539: 1}, 70000)  # a prime cofactor below limit
+@example({65537: 2, 65539: 1}, 2**17)  # x >= 2^32, its factors past 2^16
+def test_prime_factors_match_factorint(powers, limit):
+    sympy = pytest.importorskip("sympy")
+    x = math.prod(p**e for p, e in powers.items())
+    expected = [(p, e) for p, e in sorted(sympy.factorint(x).items()) if p <= limit]
+    assert list(_prime_factors(x, limit)) == expected
 
 
 def test_prime_query_validation():

@@ -22,7 +22,6 @@ from quaddisc.campaigns import (
     CampaignConfig,
     _chunk,
     _compute,
-    _dispatch,
     parse_record,
     run,
     serialize_record,
@@ -30,6 +29,8 @@ from quaddisc.campaigns import (
 from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING
 from quaddisc.verifier import REMARK12_CASES, THEOREM12_CASES
+
+from conftest import dispatch
 
 
 def holey_ns(seed, lo, hi, share=0.3):
@@ -42,7 +43,7 @@ def holey_ns(seed, lo, hi, share=0.3):
 def cold_dispatch(command, params, n):
     """The record of a scan that starts at n: no hint from an earlier scan."""
     discriminator._last_scan = None
-    return _dispatch(command, params, n)
+    return dispatch(command, params, n)
 
 
 def sweep(command, params, ns):
