@@ -57,10 +57,8 @@ done
 # Command-line prefixes whose output the change under test alters on purpose.
 # --against does not run an allowed line on REV unless REV's own corpus runs
 # it too; then it runs it, lets it differ, and warns when it does not, since
-# the entry is stale once REV gives the same output.  Here: verify-theorem11
-# rejects d >= 2^32 with exit 1, where radical(d) used to trial-divide
-# 2^61 - 1 by every odd number up to its square root.
-allowed=("verify-theorem11 --d 2305843009213693951 ")
+# the entry is stale once REV gives the same output.  None at present.
+allowed=()
 
 is_allowed() {
   local prefix
@@ -109,7 +107,9 @@ exits_as() {
 # its n, which each K cuts into other failing runs, and the d = 2999 windows
 # need more primes than two sieve blocks hold to meet all 2998 classes.  Then
 # one run of each other command and conjecture, across its certified start
-# where it has one, and windows above a threshold and with a wide eps.  An
+# where it has one, and windows above a threshold and with a wide eps.  The
+# 4x^2+1 squares run writes collision certificates at n = 3, 9, 19, 51, 99 and
+# 129 and a smaller-modulus one at n = 1, besides the x^2+x+1 squares ones.  An
 # unknown --variant exits 1 with argparse's usage, and so do a d outside the
 # bundled rows, an empty range and a d from 2^32 on; 4294967291, the largest
 # prime below 2^32, runs.
@@ -135,6 +135,7 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "corollary11 --d 5 --r -1 --n-from 1 --n-to 300"
        "conjecture --id 1.1 --d 2 --n-from 1 --n-to 100"
        "conjecture --id 1.3 --form 4x^2+1 --variant choose2 --n-from 1 --n-to 100"
+       "conjecture --id 1.3 --form 4x^2+1 --variant squares --n-from 1 --n-to 130"
        "conjecture --id 1.3 --form x^2+x+1 --variant cubes --n-from 1 --n-to 3"
        "discriminator --A 32 --B -8 --n-from 1 --n-to 300"
        "verify-theorem11 --d 2305843009213693951 --c 1 --n-from 1 --n-to 1"

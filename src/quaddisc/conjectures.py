@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import count
 
-from .discriminator import (HalfQuadratic, _first_collision, _scan, _separates,
-                            collision_witness, least_modulus_pair)
+from .discriminator import HalfQuadratic, _first_collision, _scan, _separates, least_modulus_pair
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
@@ -42,39 +41,32 @@ class ConjectureReport(Value, namedtuple("ConjectureReport", "conjecture params 
     __slots__ = ()
 
 
-def _collision_certificate(seq: HalfQuadratic, n: int, m: int) -> dict | None:
-    """The first pair of f(1..n) that collides modulo m, as a certificate, or
-    None when f(1..n) are distinct modulo m."""
-    pair = collision_witness(seq, n, m)
+def _disagreement(observed: int, predicted: int, collision, **extra) -> dict | None:
+    """Why observed != predicted, or None when they agree: collision(predicted)
+    when observed is larger, the certificate of a colliding pair (or None),
+    else the smaller modulus that already works, with the fields extra."""
+    if observed == predicted:
+        return None
+    if observed > predicted:
+        return collision(predicted)
+    return {"kind": "unexpected_smaller_modulus", "modulus": observed, **extra}
+
+
+def _collision(values: list[int], m: int, fields: tuple[str, str, str, str]) -> dict | None:
+    """The first pair of values that collides modulo m, as a certificate under
+    the field names fields (two indices counted from 1, then their two values),
+    or None when the values are distinct modulo m."""
+    pair = _first_collision(v % m for v in values)
     if pair is None:
         return None
-    k, l = pair
-    return {
-        "kind": "predicted_modulus_collides",
-        "modulus": m,
-        "k": k,
-        "l": l,
-        "term_k": seq.term(k),
-        "term_l": seq.term(l),
-    }
+    i, j = pair
+    name_i, name_j, value_i, value_j = fields
+    return {"kind": "predicted_modulus_collides", "modulus": m, name_i: i, name_j: j,
+            value_i: values[i - 1], value_j: values[j - 1]}
 
 
-def _pair_disagreement_certificate(
-    seq: HalfQuadratic, n: int, gap: int, observed: int, predicted: int
-) -> dict:
-    """Why observed != predicted for a gapped discriminator: either the predicted
-    modulus (or its partner) collides, or a smaller modulus already works."""
-    if observed > predicted:
-        for m in (predicted, predicted + gap):
-            cert = _collision_certificate(seq, n, m)
-            if cert is not None:
-                return cert
-        return {"kind": "inconsistent", "observed": observed, "predicted": predicted}
-    return {
-        "kind": "unexpected_smaller_modulus",
-        "modulus": observed,
-        "partner": observed + gap,
-    }
+# The certificate fields of a colliding pair of f(1..n), for conjectures 1.1 and 1.3.
+_TERM_FIELDS = ("k", "l", "term_k", "term_l")
 
 
 def first_prime_with_prime_gap(
@@ -103,9 +95,14 @@ def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> C
     gap = 2 * d
     observed = least_modulus_pair(seq, n, gap, ceiling=ceiling)
     predicted = first_prime_with_prime_gap(2 * n - 1, gap, ceiling)
-    agrees = observed == predicted
-    cert = None if agrees else _pair_disagreement_certificate(seq, n, gap, observed, predicted)
-    return ConjectureReport("1.1", {"d": d}, n, observed, predicted, agrees, cert)
+
+    def collision(m):
+        terms = [seq.term(k) for k in range(1, n + 1)]
+        return (_collision(terms, m, _TERM_FIELDS) or _collision(terms, m + gap, _TERM_FIELDS)
+                or {"kind": "inconsistent", "observed": observed, "predicted": predicted})
+
+    cert = _disagreement(observed, predicted, collision, partner=observed + gap)
+    return ConjectureReport("1.1", {"d": d}, n, observed, predicted, observed == predicted, cert)
 
 
 def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
@@ -149,16 +146,10 @@ def conjecture13_check(
     observed = _scan((form, seq), n, lambda lower: (v for v in map(f, count(0)) if v >= lower),
                      lambda v: _separates(seq, n, v), ceiling, f"form modulus {form} for n={n}")
     predicted = first_prime_of_form(form, max(2, 2 * n - 1), ceiling)
-    agrees = observed == predicted
-    cert = None
-    if not agrees:
-        if observed > predicted:
-            cert = _collision_certificate(seq, n, predicted)
-        else:
-            cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
-    return ConjectureReport(
-        "1.3", {"form": form, "variant": variant}, n, observed, predicted, agrees, cert
-    )
+    cert = _disagreement(observed, predicted, lambda m: _collision(
+        [seq.term(k) for k in range(1, n + 1)], m, _TERM_FIELDS))
+    return ConjectureReport("1.3", {"form": form, "variant": variant}, n, observed, predicted,
+                            observed == predicted, cert)
 
 
 # The n and pair sums of the last _pair_sums call in this process: a sweep's
@@ -204,21 +195,6 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
     else:
         # the first prime from walked on is >= 2 p_n, or above the ceiling
         predicted = first_prime_in_ap(0, 1, walked, ceiling)
-    agrees = observed == predicted
-    cert = None
-    if not agrees:
-        if observed > predicted:
-            pair = _first_collision(v % predicted for v in values)
-            if pair is not None:
-                i, j = pair
-                cert = {
-                    "kind": "predicted_modulus_collides",
-                    "modulus": predicted,
-                    "i": i,
-                    "j": j,
-                    "value_i": values[i - 1],
-                    "value_j": values[j - 1],
-                }
-        else:
-            cert = {"kind": "unexpected_smaller_modulus", "modulus": observed}
-    return ConjectureReport("1.4", {}, n, observed, predicted, agrees, cert)
+    cert = _disagreement(observed, predicted,
+                         lambda m: _collision(values, m, ("i", "j", "value_i", "value_j")))
+    return ConjectureReport("1.4", {}, n, observed, predicted, observed == predicted, cert)

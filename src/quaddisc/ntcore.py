@@ -89,8 +89,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def radical(d: int) -> int:
-    """Product of the distinct primes dividing d; radical(1) == 1."""
+    """Product of the distinct primes dividing d; radical(1) == 1.  Cached,
+    since a campaign asks for rad(d) of its one d at every n."""
     if d < 1:
         raise ValueError(f"radical requires d >= 1, got {d}")
     return math.prod(p for p, _ in _prime_factors(d, d))

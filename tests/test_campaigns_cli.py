@@ -41,7 +41,8 @@ from quaddisc.campaigns import (
 )
 from quaddisc.cli import main
 from quaddisc.conjectures import PAIR_THRESHOLD
-from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form
+from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form,
+                             radical)
 from quaddisc.prior import _OUTCOMES, _code, _load_prior, resume
 from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
                                PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
@@ -556,6 +557,17 @@ def test_theorem11_rejects_d_from_2_32_in_time(capsys):
     assert proc.stderr.startswith("# summary cmd=verify-theorem11 records=3 ")
     assert main(argv[3:] + ["--d", str(2**32), "--n-to", "1"]) == EXIT_INVALID
     assert "below 2^32" in capsys.readouterr().err
+
+
+def test_theorem11_campaign_factors_d_once(capsys):
+    # every n of a campaign builds the (d, c) sequence from rad(d): the cache
+    # factors its one d once, not once per n
+    radical.cache_clear()
+    argv = ["verify-theorem11", "--d", "4294967291", "--c", "1", "--n-from", "1",
+            "--n-to", "50", "--no-timing", "--parallelism", "1"]
+    assert main(argv) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 50
+    assert radical.cache_info().misses == 1
 
 
 def test_exit_mismatch_on_violated_expectation(tmp_path, monkeypatch, capsys):

@@ -64,7 +64,8 @@ def test_conjecture13_degenerate_n1():
     # the first form prime, so the report shows the disagreement openly
     rep = conjecture13_check("x^2+x+1", 1, "choose2")
     assert rep.observed == 1 and rep.predicted == 3 and not rep.agrees
-    assert rep.certificate == {"kind": "unexpected_smaller_modulus", "modulus": 1}
+    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
+                                             ("modulus", 1)]
 
 
 def test_conjecture13_squares_forced_disagreement():
@@ -73,6 +74,7 @@ def test_conjecture13_squares_forced_disagreement():
     rep = conjecture13_check("x^2+x+1", 4, "squares")
     assert rep.observed == 13 and rep.predicted == 7 and not rep.agrees
     cert = rep.certificate
+    assert list(cert) == ["kind", "modulus", "k", "l", "term_k", "term_l"]
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == 7
     k, l = cert["k"], cert["l"]
     seq = HalfQuadratic(2, 0)
@@ -181,6 +183,7 @@ def test_conjecture14_collision_certificate(monkeypatch, n):
     if n == 10:
         assert (rep.observed, rep.predicted) == (37, 29)
     cert = rep.certificate
+    assert list(cert) == ["kind", "modulus", "i", "j", "value_i", "value_j"]
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == rep.predicted
     q, i, j = rep.predicted, cert["i"], cert["j"]
     assert 1 <= i < j <= n
@@ -200,6 +203,7 @@ def test_conjecture11_collision_certificate(monkeypatch, d, n):
     predicted, gap = 2 * n - 1, 2 * d
     assert rep.predicted == predicted < rep.observed and not rep.agrees
     cert = rep.certificate
+    assert list(cert) == ["kind", "modulus", "k", "l", "term_k", "term_l"]
     assert cert["kind"] == "predicted_modulus_collides"
     m, k, l = cert["modulus"], cert["k"], cert["l"]
     terms = [x * (x - 1) // 2 for x in range(1, n + 1)]
@@ -211,3 +215,41 @@ def test_conjecture11_collision_certificate(monkeypatch, d, n):
     assert (cert["term_k"], cert["term_l"]) == (terms[k - 1], terms[l - 1])
     assert (cert["term_l"] - cert["term_k"]) % m == 0
     assert len({t % m for t in terms[: l - 1]}) == l - 1  # no earlier l repeats a residue
+
+
+def test_conjecture11_smaller_modulus_certificate_names_its_partner():
+    # at n = 1 the modulus 1 separates a single term, below the predicted 3
+    rep = conjecture11_check(1, 1)
+    assert (rep.observed, rep.predicted, rep.agrees) == (1, 3, False)
+    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
+                                             ("modulus", 1), ("partner", 3)]
+
+
+def test_conjecture11_inconsistent_certificate(monkeypatch):
+    # an observed value above a prediction that collides at neither modulus
+    # contradicts the scan itself, and the report says so
+    least_modulus_pair = conjectures.least_modulus_pair
+
+    def one_above(seq, n, gap, ceiling):
+        return least_modulus_pair(seq, n, gap, ceiling=ceiling) + 1
+
+    monkeypatch.setattr(conjectures, "least_modulus_pair", one_above)
+    monkeypatch.setattr(conjectures, "first_prime_with_prime_gap",
+                        lambda lower_bound, gap, ceiling: 11)
+    rep = conjecture11_check(1, 5)
+    assert (rep.observed, rep.predicted, rep.agrees) == (12, 11, False)
+    assert list(rep.certificate.items()) == [("kind", "inconsistent"), ("observed", 12),
+                                             ("predicted", 11)]
+
+
+def test_conjecture14_smaller_modulus_certificate(monkeypatch):
+    # with every prime in [p_n, 2 p_n) a pair sum, the prediction is the first
+    # prime from 2 p_n on: 59 for n = 10, above the observed 37
+    def every_prime_below_2p_n(primes):
+        return {p for p in _first_primes(20) if primes[-1] <= p < 2 * primes[-1]}
+
+    monkeypatch.setattr(conjectures, "_pair_sums", every_prime_below_2p_n)
+    rep = conjecture14_check(10)
+    assert (rep.observed, rep.predicted, rep.agrees) == (37, 59, False)
+    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
+                                             ("modulus", 37)]
