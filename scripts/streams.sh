@@ -57,8 +57,9 @@ done
 # Command-line prefixes whose output the change under test alters on purpose.
 # --against does not run an allowed line on REV unless REV's own corpus runs
 # it too; then it runs it, lets it differ, and warns when it does not, since
-# the entry is stale once REV gives the same output.  None at present.
-allowed=()
+# the entry is stale once REV gives the same output.  A window check rejects
+# d >= 2^20, which a tree from before that rejection runs.
+allowed=("window-check --d 1048576 --n-from 1 --n-to 1")
 
 is_allowed() {
   local prefix
@@ -80,7 +81,8 @@ want() {
     "window-check --d 7"*) echo "exit 2" ;;
     *"--scan-ceiling "*) echo "exit 3" ;;
     *"--variant cubes"* | "verify-theorem11 --d 2305843009213693951 "* | \
-      "verify-remark11 --d 37" | *"--n-from 6 --n-to 5") echo "exit 1" ;;
+      "verify-remark11 --d 37" | "window-check --d 1048576 "* | \
+      *"--n-from 6 --n-to 5") echo "exit 1" ;;
     *) echo "exit 0" ;;
   esac
 }
@@ -112,7 +114,7 @@ exits_as() {
 # 129 and a smaller-modulus one at n = 1, besides the x^2+x+1 squares ones.  An
 # unknown --variant exits 1 with argparse's usage, and so do a d outside the
 # bundled rows, an empty range and a d from 2^32 on; 4294967291, the largest
-# prime below 2^32, runs.
+# prime below 2^32, runs.  A window check exits 1 for a d from 2^20 on.
 fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "verify-theorem12 --case 3k-1 --n-from 4 --n-to 1200"
        "verify-theorem12 --case 3k+1 --n-from 4 --n-to 100 --scan-ceiling 50"
@@ -143,7 +145,8 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "window-check --d 31 --n-from 24334 --n-to 30000"
        "window-check --d 36 --eps 3/2 --n-from 1 --n-to 20000"
        "verify-remark11 --d 37"
-       "verify-theorem11 --d 4 --c 1 --n-from 6 --n-to 5")
+       "verify-theorem11 --d 4 --c 1 --n-from 6 --n-to 5"
+       "window-check --d 1048576 --n-from 1 --n-to 1")
 
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2

@@ -172,6 +172,8 @@ def _check_window(config: CampaignConfig) -> dict:
     d, eps = config.params["d"], config.params.get("eps")
     if d < 4:
         raise ValueError(f"window check requires d >= 4, got {d}")
+    if d >= 1 << 20:  # the walk holds a set of all phi(d) classes, about 45 MB per 10^6 of d
+        raise ValueError(f"window check requires d < 2^20, got {d}")
     value = None
     if eps is not None:
         from fractions import Fraction  # only --eps pays for its import
@@ -386,13 +388,8 @@ COMMANDS = {
 
 def _identity(command: str, params: dict, n: int) -> dict:
     """The identity fields, in key order, of the record of n in a segment with
-    these params: cmd, the key fields of params, then n."""
-    rec = {"cmd": command}
-    for f in _KEY_FIELDS[1:-1]:
-        if params.get(f) is not None:
-            rec[f] = params[f]
-    rec["n"] = n
-    return rec
+    these params: cmd, the key fields of params, then n, even when n is None."""
+    return dict(record_key(dict(params, cmd=command)), n=n)
 
 
 def _head(command: str, params: dict) -> str:
@@ -590,18 +587,19 @@ def run(config: CampaignConfig) -> int:
         return EXIT_IO
 
     pending, summary = prior or (segments, [0] * 5)
-    try:
-        for text, counts in _compute(config.command, pending, parallelism, config.timing):
-            out.write(text)
-            out.flush()
-            del text  # so the next chunk is computed without this one's text
-            summary = [s + c for s, c in zip(summary, counts)]
+    try:  # a close that fails is a failed write too
+        try:
+            for text, counts in _compute(config.command, pending, parallelism, config.timing):
+                out.write(text)
+                out.flush()
+                del text  # so the next chunk is computed without this one's text
+                summary = [s + c for s, c in zip(summary, counts)]
+        finally:
+            if config.output:
+                out.close()
     except OSError as e:
         print(f"error: write failed: {e}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        if config.output:
-            out.close()
 
     wall_ms = 0 if not config.timing else int((time.perf_counter() - t0) * 1000)
     records, match, mismatch, unexpected, ceiling = summary

@@ -9,10 +9,10 @@ counterexample), 3 a prime scan hit its ceiling, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
-from .campaigns import COMMANDS, EXIT_INVALID, CampaignConfig, run
+from .campaigns import COMMANDS, EXIT_INVALID, EXIT_IO, CampaignConfig, run, serialize_record
 from .ntcore import DEFAULT_SCAN_CEILING
 from .verifier import (
     COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD, THETA_ERROR_BOUND, WINDOW_THRESHOLD,
@@ -84,15 +84,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     if args.command == "tables":
-        for d in sorted(PREDICTION_THRESHOLD):
-            row = {
-                "d": d,
-                "prediction_threshold": PREDICTION_THRESHOLD[d],
-                "counterexample_residue": COUNTEREXAMPLE_RESIDUE[d],
-                "theta_error": THETA_ERROR_BOUND[d],
-                "window_threshold": WINDOW_THRESHOLD[d],
-            }
-            print(json.dumps(row, separators=(",", ":")))
+        try:
+            for d in sorted(PREDICTION_THRESHOLD):
+                row = {
+                    "d": d,
+                    "prediction_threshold": PREDICTION_THRESHOLD[d],
+                    "counterexample_residue": COUNTEREXAMPLE_RESIDUE[d],
+                    "theta_error": THETA_ERROR_BOUND[d],
+                    "window_threshold": WINDOW_THRESHOLD[d],
+                }
+                print(serialize_record(row))
+            sys.stdout.flush()
+        except OSError as e:
+            print(f"error: write failed: {e}", file=sys.stderr)
+            return EXIT_IO
         return 0
     config = _config_from(args)
     if config is None:
@@ -101,7 +106,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # what stdout failed to write may still be buffered: sent to the null
+    # device, the exit's flush of it cannot fail again and exit 120
+    if status == EXIT_IO:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

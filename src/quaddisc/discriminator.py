@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import count
 
-from .ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, Value, _prime_factors, radical
+from .ntcore import DEFAULT_SCAN_CEILING, Value, _first, _prime_factors, radical
 
 
 class HalfQuadratic(Value, namedtuple("HalfQuadratic", "a b")):
@@ -225,20 +225,17 @@ _last_scan: tuple | None = None
 def _scan(
     key: object, n: int, candidates: Callable, accept: Callable, ceiling: int, what: str
 ) -> int:
-    """The first of candidates(lower), an ascending iterator of the candidate
-    moduli >= lower, that accept passes.  lower is n, the pigeonhole bound, or
-    the least modulus last found for key when that was at a smaller n.  Raises
-    ScanCeilingError at the first candidate above ceiling, leaving the hint."""
+    """ntcore._first over candidates(lower), an ascending iterator of the
+    candidate moduli >= lower.  lower is n, the pigeonhole bound, or the least
+    modulus last found for key when that was at a smaller n.  A scan past the
+    ceiling leaves the hint as it was."""
     global _last_scan
     lower = n
     if _last_scan is not None and _last_scan[0] == key and _last_scan[1] < n:
         lower = max(n, _last_scan[2])
-    for m in candidates(lower):
-        if m > ceiling:
-            raise ScanCeilingError(what, ceiling)
-        if accept(m):
-            _last_scan = (key, n, m)
-            return m
+    m = _first(candidates(lower), accept, ceiling, what)
+    _last_scan = (key, n, m)
+    return m
 
 
 def least_modulus(seq: HalfQuadratic, n: int, *, ceiling: int = DEFAULT_SCAN_CEILING) -> int:

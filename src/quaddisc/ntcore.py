@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, count
 
 #: Default ceiling for open-ended prime scans (first prime of a polynomial form,
 #: de Polignac pairs, ...).  Termination of those scans is not provable, so they
@@ -56,6 +56,17 @@ class ScanCeilingError(RuntimeError):
         super().__init__(f"{what}: no hit at or below ceiling {ceiling}")
         self.what = what
         self.ceiling = ceiling
+
+
+def _first(candidates: Iterable[int], accept: Callable, ceiling: int, what: str) -> int:
+    """The first of the ascending candidates that accept passes: the package's
+    one search loop.  Raises ScanCeilingError(what, ceiling) at the first
+    candidate above ceiling, before accept sees it."""
+    for m in candidates:
+        if m > ceiling:
+            raise ScanCeilingError(what, ceiling)
+        if accept(m):
+            return m
 
 
 def is_prime(n: int) -> bool:
@@ -118,12 +129,8 @@ def first_prime_in_ap(
     runaway scan (e.g. absurd inputs) into ScanCeilingError.
     """
     _check_prime_query(residue, modulus, lower_bound)
-    cand = lower_bound + (residue - lower_bound) % modulus
-    while cand <= ceiling:
-        if is_prime(cand):
-            return cand
-        cand += modulus
-    raise ScanCeilingError(f"prime == {residue} (mod {modulus}) from {lower_bound}", ceiling)
+    return _first(count(lower_bound + (residue - lower_bound) % modulus, modulus), is_prime,
+                  ceiling, f"prime == {residue} (mod {modulus}) from {lower_bound}")
 
 
 @lru_cache(maxsize=_CACHED_BLOCKS)
@@ -229,12 +236,7 @@ def first_prime_of_form(
         raise ValueError(f"unknown form {form!r}; expected one of {sorted(POLYNOMIAL_FORMS)}")
     if lower_bound < 2:
         raise ValueError(f"lower_bound must be >= 2, got {lower_bound}")
-    f = POLYNOMIAL_FORMS[form]
-    x = 0
-    while True:
-        v = f(x)
-        if v > ceiling:
-            raise ScanCeilingError(f"prime of form {form} from {lower_bound}", ceiling)
-        if v >= lower_bound and is_prime(v):
-            return v
-        x += 1
+    # the bound is tested in accept: a stream filtered by it first would walk
+    # every value below a lower_bound above the ceiling before raising
+    return _first(map(POLYNOMIAL_FORMS[form], count()), lambda v: v >= lower_bound and is_prime(v),
+                  ceiling, f"prime of form {form} from {lower_bound}")

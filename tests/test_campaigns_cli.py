@@ -56,6 +56,15 @@ def read_records(path):
     return [parse_record(line) for line in path.read_text().splitlines()]
 
 
+def _cli_env(**changes):
+    """os.environ with this checkout's src first on PYTHONPATH, for a CLI
+    subprocess, and with changes applied: a value of None removes its name."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, **changes)
+    return {name: value for name, value in env.items() if value is not None}
+
+
 def test_record_round_trip():
     samples = [
         {"cmd": "verify-theorem11", "d": 4, "c": -3, "n": 9, "least_m": 29,
@@ -540,9 +549,7 @@ def test_theorem11_rejects_d_from_2_32_in_time(capsys):
     # up to sqrt(d), which for the prime 2^61 - 1 does not end: a campaign
     # rejects d >= 2^32 before any work, and runs 4294967291, the largest prime
     # below 2^32, which the sieved primes factor at once
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    env = _cli_env()
     argv = [sys.executable, "-m", "quaddisc.cli", "verify-theorem11", "--c", "1",
             "--n-from", "1", "--no-timing"]
     proc = subprocess.run(argv + ["--d", str(2**61 - 1), "--n-to", "1"],
@@ -644,6 +651,87 @@ def test_exit_io_failure(tmp_path, capsys):
                "--out", str(tmp_path / "missing" / "out.jsonl")])
     assert rc == EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_out_exits_io(capsys):
+    # the write fails, and so does the close that flushes it again: one error
+    # line reports both
+    assert main(["discriminator", "--A", "32", "--B", "-8", "--n", "6",
+                 "--out", "/dev/full", "--no-timing"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: write failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["tables"],
+                                  ["discriminator", "--A", "32", "--B", "-8", "--n", "6"]],
+                         ids=["tables", "campaign"])
+def test_failed_write_to_stdout_exits_io(argv, unbuffered):
+    # a buffered stdout still holds what failed at exit, whose flush must not
+    # fail again and turn the status into 120
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "quaddisc.cli", *argv],
+                              env=_cli_env(PYTHONUNBUFFERED=unbuffered), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("error: write failed: ") and proc.stderr.count("\n") == 1
+
+
+_ANY_CAMPAIGN = ["verify-theorem12", "--case", "3k-1", "--n-from", "4", "--n-to", "5"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["window-check", "--d", "3", "--n-from", "1", "--n-to", "5"],
+     "invalid campaign: window check requires d >= 4, got 3"),
+    (["window-check", "--d", str(2**20), "--n-from", "1", "--n-to", "5"],
+     "invalid campaign: window check requires d < 2^20, got 1048576"),
+    (["conjecture", "--id", "1.4", "--n-from", "2", "--n-to", "5"],
+     "invalid campaign: conjecture 1.4 needs n > 2"),
+    (["discriminator", "--A", "32", "--B", "-8", "--n", "6", "--n-from", "1"],
+     "give either --n or --n-from/--n-to"),
+    (_ANY_CAMPAIGN + ["--parallelism", "-1"],
+     "invalid campaign: parallelism must be >= 1 (or 0 for all cores)"),
+    (_ANY_CAMPAIGN + ["--scan-ceiling", "1"], "invalid campaign: scan ceiling must be >= 2"),
+], ids=["window-d-3", "window-d-2^20", "conjecture-1.4-n-2", "n-and-n-range", "parallelism--1",
+        "scan-ceiling-1"])
+def test_rejections_name_their_cause(argv, message, capsys):
+    assert main(argv + ["--no-timing"]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_window_check_rejects_d_from_2_20_in_time(capsys):
+    # the walk's set of all phi(d) classes grows with d before any window is
+    # walked, and for d = 10^12 ends out of memory: a campaign rejects
+    # d >= 2^20 before any work, and runs 2^20 - 1
+    argv = [sys.executable, "-m", "quaddisc.cli", "window-check", "--n-from", "1", "--n-to", "1",
+            "--no-timing"]
+    proc = subprocess.run(argv + ["--d", str(10**12)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr == f"error: invalid campaign: window check requires d < 2^20, got {10**12}\n"
+    proc = subprocess.run(argv + ["--d", str(2**20 - 1)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert [json.loads(line)["n"] for line in proc.stdout.splitlines()] == [1]
+
+
+def test_resume_warns_about_records_without_identity(tmp_path, capsys):
+    # a JSON line that is not an object, and an object without cmd, are
+    # corrupt records: both are warned about and left in place
+    argv = ["discriminator", "--A", "32", "--B", "-8", "--n-from", "1", "--n-to", "5",
+            "--no-timing", "--parallelism", "1"]
+    assert main(argv) == EXIT_OK
+    fresh, summary = capsys.readouterr()
+    path = tmp_path / "prior.jsonl"
+    prior = '[1, 2]\n{"n": 5}\n'
+    path.write_text(prior)
+    assert main(argv + ["--out", str(path), "--resume"]) == EXIT_OK
+    assert path.read_text() == prior + fresh
+    assert capsys.readouterr().err == (f"warning: skipping corrupt record at {path}:1\n"
+                                       f"warning: skipping corrupt record at {path}:2\n"
+                                       + summary)
 
 
 def test_below_threshold_records_are_informational(tmp_path, capsys):
@@ -1303,9 +1391,7 @@ _CAMPAIGN_FLAGS = ["--parallelism", "1", "--no-timing"]
 )
 def test_cli_never_loads_numpy(argv):
     # start-up is part of every CLI call; numpy alone would take about half of it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    env = _cli_env()
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *argv],
         env=env, capture_output=True, text=True, timeout=120,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import quaddisc.conjectures as conjectures
+from quaddisc.campaigns import EXIT_MISMATCH
+from quaddisc.cli import main
 from quaddisc.conjectures import (
     PAIR_THRESHOLD,
     conjecture11_check,
@@ -46,6 +48,24 @@ def test_conjecture12_examples():
     assert rep.observed == 11 and rep.agrees
     rep = conjecture12_check(100)
     assert rep.observed == 256 and rep.agrees  # 2^8 and 257 prime
+
+
+def test_conjecture12_classification_failure(monkeypatch, capsys):
+    # a pair 24, 25 whose second modulus is not a prime times a power of two:
+    # the certificate names it and its odd part, and the campaign counts the
+    # record as unexpected
+    monkeypatch.setattr(conjectures, "least_modulus_pair", lambda *args, **kwargs: 24)
+    rep = conjecture12_check(5)
+    assert rep.class_flags == (True, False) and not rep.agrees
+    assert list(rep.certificate.items()) == [
+        ("kind", "classification_failure"), ("modulus", 25), ("odd_part", 25)]
+    assert main(["conjecture", "--id", "1.2", "--n-from", "5", "--n-to", "5",
+                 "--no-timing", "--parallelism", "1"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == ('{"cmd":"conjecture","id":"1.2","n":5,"least_m":24,"predicted":null,'
+                   '"match":false,"ms":0,"flags":[true,false],"certificate":'
+                   '{"kind":"classification_failure","modulus":25,"odd_part":25}}\n')
+    assert "unexpected=1 " in err
 
 
 def test_conjecture13_examples():

@@ -1,6 +1,7 @@
 """Primality, radical, and prime-search checks against independent oracles."""
 
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from quaddisc.ntcore import (
     DEFAULT_SCAN_CEILING,
+    POLYNOMIAL_FORMS,
     ScanCeilingError,
+    _first,
     _prime_factors,
     classify_two_power_times_prime,
     first_prime_in_ap,
@@ -186,6 +189,20 @@ def test_first_prime_in_ap_ceiling():
         first_prime_in_ap(1, 4, 102, ceiling=104)  # first candidate is 105
 
 
+def test_first_raises_before_accept_sees_a_candidate_past_the_ceiling():
+    seen = []
+
+    def accept(m):
+        seen.append(m)
+        return m == 7
+
+    assert _first(count(5), accept, 7, "seven") == 7 and seen == [5, 6, 7]
+    seen.clear()
+    with pytest.raises(ScanCeilingError, match="^seven: no hit at or below ceiling 6$") as info:
+        _first(count(5), accept, 6, "seven")
+    assert seen == [5, 6] and (info.value.what, info.value.ceiling) == ("seven", 6)
+
+
 def test_nth_primes(prime_flags):
     assert nth_primes(1) == [2]
     assert nth_primes(3) == [2, 3, 5]
@@ -227,6 +244,16 @@ def test_first_prime_of_form_errors():
         first_prime_of_form("x^3+1", 2)
     with pytest.raises(ScanCeilingError):
         first_prime_of_form("x^2+x+1", 14, ceiling=20)  # 13 < 14, next form prime is 31
+
+
+def test_first_prime_of_form_stops_at_the_ceiling_below_its_bound(monkeypatch):
+    # the bound is tested value by value, so a bound above the ceiling raises
+    # at the first form value past the ceiling: 1, 5, 17, 37, 65, then 101
+    xs = []
+    monkeypatch.setitem(POLYNOMIAL_FORMS, "4x^2+1", lambda x: xs.append(x) or 4 * x * x + 1)
+    with pytest.raises(ScanCeilingError, match=r"^prime of form 4x\^2\+1 from 1000000000: "):
+        first_prime_of_form("4x^2+1", 10**9, ceiling=100)
+    assert xs == [0, 1, 2, 3, 4, 5]
 
 
 def test_primes_in_range_matches_flags(prime_flags):
