@@ -13,8 +13,9 @@
 # With --against REV it also runs the same corpus on the source of REV, checked
 # out with `git worktree add --detach` into a temporary directory that is
 # removed on exit, and compares the two trees: stdout bytes, stderr bytes,
-# exit codes and resumed files, at K = 1 and 2, fresh and resumed.  Both trees
-# run from source, as `PYTHONPATH=<tree>/src python -m quaddisc.cli`; it
+# exit codes and resumed files, at K = 1 and 2, fresh and resumed, and those
+# of the command-line surface: helps and usage errors.  Both trees run from
+# source, as `PYTHONPATH=<tree>/src python -m quaddisc.cli`; it
 # prints every difference and exits non-zero if there is any, before the
 # checks within this tree run.
 #
@@ -57,9 +58,8 @@ done
 # Command-line prefixes whose output the change under test alters on purpose.
 # --against does not run an allowed line on REV unless REV's own corpus runs
 # it too; then it runs it, lets it differ, and warns when it does not, since
-# the entry is stale once REV gives the same output.  A window check rejects
-# d >= 2^20, which a tree from before that rejection runs.
-allowed=("window-check --d 1048576 --n-from 1 --n-to 1")
+# the entry is stale once REV gives the same output.
+allowed=()
 
 is_allowed() {
   local prefix
@@ -148,6 +148,19 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "verify-theorem11 --d 4 --c 1 --n-from 6 --n-to 5"
        "window-check --d 1048576 --n-from 1 --n-to 1")
 
+# The command-line surface, which --against compares byte for byte as given,
+# without --no-timing and --parallelism: the top-level help and its usage
+# errors, with no argument at all, an unknown command and an unknown option
+# before a command, every command's help, tables and an option it lacks, and a
+# campaign without its required flags or, for a discriminator, without any n.
+surface=("--help" "-h" "" "bogus" "tables" "tables --bogus"
+         "verify-theorem11 --help" "verify-remark11 --help" "verify-theorem12 --help"
+         "verify-remark12 --help" "corollary11 --help" "window-check --help"
+         "conjecture --help" "discriminator --help" "tables --help"
+         "window-check --d 5"
+         "--bogus window-check --d 5 --n-from 206 --n-to 208"
+         "discriminator --A 32 --B -8")
+
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2
 # record, whose least_m and predicted are integers, and every 11th conjecture
@@ -226,6 +239,9 @@ record() {
       mv "$tmp/resumed.jsonl" "$dir/resumed$i.$par.jsonl"
     done
   done
+  [ -z "$against" ] || for i in "${!surface[@]}"; do
+    errs_to "$dir/surface$i.err" $cli ${surface[$i]} > "$dir/surface$i.out"
+  done
   errs_to "$dir/cut.err" $cli $cut --no-timing --parallelism 1 > "$dir/cut.out"
   for every in 0 13; do
     awk -v every="$every" 'NR <= 10000 && (every == 0 || NR % every)' "$dir/cut.out" \
@@ -282,6 +298,9 @@ if [ -n "$against" ]; then
     IFS='|' read -r args every _ <<< "${resumes[$i]}"
     compare "$args --resume (every=$every)" "full$i".{out,err} \
       "resumed$i."{1,2}.{jsonl,err}
+  done
+  for i in "${!surface[@]}"; do
+    compare "quaddisc ${surface[$i]}" "surface$i".{out,err}
   done
   compare "$cut" cut.{out,err}
   for every in 0 13; do

@@ -32,13 +32,13 @@ from .conjectures import (
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
 from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value, _MR_LIMIT,
                      first_prime_of_form)
+from .tables import (EXIT_CEILING, EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
+                     COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD, WINDOW_THRESHOLD, _ENCODER,
+                     serialize_record)
 from .verifier import (
     COROLLARY11_THRESHOLD,
-    COUNTEREXAMPLE_RESIDUE,
-    PREDICTION_THRESHOLD,
     THEOREM12_CASES,
     REMARK12_CASES,
-    WINDOW_THRESHOLD,
     _window_ends,
     _window_scan,
     _window_terms,
@@ -51,12 +51,6 @@ from .verifier import (
 
 # Identity fields; together with cmd and n they key a record for resume.
 _KEY_FIELDS = ("cmd", "id", "d", "c", "case", "sign", "form", "variant", "eps", "A", "B", "n")
-
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_MISMATCH = 2
-EXIT_CEILING = 3
-EXIT_IO = 4
 
 
 class CampaignConfig(Value, namedtuple("CampaignConfig", "command params n_from n_to parallelism "
@@ -79,14 +73,6 @@ def record_key(rec: dict) -> tuple:
     return tuple((f, rec[f]) for f in _KEY_FIELDS if rec.get(f) is not None)
 
 
-# json.dumps with any option builds a new encoder on every call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def serialize_record(rec: dict) -> str:
-    return _ENCODER.encode(rec)
-
-
 def parse_record(line: str) -> dict:
     rec = json.loads(line)
     if not isinstance(rec, dict) or "cmd" not in rec or "n" not in rec:
@@ -97,7 +83,7 @@ def parse_record(line: str) -> dict:
 # --- the commands: one spec each, from CLI options to expectation ---------------
 
 
-class Command(Value, namedtuple("Command", "help options check compute certified one_of segments",
+class Command(Value, namedtuple("Command", "options check compute certified one_of segments",
                                 defaults=(False, None))):
     """One campaign command.  options are (flag, argparse kwargs) pairs whose
     dest is a params key.  check(config) raises ValueError for an invalid
@@ -312,9 +298,10 @@ def _discriminator(p: dict, n: int) -> tuple:
 
 _INT = {"type": int, "required": True}
 
+# The names and order of cli.HELPS, which holds each command's help: the CLI
+# lists the commands without importing this module.
 COMMANDS = {
     "verify-theorem11": Command(
-        help="discriminator vs predicted progression prime",
         options=(("--d", _INT), ("--c", _INT)),
         check=_check_apcase,
         compute=partial(_each_n, _theorem11),
@@ -323,7 +310,6 @@ COMMANDS = {
         ),
     ),
     "verify-remark11": Command(
-        help="bundled counterexample rows (expected mismatch)",
         options=(("--all", {"action": "store_true", "help": "all d = 4..36"}),
                  ("--d", {"type": int})),
         check=lambda config: {},
@@ -333,7 +319,6 @@ COMMANDS = {
         segments=_remark11_rows,
     ),
     "verify-theorem12": Command(
-        help="d = 2, 3 sequences vs prime-or-prime-power targets",
         options=(("--case", {"required": True, "choices": tuple(THEOREM12_CASES)}),),
         check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
         compute=partial(_each_n, lambda p, n: _verified(verify_theorem12(p["case"], n,
@@ -341,7 +326,6 @@ COMMANDS = {
         certified=lambda p: (THEOREM12_CASES[p["case"]].threshold, True),
     ),
     "verify-remark12": Command(
-        help="8k(2k-/+1) sequences vs plain primes",
         options=(("--sign", {"required": True, "choices": tuple(REMARK12_CASES)}),),
         check=lambda config: _check_member(
             config, "sign", REMARK12_CASES, "sign must be 'minus' or 'plus', got {!r}"
@@ -351,7 +335,6 @@ COMMANDS = {
         certified=lambda p: (REMARK12_CASES[p["sign"]].threshold, True),
     ),
     "corollary11": Command(
-        help="d = 4, 5 specializations with certified thresholds",
         options=(("--d", dict(_INT, choices=[4, 5])),
                  ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
         check=_check_apcase,
@@ -359,14 +342,12 @@ COMMANDS = {
         certified=lambda p: (COROLLARY11_THRESHOLD.get((p["d"], p["c"])), True),
     ),
     "window-check": Command(
-        help="prime in every coprime class inside the scan window",
         options=(("--d", _INT), ("--eps", {"help": "override window parameter, e.g. 2/9"})),
         check=_check_window,
         compute=_window,
         certified=lambda p: (_window_threshold(p["d"], p.get("eps_fraction")), True),
     ),
     "conjecture": Command(
-        help="run one conjecture checker over a range of n",
         options=(("--id", {"required": True, "choices": tuple(_CONJECTURES)}),
                  ("--d", {"type": int, "help": "gap parameter for 1.1"}),
                  ("--form", {"choices": tuple(POLYNOMIAL_FORMS), "help": "for 1.3"}),
@@ -377,7 +358,6 @@ COMMANDS = {
         certified=_certified_conjecture,
     ),
     "discriminator": Command(
-        help="raw least modulus for a (A k^2 + B k)/2 sequence",
         options=(("--A", _INT), ("--B", _INT)),
         check=_check_discriminator,
         compute=partial(_each_n, _discriminator),

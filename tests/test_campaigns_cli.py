@@ -39,7 +39,7 @@ from quaddisc.campaigns import (
     run,
     serialize_record,
 )
-from quaddisc.cli import main
+from quaddisc.cli import HELPS, main
 from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form,
                              radical)
@@ -1270,7 +1270,12 @@ def test_resume_with_holes_repeats_the_fresh_summary(tmp_path, capsys, config):
     assert sorted(path.read_text().splitlines(keepends=True)) == sorted(fresh)
 
 
-@pytest.mark.parametrize("command", [*COMMANDS, "tables"])
+def test_cli_lists_the_campaign_commands_and_tables():
+    # the CLI holds the command names and helps, so that it lists them without campaigns
+    assert list(HELPS) == [*COMMANDS, "tables"]
+
+
+@pytest.mark.parametrize("command", HELPS)
 def test_command_help(command, capsys):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: quaddisc {command}")
@@ -1403,26 +1408,85 @@ def test_cli_never_loads_numpy(argv):
 # Modules a CLI process does not import at start-up: dataclasses brings in
 # inspect, ast and dis, fractions brings in decimal, and only a pool repays
 # multiprocessing.  A window check imports fractions only for --eps: its
-# default window validates and computes a chunk without it.
+# default window validates and computes without it.  Each entry point loads one
+# set of quaddisc modules: `import quaddisc` none, tables, --help and a usage
+# error only cli and tables, and a campaign the library but not the resume
+# reader.  The probe reports on stderr what `import quaddisc` loaded, on the
+# first line, and main's exit status and what main loaded, on the last.
 _STARTUP_PROBE = """
 import sys
-import quaddisc.cli
-print(sorted({modules!r} & set(sys.modules)))
-from quaddisc.campaigns import CampaignConfig, _chunk, _validate
-params = dict(_validate(CampaignConfig("window-check", {{"d": 5}})), ceiling=1 << 40)
-_chunk("window-check", False, (params, list(range(200, 300))))
-print("fractions" in sys.modules)
-_validate(CampaignConfig("window-check", {{"d": 5, "eps": "2/9"}}))
-print("fractions" in sys.modules)
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("quaddisc.") or m in {modules!r})
+import quaddisc
+print(loaded(), file=sys.stderr)
+from quaddisc.cli import main
+print(main(sys.argv[1:]), loaded(), file=sys.stderr)
 """
+
+_FRONT = ["quaddisc.cli", "quaddisc.tables"]
+_LIBRARY = sorted([*_FRONT, "quaddisc.campaigns", "quaddisc.conjectures",
+                   "quaddisc.discriminator", "quaddisc.ntcore", "quaddisc.verifier"])
+_WINDOW_ARGV = ["window-check", "--d", "5", "--n-from", "200", "--n-to", "300", *_CAMPAIGN_FLAGS]
+
+
+_ENTRY_POINTS = [
+    (["tables"], EXIT_OK, _FRONT),
+    (["--help"], EXIT_OK, _FRONT),
+    (["bogus"], EXIT_INVALID, _FRONT),
+    (["window-check", "--d", "5"], EXIT_INVALID, _LIBRARY),
+    (_WINDOW_ARGV, EXIT_OK, _LIBRARY),
+    (_WINDOW_ARGV + ["--eps", "2/9"], EXIT_OK, sorted([*_LIBRARY, "decimal", "fractions"])),
+]
 
 
 def test_cli_startup_imports():
-    modules = {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing"}
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing"}
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _STARTUP_PROBE.format(modules=modules)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False", "True"]
+    for argv, status, modules in _ENTRY_POINTS:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _STARTUP_PROBE.format(modules=unwanted), *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [lines[0], lines[-1]] == ["[]", f"{status} {modules}"], argv
+
+
+# The names `from quaddisc import *` bound when the package imported every
+# module: the public names of the four library modules, and the modules.
+_PUBLIC = {
+    "discriminator": ["APCase", "HalfQuadratic", "collision_witness", "least_modulus",
+                      "least_modulus_pair", "pairwise_distinct", "pairwise_distinct_fast"],
+    "ntcore": ["DEFAULT_SCAN_CEILING", "ScanCeilingError", "classify_two_power_times_prime",
+               "first_prime_in_ap", "first_prime_of_form", "is_prime", "nth_primes",
+               "primes_in_range", "radical"],
+    "tables": ["COUNTEREXAMPLE_RESIDUE", "PREDICTION_THRESHOLD", "THETA_ERROR_BOUND",
+               "WINDOW_THRESHOLD"],
+    "verifier": ["COROLLARY11_THRESHOLD", "ModulusClass", "VerificationRecord", "predicted_prime",
+                 "prime_window_all_residues", "verify_remark12", "verify_theorem11",
+                 "verify_theorem12"],
+    "conjectures": ["PAIR_THRESHOLD", "ConjectureReport", "conjecture11_check",
+                    "conjecture12_check", "conjecture13_check", "conjecture14_check"],
+}
+
+
+def test_package_resolves_its_names_lazily():
+    import importlib
+
+    import quaddisc
+    modules = ["conjectures", "discriminator", "ntcore", "verifier"]
+    assert quaddisc.__all__ == sorted([*(n for ns in _PUBLIC.values() for n in ns), *modules])
+    assert len(quaddisc.__all__) == 38
+    star = {}
+    exec("from quaddisc import *", star)
+    for module, names in _PUBLIC.items():
+        owner = importlib.import_module(f"quaddisc.{module}")
+        for name in names:
+            assert getattr(quaddisc, name) is star[name] is getattr(owner, name), name
+    for name in _PUBLIC["tables"]:  # the verifier re-exports the tables
+        assert star[name] is getattr(quaddisc.verifier, name)
+    for module in modules:
+        assert star[module] is importlib.import_module(f"quaddisc.{module}")
+    assert set(quaddisc.__all__) <= set(dir(quaddisc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quaddisc.no_such_name

@@ -35,7 +35,7 @@ VALUES = [
     SequenceCase("3k-1", 6, 3, -1, 4, ModulusClass(1, 3, 3), 3, 0),
     ConjectureReport("1.2", {}, 5, 9, None, True),
     CampaignConfig("window-check", {"d": 5}, 206, 300),
-    Command("help", (("--d", {"type": int}),), _check, _compute, _certified),
+    Command((("--d", {"type": int}),), _check, _compute, _certified),
 ]
 
 # Values that hold a dict: equal ones compare equal, but they cannot be hashed.
@@ -120,7 +120,7 @@ def test_defaults():
     config = CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)
     assert config == CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, 0, None,
                                     False, 1 << 40, False)
-    assert Command("help", (), _check, _compute, _certified).one_of is False
+    assert Command((), _check, _compute, _certified).one_of is False
 
 
 def test_config_params_default_is_not_shared():
