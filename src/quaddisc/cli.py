@@ -33,7 +33,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of every command, with options on the subparser of command alone."""
     spec = None
     if command in HELPS and command != "tables":
-        # before any parser exists: importing after building one raised peak RSS
+        # before any parser exists: importing either module after building one
+        # raised peak RSS (runner is what run calls)
+        from . import runner
         from .campaigns import COMMANDS, DEFAULT_SCAN_CEILING
         spec = COMMANDS[command]
     parser = argparse.ArgumentParser(
@@ -67,7 +69,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Run the campaign that args describe; return its exit status."""
-    from . import campaigns
+    from . import campaigns, runner
     cmd = args.command
     dests = (kwargs.get("dest", flag[2:]) for flag, kwargs in campaigns.COMMANDS[cmd].options)
     params = {dest: getattr(args, dest) for dest in dests}
@@ -81,7 +83,7 @@ def run(args: argparse.Namespace) -> int:
         elif n_from is None or n_to is None:
             print("error: discriminator needs --n or --n-from/--n-to", file=sys.stderr)
             return EXIT_INVALID
-    return campaigns.run(campaigns.CampaignConfig(
+    return runner.run(campaigns.CampaignConfig(
         cmd, params, n_from, n_to, args.parallelism, args.out, args.resume, args.scan_ceiling,
         timing=not args.no_timing))
 

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 
 #: Default ceiling for open-ended prime scans (first prime of a polynomial form,
 #: de Polignac pairs, ...).  Termination of those scans is not provable, so they
@@ -201,12 +201,7 @@ def nth_primes(n: int) -> list[int]:
     sieve blocks 0, 1, ... until they hold n primes."""
     if n < 1:
         raise ValueError(f"nth_primes requires n >= 1, got {n}")
-    primes: list[int] = []
-    index = 0
-    while len(primes) < n:
-        primes += _sieve_block(index)
-        index += 1
-    return primes[:n]
+    return list(islice(chain.from_iterable(map(_sieve_block, count())), n))
 
 
 def classify_two_power_times_prime(m: int) -> bool:

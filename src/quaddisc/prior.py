@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import campaigns  # parse_record is looked up there, where tracing wraps it
-from .campaigns import COMMANDS, _head, _identity, _tally, record_key
+from .campaigns import COMMANDS, _head, _identity, record_key
+from .runner import _tally
 
 # A canonical JSON int, as str(int) writes it, of at most 100 digits: a longer
 # one could exceed Python's int-to-str digit limit, which json.loads enforces.

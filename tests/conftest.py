@@ -4,13 +4,13 @@ from functools import partial
 
 import pytest
 
-import quaddisc.campaigns as campaigns
+import quaddisc.runner as runner
 from quaddisc.campaigns import COMMANDS, _identity
 
 
 def dispatch(command: str, params: dict, n: int) -> dict:
     """The record of n, computed as the one-n run [n], as a dict; serialized,
-    it is the slow oracle of the text campaigns._chunk writes."""
+    it is the slow oracle of the text runner._chunk writes."""
     [(_, least_m, predicted, match, extra, ms)] = COMMANDS[command].compute(params, [n])
     rec = _identity(command, params, n)
     rec.update(least_m=least_m, predicted=predicted, match=match, ms=ms)
@@ -20,7 +20,7 @@ def dispatch(command: str, params: dict, n: int) -> dict:
 
 
 class SerialPool:
-    """A stand-in for campaigns._pool that maps in this process, recording the
+    """A stand-in for runner._pool that maps in this process, recording the
     pool size and the chunks it is handed."""
 
     def __init__(self, calls, processes):
@@ -43,5 +43,5 @@ def serial_pool(monkeypatch):
     """(processes, chunks) of each pool a campaign starts, computed in this
     process instead of forked workers."""
     calls = []
-    monkeypatch.setattr(campaigns, "_pool", partial(SerialPool, calls))
+    monkeypatch.setattr(runner, "_pool", partial(SerialPool, calls))
     return calls

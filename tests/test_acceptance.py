@@ -14,10 +14,12 @@ from multiprocessing import Pool
 
 import pytest
 
-from quaddisc.campaigns import CampaignConfig, EXIT_OK, parse_record, run
+from quaddisc.campaigns import CampaignConfig, parse_record
 from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.discriminator import APCase, pairwise_distinct, pairwise_distinct_fast
 from quaddisc.ntcore import POLYNOMIAL_FORMS, is_prime, primes_in_range
+from quaddisc.runner import run
+from quaddisc.tables import EXIT_OK
 from quaddisc.verifier import (
     COROLLARY11_THRESHOLD,
     COUNTEREXAMPLE_RESIDUE,

@@ -21,22 +21,12 @@ from hypothesis import strategies as st
 from quaddisc.campaigns import (
     _KEY_FIELDS,
     COMMANDS,
-    EXIT_CEILING,
-    EXIT_INVALID,
-    EXIT_IO,
-    EXIT_MISMATCH,
-    EXIT_OK,
     CampaignConfig,
-    _chunk,
     _identity,
-    _segments,
-    _tally,
-    _validate,
     _window,
     expected_match,
     parse_record,
     record_key,
-    run,
     serialize_record,
 )
 from quaddisc.cli import HELPS, main
@@ -44,6 +34,8 @@ from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form,
                              radical)
 from quaddisc.prior import _OUTCOMES, _code, _load_prior, resume
+from quaddisc.runner import _chunk, _segments, _tally, _validate, run
+from quaddisc.tables import EXIT_CEILING, EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, EXIT_OK
 from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
                                PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
                                WINDOW_THRESHOLD, _window_ends, _window_terms,
@@ -232,6 +224,7 @@ def test_resume_counterexample_suite(tmp_path, monkeypatch, capsys, serial_pool)
     # verify-remark11 --all keys each bundled row by its own segment: a resume
     # recomputes exactly the deleted and corrupt rows, serially and in a pool
     import quaddisc.campaigns as campaigns
+    import quaddisc.runner as runner
 
     config = partial(CampaignConfig, "verify-remark11", {"all": True, "d": None}, timing=False)
     path = tmp_path / "fresh.jsonl"
@@ -252,8 +245,8 @@ def test_resume_counterexample_suite(tmp_path, monkeypatch, capsys, serial_pool)
     real = campaigns.verify_theorem11
     monkeypatch.setattr(campaigns, "verify_theorem11",
                         lambda d, c, n, ceiling: calls.append(d) or real(d, c, n, ceiling))
-    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
-    monkeypatch.setattr(campaigns, "_available_cores", lambda: 2)
+    monkeypatch.setattr(runner, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "_available_cores", lambda: 2)
     for k in (1, 2):
         calls.clear()
         path = tmp_path / f"resumed{k}.jsonl"
@@ -348,36 +341,36 @@ def test_resume_after_any_cut_gives_the_fresh_run(tmp_path, capsys):
 def test_default_parallelism_follows_affinity(monkeypatch, capsys):
     import os
 
-    import quaddisc.campaigns as campaigns
+    import quaddisc.runner as runner
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert campaigns._available_cores() == 3
+    assert runner._available_cores() == 3
 
     def no_pool(processes):
         raise AssertionError("a process allowed one core started a pool")
 
     # even a switch rule that forks after the first chunk never forks on one core
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    monkeypatch.setattr(campaigns, "_pool", no_pool)
-    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "_pool", no_pool)
+    monkeypatch.setattr(runner, "_POOL_AFTER_S", 0.0)
     assert run(CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 27
 
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    assert campaigns._available_cores() == 7
+    assert runner._available_cores() == 7
 
 
 def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, capsys, serial_pool):
     # 20 items make 20 one-item chunks at any K >= 2; with the switch after the
     # first chunk, a pool of K workers would fork K processes for the other 19
-    import quaddisc.campaigns as campaigns
+    import quaddisc.runner as runner
 
     config = partial(CampaignConfig, "verify-theorem12", {"case": "3k-1"}, 4, 23, timing=False)
     assert run(config(parallelism=1)) == EXIT_OK
     serial = capsys.readouterr()
-    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
-    monkeypatch.setattr(campaigns, "_available_cores", lambda: 64)  # K = 64 is not clamped
+    monkeypatch.setattr(runner, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "_available_cores", lambda: 64)  # K = 64 is not clamped
     for k in (64, 2):
         assert run(config(parallelism=k)) == EXIT_OK
         assert capsys.readouterr() == serial
@@ -392,17 +385,17 @@ def test_segments_and_chunks_are_ranges(monkeypatch):
     # campaign of 10^6 n holds no list of its n before it computes one
     import tracemalloc
 
-    import quaddisc.campaigns as campaigns
+    import quaddisc.runner as runner
 
     chunks = []
-    monkeypatch.setattr(campaigns, "_chunk",
+    monkeypatch.setattr(runner, "_chunk",
                         lambda command, timing, chunk: chunks.append(chunk) or ("", (0,) * 5))
     config = CampaignConfig("window-check", {"d": 4}, 1, 10**6)
     params = dict(_validate(config), ceiling=DEFAULT_SCAN_CEILING)
     tracemalloc.start()
     try:
         segments = _segments(config, params)
-        assert list(campaigns._compute("window-check", segments, 1, False)) == [("", (0,) * 5)] * 8
+        assert list(runner._compute("window-check", segments, 1, False)) == [("", (0,) * 5)] * 8
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,13 +458,13 @@ def test_chunk_text_is_dropped_before_the_next_chunk(tmp_path):
 
 def test_parallelism_is_clamped_to_the_cores(monkeypatch, capsys, serial_pool):
     # unclamped, K = 10^8 would cut 200 one-item chunks and size a pool of 199
-    import quaddisc.campaigns as campaigns
+    import quaddisc.runner as runner
 
     config = partial(CampaignConfig, "verify-theorem12", {"case": "3k-1"}, 4, 203, timing=False)
     assert run(config(parallelism=1)) == EXIT_OK
     serial = capsys.readouterr()
-    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
-    monkeypatch.setattr(campaigns, "_available_cores", lambda: 3)
+    monkeypatch.setattr(runner, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "_available_cores", lambda: 3)
     assert run(config(parallelism=10**8)) == EXIT_OK
     assert capsys.readouterr() == serial
     # chunks of 200 // (3 * 8) = 8 items: the parent computes the first
@@ -629,7 +622,7 @@ def test_window_check_ceiling_cuts_the_range(tmp_path, capsys, monkeypatch, seri
                                              parallelism):
     # a ceiling of 200 cuts d = 4's n = 40..100 where the windows pass it:
     # below, each n is decided as without a ceiling, then each is an error
-    monkeypatch.setattr("quaddisc.campaigns._POOL_AFTER_S", 0.0)
+    monkeypatch.setattr("quaddisc.runner._POOL_AFTER_S", 0.0)
     path = tmp_path / "w.jsonl"
     assert main(["window-check", "--d", "4", "--n-from", "40", "--n-to", "100",
                  "--scan-ceiling", "200", "--no-timing", "--parallelism", str(parallelism),
@@ -1409,9 +1402,11 @@ def test_cli_never_loads_numpy(argv):
 # inspect, ast and dis, fractions brings in decimal, and only a pool repays
 # multiprocessing.  A window check imports fractions only for --eps: its
 # default window validates and computes without it.  Each entry point loads one
-# set of quaddisc modules: `import quaddisc` none, tables, --help and a usage
-# error only cli and tables, and a campaign the library but not the resume
-# reader.  The probe reports on stderr what `import quaddisc` loaded, on the
+# set of quaddisc modules: `import quaddisc` none, tables, --help and an
+# unknown command only cli and tables, and a campaign the library and the runner but not
+# the resume reader.  A campaign's usage error loads what the campaign does:
+# the CLI imports both before it builds the parser, which a lower peak RSS
+# repaid.  The probe reports on stderr what `import quaddisc` loaded, on the
 # first line, and main's exit status and what main loaded, on the last.
 _STARTUP_PROBE = """
 import sys
@@ -1425,7 +1420,8 @@ print(main(sys.argv[1:]), loaded(), file=sys.stderr)
 
 _FRONT = ["quaddisc.cli", "quaddisc.tables"]
 _LIBRARY = sorted([*_FRONT, "quaddisc.campaigns", "quaddisc.conjectures",
-                   "quaddisc.discriminator", "quaddisc.ntcore", "quaddisc.verifier"])
+                   "quaddisc.discriminator", "quaddisc.ntcore", "quaddisc.runner",
+                   "quaddisc.verifier"])
 _WINDOW_ARGV = ["window-check", "--d", "5", "--n-from", "200", "--n-to", "300", *_CAMPAIGN_FLAGS]
 
 
@@ -1450,6 +1446,30 @@ def test_cli_startup_imports():
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert [lines[0], lines[-1]] == ["[]", f"{status} {modules}"], argv
+
+
+def test_no_module_compiles_past_the_peak():
+    # A process that compiles the package from source (no bytecode cache)
+    # peaks at the compiler's peak for its largest module; the one warm-up
+    # compile of each keeps the compiler's own first allocations out.
+    import tracemalloc
+
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((Path(__file__).resolve().parents[1] / "src" / "quaddisc")
+                                  .glob("*.py"))}
+    peaks = {}
+    for name, text in sources.items():
+        compile(text, name, "exec")
+        tracemalloc.start()
+        try:
+            compile(text, name, "exec")
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    name = max(peaks, key=peaks.get)
+    assert peaks[name] < 1.25 * 2**20, (
+        f"compiling {name} peaks at {peaks[name] / 1024:.0f} KiB: the largest module sets the "
+        f"peak RSS of a campaign run from source")
 
 
 # The names `from quaddisc import *` bound when the package imported every

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import quaddisc.conjectures as conjectures
-from quaddisc.campaigns import EXIT_MISMATCH
 from quaddisc.cli import main
 from quaddisc.conjectures import (
     PAIR_THRESHOLD,
@@ -18,6 +17,7 @@ from quaddisc.conjectures import (
 )
 from quaddisc.discriminator import HalfQuadratic
 from quaddisc.ntcore import is_prime, nth_primes
+from quaddisc.tables import EXIT_MISMATCH
 
 
 def test_pair_threshold_table():

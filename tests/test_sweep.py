@@ -14,18 +14,11 @@ from types import SimpleNamespace
 
 import pytest
 
-import quaddisc.campaigns as campaigns
 import quaddisc.discriminator as discriminator
-from quaddisc.campaigns import (
-    EXIT_CEILING,
-    EXIT_OK,
-    CampaignConfig,
-    _chunk,
-    _compute,
-    parse_record,
-    run,
-    serialize_record,
-)
+import quaddisc.runner as runner
+from quaddisc.campaigns import CampaignConfig, parse_record, serialize_record
+from quaddisc.runner import _chunk, _compute, run
+from quaddisc.tables import EXIT_CEILING, EXIT_OK
 from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.ntcore import DEFAULT_SCAN_CEILING
 from quaddisc.verifier import REMARK12_CASES, THEOREM12_CASES
@@ -201,7 +194,7 @@ CAMPAIGNS = [
 @pytest.fixture
 def fork_early(monkeypatch):
     """Campaigns at K > 1 fork their pool after the first serial chunk."""
-    monkeypatch.setattr(campaigns, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "_POOL_AFTER_S", 0.0)
 
 
 @pytest.mark.parametrize("command,params,n_from,n_to", CAMPAIGNS)
@@ -270,13 +263,13 @@ def fake_clock(monkeypatch, costs):
     """Make the k-th chunk _compute times take costs[k] s: the clock reads the
     costs of the chunks done so far, so it stands still inside a chunk, whose
     compute reads it too."""
-    done, real = [], campaigns._chunk
-    monkeypatch.setattr(campaigns, "_chunk", lambda *args: (real(*args), done.append(1))[0])
-    monkeypatch.setattr(campaigns, "time",
+    done, real = [], runner._chunk
+    monkeypatch.setattr(runner, "_chunk", lambda *args: (real(*args), done.append(1))[0])
+    monkeypatch.setattr(runner, "time",
                         SimpleNamespace(perf_counter=lambda: sum(costs[:len(done)])))
 
 
-T = campaigns._POOL_AFTER_S
+T = runner._POOL_AFTER_S
 
 
 @pytest.mark.parametrize("costs,pooled", [
@@ -313,7 +306,7 @@ def test_forked_worker_starts_from_parent_hint(monkeypatch, fork_early):
     # the parent computes the first chunk, then forks; each worker's first
     # chunk starts from the hint the parent's last scan left, not cold
     monkeypatch.setattr(discriminator, "_last_scan", None)
-    monkeypatch.setattr(campaigns, "_chunk", chunk_with_start_hint)
+    monkeypatch.setattr(runner, "_chunk", chunk_with_start_hint)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     results = _compute("verify-theorem12", [(params, list(range(4, 100)))], 2, timing=False)
     parent_pid, _, _ = next(results)
