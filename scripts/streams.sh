@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Streams identical across parallelism: the same --no-timing records, summary
 # and exit status at --parallelism 1 and 2, for fresh runs and for resumes of
-# streams with deleted lines, one of them among another campaign's records,
-# and of a window stream cut mid-line after its first half.
+# streams with deleted lines, one of them among another campaign's records
+# and a record torn mid-line, and of a window stream cut mid-line after its
+# first half.
 # Exits non-zero at the first difference.
 #
 # The CLI comes from $QUADDISC (default: quaddisc, as `pip install .` puts it
@@ -175,12 +176,17 @@ surface=("--help" "-h" "" "bogus" "tables" "tables --bogus"
 # Every 13th d = 7 window record goes too, the failure at n = 328 among them,
 # while the failures at 468..470 stay in the prior file and make the exit 2.
 # The d = 5 window file from n = 206 also holds, after its first 100 lines,
-# the d = 7 window records of n = 300..400, another campaign's records at
-# some of its own n: the resume counts none of them and leaves them in place.
+# a record torn mid-line and then the d = 7 window records of n = 300..400,
+# another campaign's records at some of its own n: the resume warns about the
+# torn line and skips it, counts none of the d = 7 records, and leaves all of
+# them in place.
 # Every 7th Theorem 1.1 record goes, and every 6th discriminator record.
-# The resumed file holds the fresh records (and those foreign lines), and its
-# summary and exit status are the fresh ones.
-resumes=("window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 --n-from 300 --n-to 400"
+# The resumed file holds the fresh records (and those foreign and corrupt
+# lines), and its summary and exit status are the fresh ones.  An entry is
+# the command line|every|the foreign campaign|the corrupt line, the last two
+# optional.
+torn='{"cmd":"window-check","d":5,"n":'
+resumes=("window-check --d 5 --n-from 206 --n-to 3000|17|window-check --d 7 --n-from 300 --n-to 400|$torn"
          "verify-remark11 --all|5"
          "window-check --d 7 --n-from 300 --n-to 3000|13"
          "verify-theorem12 --case 3k-1 --n-from 4 --n-to 400|7"
@@ -214,7 +220,7 @@ errs_to() {
 # its exit status.  A resume runs on $tmp/resumed.jsonl, the path its warnings
 # name, in either tree.  $3 = base skips the lines skip_on_base names.
 record() {
-  local cli=$1 dir=$2 side=${3:-} i par args every foreign
+  local cli=$1 dir=$2 side=${3:-} i par args every foreign corrupt
   mkdir -p "$dir"
   for i in "${!fresh[@]}"; do
     args=${fresh[$i]}
@@ -225,13 +231,15 @@ record() {
     done
   done
   for i in "${!resumes[@]}"; do
-    IFS='|' read -r args every foreign <<< "${resumes[$i]}"
+    IFS='|' read -r args every foreign corrupt <<< "${resumes[$i]}"
     errs_to "$dir/full$i.err" $cli $args --no-timing --parallelism 1 > "$dir/full$i.out"
     awk -v every="$every" 'NR % every != 3 % every' "$dir/full$i.out" > "$dir/holes$i.out"
     : > "$dir/foreign$i.out"
     [ -z "$foreign" ] || $cli $foreign --no-timing > "$dir/foreign$i.out" 2> /dev/null
-    { head -n 100 "$dir/holes$i.out"; cat "$dir/foreign$i.out"; tail -n +101 "$dir/holes$i.out"; } \
-      > "$dir/prior$i.out"
+    : > "$dir/corrupt$i.out"
+    [ -z "$corrupt" ] || echo "$corrupt" > "$dir/corrupt$i.out"
+    { head -n 100 "$dir/holes$i.out"; cat "$dir/corrupt$i.out" "$dir/foreign$i.out"
+      tail -n +101 "$dir/holes$i.out"; } > "$dir/prior$i.out"
     for par in 1 2; do
       cp "$dir/prior$i.out" "$tmp/resumed.jsonl"
       errs_to "$dir/resumed$i.$par.err" \
@@ -321,15 +329,22 @@ for i in "${!fresh[@]}"; do
 done
 
 for i in "${!resumes[@]}"; do
-  IFS='|' read -r args every foreign <<< "${resumes[$i]}"
+  IFS='|' read -r args every foreign corrupt <<< "${resumes[$i]}"
   cmp -s "$d/holes$i.out" "$d/full$i.out" && { echo "$args: no line deleted" >&2; exit 1; }
   cmp "$d/resumed$i.1.jsonl" "$d/resumed$i.2.jsonl"
   cmp "$d/resumed$i.1.err" "$d/resumed$i.2.err"
-  cmp "$d/full$i.err" "$d/resumed$i.1.err"
-  cmp <(sort "$d/full$i.out" "$d/foreign$i.out") <(sort "$d/resumed$i.1.jsonl")
+  if [ -n "$corrupt" ]; then
+    at=$(($(head -n 100 "$d/holes$i.out" | wc -l) + 1))
+    grep -qxF "warning: skipping corrupt record at $tmp/resumed.jsonl:$at" "$d/resumed$i.1.err" ||
+      { echo "$args --resume: no warning for the corrupt line $at" >&2; exit 1; }
+    cmp "$d/full$i.err" <(grep -v '^warning: ' "$d/resumed$i.1.err")
+  else
+    cmp "$d/full$i.err" "$d/resumed$i.1.err"
+  fi
+  cmp <(sort "$d/full$i.out" "$d/foreign$i.out" "$d/corrupt$i.out") <(sort "$d/resumed$i.1.jsonl")
   exits_as "$args" "$d/full$i.err"
   echo "ok  $args --resume ($(($(wc -l < "$d/full$i.out") - $(wc -l < "$d/holes$i.out"))) deleted," \
-       "$(wc -l < "$d/foreign$i.out") foreign)"
+       "$(wc -l < "$d/foreign$i.out") foreign, $(wc -l < "$d/corrupt$i.out") corrupt)"
 done
 
 exits_as "$cut" "$d/cut.err"

@@ -6,14 +6,13 @@ Public names import their module on first access (PEP 562): `import quaddisc` lo
 _NAMES = {
     "discriminator": "APCase HalfQuadratic collision_witness least_modulus least_modulus_pair "
                      "pairwise_distinct pairwise_distinct_fast",
-    "ntcore": "DEFAULT_SCAN_CEILING ScanCeilingError classify_two_power_times_prime "
+    "ntcore": "DEFAULT_SCAN_CEILING Outcome ScanCeilingError classify_two_power_times_prime "
               "first_prime_in_ap first_prime_of_form is_prime nth_primes primes_in_range radical",
     "verifier": "COROLLARY11_THRESHOLD COUNTEREXAMPLE_RESIDUE PREDICTION_THRESHOLD "
-                "THETA_ERROR_BOUND WINDOW_THRESHOLD ModulusClass VerificationRecord "
-                "predicted_prime prime_window_all_residues verify_remark12 verify_theorem11 "
-                "verify_theorem12",
-    "conjectures": "PAIR_THRESHOLD ConjectureReport conjecture11_check conjecture12_check "
-                   "conjecture13_check conjecture14_check",
+                "THETA_ERROR_BOUND WINDOW_THRESHOLD ModulusClass predicted_prime "
+                "prime_window_all_residues verify_remark12 verify_theorem11 verify_theorem12",
+    "conjectures": "PAIR_THRESHOLD conjecture11_check conjecture12_check conjecture13_check "
+                   "conjecture14_check",
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -25,8 +25,8 @@ from .conjectures import (
     conjecture14_check,
 )
 from .discriminator import APCase, HalfQuadratic, _check_separable, least_modulus
-from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, ScanCeilingError, Value, _MR_LIMIT,
-                     first_prime_of_form)
+from .ntcore import (DEFAULT_SCAN_CEILING, POLYNOMIAL_FORMS, Outcome, ScanCeilingError, Value,
+                     _MR_LIMIT, first_prime_of_form)
 from .tables import COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD, WINDOW_THRESHOLD, serialize_record
 from .verifier import (
     COROLLARY11_THRESHOLD,
@@ -85,20 +85,20 @@ class Command(Value, namedtuple("Command", "options check compute certified one_
     returns its work as (params, range of n) pairs, in output order; None is
     range(n_from, n_to + 1), which the CLI reads from --n-from/--n-to.
     compute(params, ns) returns the records of ascending ns as runs (ns,
-    least_m, predicted, match, extra, ms), in order: each run's n share those
-    outcome fields, extra record fields (a dict or None) and ms, the whole ms
-    each took.  certified(params) is (start, value): records with n >= start
-    are asserted to have match == value, or value(n) for conjecture 1.3's
-    rule, and a start of None asserts nothing.  Both get a segment's params.
+    least_m, predicted, match, extra, ms), in order: each run's n share the
+    fields of one Outcome, which a check of one n returns (extra, the record's
+    extra fields, is a dict or None), and ms, the whole ms each took.
+    certified(params) is (start, value): records with n >= start are asserted
+    to have match == value, or value(n) for conjecture 1.3's rule, and a start
+    of None asserts nothing.  Both get a segment's params.
     one_of marks options that exclude each other, one required."""
 
     __slots__ = ()
 
 
-def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: Sequence[int]) -> list:
-    """One run per n from compute(p, n), the least_m, predicted, match and
-    extra fields of one n: ms times that call, and a scan past the ceiling
-    makes an error record."""
+def _each_n(compute: Callable[[dict, int], Outcome], p: dict, ns: Sequence[int]) -> list:
+    """One run per n from compute(p, n), the Outcome of one n: ms times that
+    call, and a scan past the ceiling makes an error record."""
     runs, clock = [], time.perf_counter
     for n in ns:
         t0 = clock()
@@ -109,10 +109,6 @@ def _each_n(compute: Callable[[dict, int], tuple], p: dict, ns: Sequence[int]) -
         else:
             runs.append(([n], least_m, predicted, match, extra, int((clock() - t0) * 1000)))
     return runs
-
-
-def _verified(vrec) -> tuple:
-    return vrec.least_m, vrec.predicted, vrec.match, None
 
 
 def _check_apcase(config: CampaignConfig) -> dict:
@@ -126,8 +122,8 @@ def _check_apcase(config: CampaignConfig) -> dict:
     return {"d": p["d"], "c": p["c"]}
 
 
-def _theorem11(p: dict, n: int) -> tuple:
-    return _verified(verify_theorem11(p["d"], p["c"], n, p["ceiling"]))
+def _theorem11(p: dict, n: int) -> Outcome:
+    return verify_theorem11(p["d"], p["c"], n, p["ceiling"])
 
 
 def _remark11_rows(config: CampaignConfig, params: dict) -> list[tuple[dict, range]]:
@@ -166,12 +162,12 @@ def _check_window(config: CampaignConfig) -> dict:
     return {"d": d, "eps": eps, "eps_fraction": value}
 
 
-def _window_n(p: dict, n: int) -> tuple:
+def _window_n(p: dict, n: int) -> Outcome:
     d, eps = p["d"], p.get("eps_fraction")
     last = _window_ends(d, n, _window_terms(d, eps))[1]
     if last > p["ceiling"]:
         raise ScanCeilingError(f"window of n = {n} up to {last}", p["ceiling"])
-    return None, None, prime_window_all_residues(d, n, eps), None
+    return Outcome(None, None, prime_window_all_residues(d, n, eps))
 
 
 def _window(p: dict, ns: Sequence[int]) -> list:
@@ -252,14 +248,6 @@ def _check_conjecture(config: CampaignConfig) -> dict:
     return {"id": cid}
 
 
-def _conjecture(p: dict, n: int) -> tuple:
-    rep = _CONJECTURES[p["id"]](p, n)
-    extra = {} if rep.class_flags is None else {"flags": list(rep.class_flags)}
-    if rep.certificate is not None:
-        extra["certificate"] = rep.certificate
-    return rep.observed, rep.predicted, rep.agrees, extra
-
-
 def _certified_conjecture(p: dict) -> tuple:
     if p["id"] == "1.1":
         return PAIR_THRESHOLD.get(p["d"]), True
@@ -284,9 +272,9 @@ def _check_discriminator(config: CampaignConfig) -> dict:
     return {"A": a, "B": b}
 
 
-def _discriminator(p: dict, n: int) -> tuple:
+def _discriminator(p: dict, n: int) -> Outcome:
     m = least_modulus(HalfQuadratic(p["A"], p["B"]), n, ceiling=p["ceiling"])
-    return m, None, None, None
+    return Outcome(m, None, None)
 
 
 _INT = {"type": int, "required": True}
@@ -314,8 +302,7 @@ COMMANDS = {
     "verify-theorem12": Command(
         options=(("--case", {"required": True, "choices": tuple(THEOREM12_CASES)}),),
         check=lambda config: _check_member(config, "case", THEOREM12_CASES, "unknown case {!r}"),
-        compute=partial(_each_n, lambda p, n: _verified(verify_theorem12(p["case"], n,
-                                                                         p["ceiling"]))),
+        compute=partial(_each_n, lambda p, n: verify_theorem12(p["case"], n, p["ceiling"])),
         certified=lambda p: (THEOREM12_CASES[p["case"]].threshold, True),
     ),
     "verify-remark12": Command(
@@ -323,8 +310,7 @@ COMMANDS = {
         check=lambda config: _check_member(
             config, "sign", REMARK12_CASES, "sign must be 'minus' or 'plus', got {!r}"
         ),
-        compute=partial(_each_n, lambda p, n: _verified(verify_remark12(p["sign"], n,
-                                                                        p["ceiling"]))),
+        compute=partial(_each_n, lambda p, n: verify_remark12(p["sign"], n, p["ceiling"])),
         certified=lambda p: (REMARK12_CASES[p["sign"]].threshold, True),
     ),
     "corollary11": Command(
@@ -347,7 +333,7 @@ COMMANDS = {
                  ("--variant", {"choices": VARIANTS, "default": "choose2",
                                 "help": "sequence variant for 1.3"})),
         check=_check_conjecture,
-        compute=partial(_each_n, _conjecture),
+        compute=partial(_each_n, lambda p, n: _CONJECTURES[p["id"]](p, n)),
         certified=_certified_conjecture,
     ),
     "discriminator": Command(

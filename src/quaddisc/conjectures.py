@@ -1,21 +1,21 @@
 """Checkers for the four open conjectures about binomial and prime-indexed sequences.
 
 Each checker recomputes the observed discriminator and the conjectured value
-from scratch and reports agreement.  A disagreement is not swallowed: the
-report carries a certificate (an explicit colliding pair, or the unexpected
-modulus) precise enough to reproduce the finding independently.
+from scratch and returns their Outcome.  A disagreement is not swallowed: the
+outcome's extra fields carry a certificate (an explicit colliding pair, or the
+unexpected modulus) precise enough to reproduce the finding independently.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import count
 
 from .discriminator import HalfQuadratic, _first_collision, _scan, _separates, least_modulus_pair
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
-    Value,
+    Outcome,
+    _first,
     classify_two_power_times_prime,
     first_prime_in_ap,
     first_prime_of_form,
@@ -32,24 +32,18 @@ PAIR_THRESHOLD = {1: 5, 2: 6, 3: 6, 4: 10, 5: 9, 6: 8, 7: 9, 8: 18, 9: 11, 10: 9
 VARIANTS = {"choose2": HalfQuadratic(1, -1), "squares": HalfQuadratic(2, 0)}
 
 
-class ConjectureReport(Value, namedtuple("ConjectureReport", "conjecture params n observed "
-                                         "predicted agrees certificate class_flags",
-                                         defaults=(None, None))):
-    """One (conjecture, parameter set, n) check: predicted may be None, and
-    certificate (a dict) and class_flags (a pair of bools) default to None."""
-
-    __slots__ = ()
-
-
-def _disagreement(observed: int, predicted: int, collision, **extra) -> dict | None:
-    """Why observed != predicted, or None when they agree: collision(predicted)
-    when observed is larger, the certificate of a colliding pair (or None),
-    else the smaller modulus that already works, with the fields extra."""
+def _outcome(observed: int, predicted: int, collision, **extra) -> Outcome:
+    """observed against predicted, with the certificate of why they differ:
+    collision(predicted) when observed is larger, the certificate of a
+    colliding pair (or None, which writes none), else the smaller modulus that
+    already works, with the fields extra."""
     if observed == predicted:
-        return None
+        return Outcome(observed, predicted, True)
     if observed > predicted:
-        return collision(predicted)
-    return {"kind": "unexpected_smaller_modulus", "modulus": observed, **extra}
+        cert = collision(predicted)
+    else:
+        cert = {"kind": "unexpected_smaller_modulus", "modulus": observed, **extra}
+    return Outcome(observed, predicted, False, None if cert is None else {"certificate": cert})
 
 
 def _collision(values: list[int], m: int, fields: tuple[str, str, str, str]) -> dict | None:
@@ -77,14 +71,11 @@ def first_prime_with_prime_gap(
     Existence for every even gap is the open de Polignac question, hence the
     ceiling.
     """
-    p = first_prime_in_ap(0, 1, max(2, lower_bound), ceiling)
-    while True:
-        if is_prime(p + gap):
-            return p
-        p = first_prime_in_ap(0, 1, p + 1, ceiling)
+    return _first(count(max(2, lower_bound)), lambda p: is_prime(p) and is_prime(p + gap),
+                  ceiling, f"prime pair (gap {gap}) from {lower_bound}")
 
 
-def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
+def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Least m making binomial(k,2) full-count modulo both m and m + 2d, versus
     the first prime p >= 2n - 1 with p + 2d also prime."""
     if d < 1:
@@ -101,25 +92,27 @@ def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> C
         return (_collision(terms, m, _TERM_FIELDS) or _collision(terms, m + gap, _TERM_FIELDS)
                 or {"kind": "inconsistent", "observed": observed, "predicted": predicted})
 
-    cert = _disagreement(observed, predicted, collision, partner=observed + gap)
-    return ConjectureReport("1.1", {"d": d}, n, observed, predicted, observed == predicted, cert)
+    return _outcome(observed, predicted, collision, partner=observed + gap)
 
 
-def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
+def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Least m making binomial(k,2) full-count modulo both m and m + 1; the claim
-    is that m and m + 1 are each a power of two or a prime times a power of two."""
+    is that m and m + 1 are each a power of two or a prime times a power of two.
+    The extra fields are the flags of m and m + 1, then the certificate of a
+    failure."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     seq = VARIANTS["choose2"]
     m = least_modulus_pair(seq, n, 1, ceiling=ceiling)
-    flags = (classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1))
+    flags = [classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1)]
     agrees = flags[0] and flags[1]
-    cert = None
+    extra = {"flags": flags}
     if not agrees:
         offender = m if not flags[0] else m + 1
         q = offender >> ((offender & -offender).bit_length() - 1)
-        cert = {"kind": "classification_failure", "modulus": offender, "odd_part": q}
-    return ConjectureReport("1.2", {}, n, m, None, agrees, cert, flags)
+        extra["certificate"] = {"kind": "classification_failure", "modulus": offender,
+                                "odd_part": q}
+    return Outcome(m, None, agrees, extra)
 
 
 def conjecture13_check(
@@ -127,7 +120,7 @@ def conjecture13_check(
     n: int,
     variant: str = "choose2",
     ceiling: int = DEFAULT_SCAN_CEILING,
-) -> ConjectureReport:
+) -> Outcome:
     """Least modulus OF THE GIVEN POLYNOMIAL FORM making the variant sequence
     pairwise distinct, versus the first form prime >= 2n - 1.
 
@@ -146,10 +139,8 @@ def conjecture13_check(
     observed = _scan((form, seq), n, lambda lower: (v for v in map(f, count(0)) if v >= lower),
                      lambda v: _separates(seq, n, v), ceiling, f"form modulus {form} for n={n}")
     predicted = first_prime_of_form(form, max(2, 2 * n - 1), ceiling)
-    cert = _disagreement(observed, predicted, lambda m: _collision(
+    return _outcome(observed, predicted, lambda m: _collision(
         [seq.term(k) for k in range(1, n + 1)], m, _TERM_FIELDS))
-    return ConjectureReport("1.3", {"form": form, "variant": variant}, n, observed, predicted,
-                            observed == predicted, cert)
 
 
 # The n and pair sums of the last _pair_sums call in this process: a sweep's
@@ -173,7 +164,7 @@ def _pair_sums(primes: list[int]) -> set[int]:
     return sums
 
 
-def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> ConjectureReport:
+def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Least m making 6*p_k*(p_k - 1) (k = 1..n) pairwise distinct, versus the
     first prime >= p_n dividing none of the pair sums p_i + p_j - 1."""
     if n <= 2:
@@ -195,6 +186,5 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Conjectur
     else:
         # the first prime from walked on is >= 2 p_n, or above the ceiling
         predicted = first_prime_in_ap(0, 1, walked, ceiling)
-    cert = _disagreement(observed, predicted,
-                         lambda m: _collision(values, m, ("i", "j", "value_i", "value_j")))
-    return ConjectureReport("1.4", {}, n, observed, predicted, observed == predicted, cert)
+    return _outcome(observed, predicted,
+                    lambda m: _collision(values, m, ("i", "j", "value_i", "value_j")))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, compress, count, islice
@@ -47,6 +48,15 @@ class Value:
 
     def __hash__(self):
         return hash((type(self), *self))
+
+
+class Outcome(Value, namedtuple("Outcome", "least_m predicted match extra", defaults=(None,))):
+    """What one check of n found, as its record writes it: the least modulus,
+    the predicted one (or None), whether the outcome is the one predicted, and
+    the record's extra fields, a dict such as a conjecture's certificate, or
+    None."""
+
+    __slots__ = ()
 
 
 class ScanCeilingError(RuntimeError):

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .discriminator import APCase, HalfQuadratic, least_modulus
 from .ntcore import (
     DEFAULT_SCAN_CEILING,
+    Outcome,
     Value,
     _check_prime_query,
     first_prime_in_ap,
@@ -47,25 +48,13 @@ def predicted_prime(
     return first_prime_in_ap(c, d, bound, ceiling)
 
 
-class VerificationRecord(Value, namedtuple("VerificationRecord", "d c n least_m predicted")):
-    """Outcome of one discriminator-versus-prediction comparison; d and c are
-    None for the d = 2, 3 sequence cases."""
-
-    __slots__ = ()
-
-    @property
-    def match(self) -> bool:
-        return self.least_m == self.predicted
-
-
-def verify_theorem11(
-    d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
-) -> VerificationRecord:
+def verify_theorem11(d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Compare the discriminator of the canonical (d, c) sequence with the
     predicted progression prime; the match is certified for n above
     PREDICTION_THRESHOLD[d] when 4 <= d <= 36."""
     least = least_modulus(APCase(d, c).seq, n, ceiling=ceiling)
-    return VerificationRecord(d, c, n, least, predicted_prime(d, c, n, ceiling))
+    predicted = predicted_prime(d, c, n, ceiling)
+    return Outcome(least, predicted, least == predicted)
 
 
 # --- admissible modulus classes -------------------------------------------------
@@ -152,15 +141,13 @@ REMARK12_CASES = {
 }
 
 
-def _verify_case(case: SequenceCase, n: int, ceiling: int) -> VerificationRecord:
+def _verify_case(case: SequenceCase, n: int, ceiling: int) -> Outcome:
     least = least_modulus(case.seq, n, ceiling=ceiling)
     predicted = case.modulus_class.first_at_least(case.bound(n), ceiling)
-    return VerificationRecord(None, None, n, least, predicted)
+    return Outcome(least, predicted, least == predicted)
 
 
-def verify_theorem12(
-    case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING
-) -> VerificationRecord:
+def verify_theorem12(case_id: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Compare the discriminator of one of the six d = 2, 3 sequences with the
     first member of its prime-or-prime-power class above the stated bound;
     certified for n >= the case threshold."""
@@ -169,9 +156,7 @@ def verify_theorem12(
     return _verify_case(THEOREM12_CASES[case_id], n, ceiling)
 
 
-def verify_remark12(
-    sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING
-) -> VerificationRecord:
+def verify_remark12(sign: str, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     """Same comparison for the two steeper product sequences whose target class
     is plain primes; certified for n >= 5 (minus) / n >= 9 (plus).  The minus
     case also holds at n = 3; n = 4 is its only failure in [3, 1000]

@@ -30,8 +30,10 @@ from quaddisc.campaigns import (
     serialize_record,
 )
 from quaddisc.cli import HELPS, main
-from quaddisc.conjectures import PAIR_THRESHOLD
-from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, ScanCeilingError, first_prime_of_form,
+from quaddisc.conjectures import (PAIR_THRESHOLD, conjecture11_check, conjecture12_check,
+                                  conjecture13_check, conjecture14_check)
+from quaddisc.discriminator import HalfQuadratic, least_modulus
+from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, Outcome, ScanCeilingError, first_prime_of_form,
                              radical)
 from quaddisc.prior import _OUTCOMES, _code, _load_prior, resume
 from quaddisc.runner import _chunk, _segments, _tally, _validate, run
@@ -39,7 +41,8 @@ from quaddisc.tables import EXIT_CEILING, EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, 
 from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
                                PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
                                WINDOW_THRESHOLD, _window_ends, _window_terms,
-                               prime_window_all_residues, window_eps)
+                               prime_window_all_residues, verify_remark12, verify_theorem11,
+                               verify_theorem12, window_eps)
 
 from conftest import dispatch
 
@@ -586,10 +589,9 @@ def test_exit_mismatch_when_a_counterexample_row_matches(monkeypatch, capsys):
     # verify-remark11 expects each row to mismatch; a row that matches is an
     # unexpected outcome, so a broken row fails the run
     import quaddisc.campaigns as campaigns
-    from quaddisc.verifier import VerificationRecord
+    from quaddisc.ntcore import Outcome
 
-    monkeypatch.setattr(campaigns, "verify_theorem11",
-                        lambda d, c, n, ceiling: VerificationRecord(d, c, n, 7, 7))
+    monkeypatch.setattr(campaigns, "verify_theorem11", lambda d, c, n, ceiling: Outcome(7, 7, True))
     assert main(["verify-remark11", "--d", "5", "--no-timing"]) == EXIT_MISMATCH
     assert "match=1 mismatch=0 unexpected=1" in capsys.readouterr().err
 
@@ -978,6 +980,48 @@ def test_window_certifies_failing_runs():
     assert [n for run in runs for n in run[0]] == list(ns)
     assert {run[3] for run in runs} == {True, False}
     assert len(runs) <= 1000
+
+
+def _record_outcome(rec: dict) -> tuple[Outcome, list]:
+    """The Outcome a record writes, and its extra fields, those after ms, in order."""
+    keys = list(rec)
+    extra = [(key, rec[key]) for key in keys[keys.index("ms") + 1:]]
+    return Outcome(rec["least_m"], rec["predicted"], rec["match"], dict(extra) or None), extra
+
+
+@pytest.mark.parametrize("command,params,ns,check", [
+    ("verify-theorem11", {"d": 4, "c": -3}, (8, 9, 40), partial(verify_theorem11, 4, -3)),
+    ("verify-theorem12", {"case": "3k-1"}, (3, 4, 50), partial(verify_theorem12, "3k-1")),
+    ("verify-remark12", {"sign": "minus"}, (4, 5, 60), partial(verify_remark12, "minus")),
+    ("conjecture", {"id": "1.1", "d": 2}, (1, 6, 30), partial(conjecture11_check, 2)),
+    ("conjecture", {"id": "1.2"}, (1, 5, 100), conjecture12_check),
+    ("conjecture", {"id": "1.3", "form": "x^2+x+1", "variant": "squares"}, (1, 3, 4),
+     lambda n: conjecture13_check("x^2+x+1", n, "squares")),
+    ("conjecture", {"id": "1.4"}, (3, 10, 40), conjecture14_check),
+    ("discriminator", {"A": 32, "B": -8}, (1, 10, 40),
+     lambda n: Outcome(least_modulus(HalfQuadratic(32, -8), n), None, None)),
+], ids=["theorem11", "theorem12", "remark12", "conjecture11", "conjecture12", "conjecture13",
+        "conjecture14", "discriminator"])
+def test_a_checks_outcome_is_its_record(command, params, ns, check):
+    # the record of n writes the Outcome of the library's check of n as it is:
+    # least_m, predicted, match, then its extra fields in their own order
+    for n in ns:
+        expected = check(n)
+        outcome, extra = _record_outcome(
+            dispatch(command, dict(params, ceiling=DEFAULT_SCAN_CEILING), n))
+        assert outcome == expected, n
+        assert extra == list((expected.extra or {}).items()), n
+
+
+def test_conjecture12_record_writes_flags_then_certificate(monkeypatch):
+    # a classification failure (m = 24, m + 1 = 25) adds the certificate after the flags
+    import quaddisc.conjectures as conjectures
+
+    monkeypatch.setattr(conjectures, "least_modulus_pair", lambda *args, **kwargs: 24)
+    expected = conjecture12_check(5)
+    outcome, extra = _record_outcome(dispatch("conjecture", {"id": "1.2", "ceiling": 100}, 5))
+    assert outcome == expected and not expected.match
+    assert [key for key, _ in extra] == list(expected.extra) == ["flags", "certificate"]
 
 
 # (command, params, first n): every command, each conjecture id, and
@@ -1472,21 +1516,21 @@ def test_no_module_compiles_past_the_peak():
         f"peak RSS of a campaign run from source")
 
 
-# The names `from quaddisc import *` bound when the package imported every
-# module: the public names of the four library modules, and the modules.
+# The names `from quaddisc import *` binds: the public names of the four
+# library modules, and the modules.
 _PUBLIC = {
     "discriminator": ["APCase", "HalfQuadratic", "collision_witness", "least_modulus",
                       "least_modulus_pair", "pairwise_distinct", "pairwise_distinct_fast"],
-    "ntcore": ["DEFAULT_SCAN_CEILING", "ScanCeilingError", "classify_two_power_times_prime",
-               "first_prime_in_ap", "first_prime_of_form", "is_prime", "nth_primes",
-               "primes_in_range", "radical"],
+    "ntcore": ["DEFAULT_SCAN_CEILING", "Outcome", "ScanCeilingError",
+               "classify_two_power_times_prime", "first_prime_in_ap", "first_prime_of_form",
+               "is_prime", "nth_primes", "primes_in_range", "radical"],
     "tables": ["COUNTEREXAMPLE_RESIDUE", "PREDICTION_THRESHOLD", "THETA_ERROR_BOUND",
                "WINDOW_THRESHOLD"],
-    "verifier": ["COROLLARY11_THRESHOLD", "ModulusClass", "VerificationRecord", "predicted_prime",
+    "verifier": ["COROLLARY11_THRESHOLD", "ModulusClass", "predicted_prime",
                  "prime_window_all_residues", "verify_remark12", "verify_theorem11",
                  "verify_theorem12"],
-    "conjectures": ["PAIR_THRESHOLD", "ConjectureReport", "conjecture11_check",
-                    "conjecture12_check", "conjecture13_check", "conjecture14_check"],
+    "conjectures": ["PAIR_THRESHOLD", "conjecture11_check", "conjecture12_check",
+                    "conjecture13_check", "conjecture14_check"],
 }
 
 
@@ -1496,7 +1540,7 @@ def test_package_resolves_its_names_lazily():
     import quaddisc
     modules = ["conjectures", "discriminator", "ntcore", "verifier"]
     assert quaddisc.__all__ == sorted([*(n for ns in _PUBLIC.values() for n in ns), *modules])
-    assert len(quaddisc.__all__) == 38
+    assert len(quaddisc.__all__) == 37
     star = {}
     exec("from quaddisc import *", star)
     for module, names in _PUBLIC.items():

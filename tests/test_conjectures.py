@@ -16,8 +16,10 @@ from quaddisc.conjectures import (
     first_prime_with_prime_gap,
 )
 from quaddisc.discriminator import HalfQuadratic
-from quaddisc.ntcore import is_prime, nth_primes
+from quaddisc.ntcore import DEFAULT_SCAN_CEILING, is_prime, nth_primes
 from quaddisc.tables import EXIT_MISMATCH
+
+from conftest import dispatch
 
 
 def test_pair_threshold_table():
@@ -32,22 +34,22 @@ def test_first_prime_with_prime_gap():
 
 def test_conjecture11_examples():
     rep = conjecture11_check(1, 5)
-    assert (rep.observed, rep.predicted, rep.agrees) == (11, 11, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (11, 11, True)
     rep = conjecture11_check(1, 6)
-    assert rep.predicted == 11 and rep.agrees
+    assert rep.predicted == 11 and rep.match
     rep = conjecture11_check(5, 9)
-    assert (rep.observed, rep.predicted, rep.agrees) == (19, 19, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (19, 19, True)
     with pytest.raises(ValueError):
         conjecture11_check(0, 5)
 
 
 def test_conjecture12_examples():
     rep = conjecture12_check(1)
-    assert rep.observed == 1 and rep.class_flags == (True, True) and rep.agrees
+    assert rep.least_m == 1 and rep.extra["flags"] == [True, True] and rep.match
     rep = conjecture12_check(5)
-    assert rep.observed == 11 and rep.agrees
+    assert rep.least_m == 11 and rep.match
     rep = conjecture12_check(100)
-    assert rep.observed == 256 and rep.agrees  # 2^8 and 257 prime
+    assert rep.least_m == 256 and rep.match  # 2^8 and 257 prime
 
 
 def test_conjecture12_classification_failure(monkeypatch, capsys):
@@ -56,8 +58,8 @@ def test_conjecture12_classification_failure(monkeypatch, capsys):
     # record as unexpected
     monkeypatch.setattr(conjectures, "least_modulus_pair", lambda *args, **kwargs: 24)
     rep = conjecture12_check(5)
-    assert rep.class_flags == (True, False) and not rep.agrees
-    assert list(rep.certificate.items()) == [
+    assert rep.extra["flags"] == [True, False] and not rep.match
+    assert list(rep.extra["certificate"].items()) == [
         ("kind", "classification_failure"), ("modulus", 25), ("odd_part", 25)]
     assert main(["conjecture", "--id", "1.2", "--n-from", "5", "--n-to", "5",
                  "--no-timing", "--parallelism", "1"]) == EXIT_MISMATCH
@@ -70,9 +72,9 @@ def test_conjecture12_classification_failure(monkeypatch, capsys):
 
 def test_conjecture13_examples():
     rep = conjecture13_check("x^2+x+1", 2, "choose2")
-    assert (rep.observed, rep.predicted, rep.agrees) == (3, 3, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (3, 3, True)
     rep = conjecture13_check("4x^2+1", 3, "choose2")
-    assert (rep.observed, rep.predicted, rep.agrees) == (5, 5, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (5, 5, True)
     with pytest.raises(ValueError):
         conjecture13_check("x^2+1", 3)
     with pytest.raises(ValueError):
@@ -83,17 +85,17 @@ def test_conjecture13_degenerate_n1():
     # x = 0 makes 1 an admissible modulus for a single term; the prediction is
     # the first form prime, so the report shows the disagreement openly
     rep = conjecture13_check("x^2+x+1", 1, "choose2")
-    assert rep.observed == 1 and rep.predicted == 3 and not rep.agrees
-    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
-                                             ("modulus", 1)]
+    assert rep.least_m == 1 and rep.predicted == 3 and not rep.match
+    assert list(rep.extra["certificate"].items()) == [
+        ("kind", "unexpected_smaller_modulus"), ("modulus", 1)]
 
 
 def test_conjecture13_squares_forced_disagreement():
     # when the first form prime >= 2n-1 is exactly 2n-1, the squares variant
     # must collide at that prime: k = n-1, l = n gives l^2 - k^2 = 2n-1
     rep = conjecture13_check("x^2+x+1", 4, "squares")
-    assert rep.observed == 13 and rep.predicted == 7 and not rep.agrees
-    cert = rep.certificate
+    assert rep.least_m == 13 and rep.predicted == 7 and not rep.match
+    cert = rep.extra["certificate"]
     assert list(cert) == ["kind", "modulus", "k", "l", "term_k", "term_l"]
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == 7
     k, l = cert["k"], cert["l"]
@@ -104,18 +106,18 @@ def test_conjecture13_squares_forced_disagreement():
 
 def test_conjecture13_squares_agrees_off_boundary():
     rep = conjecture13_check("x^2+x+1", 3, "squares")
-    assert (rep.observed, rep.predicted, rep.agrees) == (7, 7, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (7, 7, True)
     rep = conjecture13_check("4x^2+1", 5, "squares")
-    assert rep.agrees, rep
+    assert rep.match, rep
 
 
 def test_conjecture14_examples():
     rep = conjecture14_check(3)
-    assert (rep.observed, rep.predicted, rep.agrees) == (5, 5, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (5, 5, True)
     rep = conjecture14_check(4)
-    assert (rep.observed, rep.predicted, rep.agrees) == (13, 13, True)
+    assert (rep.least_m, rep.predicted, rep.match) == (13, 13, True)
     rep = conjecture14_check(10)
-    assert rep.agrees and rep.observed == rep.predicted == 37
+    assert rep.match and rep.least_m == rep.predicted == 37
     with pytest.raises(ValueError):
         conjecture14_check(2)
 
@@ -175,10 +177,12 @@ def test_prime_dividing_no_pair_sum_separates_values():
 
 
 def test_reports_carry_parameters():
-    rep = conjecture11_check(3, 7)
-    assert rep.conjecture == "1.1" and rep.params == {"d": 3} and rep.n == 7
-    rep = conjecture13_check("4x^2+1", 2, "squares")
-    assert rep.params == {"form": "4x^2+1", "variant": "squares"}
+    # a check returns what it found of n; the record of n adds its parameters
+    rec = dispatch("conjecture", {"id": "1.1", "d": 3, "ceiling": DEFAULT_SCAN_CEILING}, 7)
+    assert (rec["id"], rec["d"], rec["n"]) == ("1.1", 3, 7)
+    rec = dispatch("conjecture", {"id": "1.3", "form": "4x^2+1", "variant": "squares",
+                                  "ceiling": DEFAULT_SCAN_CEILING}, 2)
+    assert (rec["form"], rec["variant"]) == ("4x^2+1", "squares")
 
 
 def _first_primes(n):
@@ -199,10 +203,10 @@ def test_conjecture14_collision_certificate(monkeypatch, n):
     monkeypatch.setattr(conjectures, "_pair_sums", lambda primes: set())
     primes = _first_primes(n)
     rep = conjecture14_check(n)
-    assert rep.predicted == primes[-1] < rep.observed and not rep.agrees
+    assert rep.predicted == primes[-1] < rep.least_m and not rep.match
     if n == 10:
-        assert (rep.observed, rep.predicted) == (37, 29)
-    cert = rep.certificate
+        assert (rep.least_m, rep.predicted) == (37, 29)
+    cert = rep.extra["certificate"]
     assert list(cert) == ["kind", "modulus", "i", "j", "value_i", "value_j"]
     assert cert["kind"] == "predicted_modulus_collides" and cert["modulus"] == rep.predicted
     q, i, j = rep.predicted, cert["i"], cert["j"]
@@ -221,8 +225,8 @@ def test_conjecture11_collision_certificate(monkeypatch, d, n):
                         lambda lower_bound, gap, ceiling: lower_bound)
     rep = conjecture11_check(d, n)
     predicted, gap = 2 * n - 1, 2 * d
-    assert rep.predicted == predicted < rep.observed and not rep.agrees
-    cert = rep.certificate
+    assert rep.predicted == predicted < rep.least_m and not rep.match
+    cert = rep.extra["certificate"]
     assert list(cert) == ["kind", "modulus", "k", "l", "term_k", "term_l"]
     assert cert["kind"] == "predicted_modulus_collides"
     m, k, l = cert["modulus"], cert["k"], cert["l"]
@@ -240,9 +244,9 @@ def test_conjecture11_collision_certificate(monkeypatch, d, n):
 def test_conjecture11_smaller_modulus_certificate_names_its_partner():
     # at n = 1 the modulus 1 separates a single term, below the predicted 3
     rep = conjecture11_check(1, 1)
-    assert (rep.observed, rep.predicted, rep.agrees) == (1, 3, False)
-    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
-                                             ("modulus", 1), ("partner", 3)]
+    assert (rep.least_m, rep.predicted, rep.match) == (1, 3, False)
+    assert list(rep.extra["certificate"].items()) == [
+        ("kind", "unexpected_smaller_modulus"), ("modulus", 1), ("partner", 3)]
 
 
 def test_conjecture11_inconsistent_certificate(monkeypatch):
@@ -257,9 +261,9 @@ def test_conjecture11_inconsistent_certificate(monkeypatch):
     monkeypatch.setattr(conjectures, "first_prime_with_prime_gap",
                         lambda lower_bound, gap, ceiling: 11)
     rep = conjecture11_check(1, 5)
-    assert (rep.observed, rep.predicted, rep.agrees) == (12, 11, False)
-    assert list(rep.certificate.items()) == [("kind", "inconsistent"), ("observed", 12),
-                                             ("predicted", 11)]
+    assert (rep.least_m, rep.predicted, rep.match) == (12, 11, False)
+    assert list(rep.extra["certificate"].items()) == [
+        ("kind", "inconsistent"), ("observed", 12), ("predicted", 11)]
 
 
 def test_conjecture14_smaller_modulus_certificate(monkeypatch):
@@ -270,6 +274,6 @@ def test_conjecture14_smaller_modulus_certificate(monkeypatch):
 
     monkeypatch.setattr(conjectures, "_pair_sums", every_prime_below_2p_n)
     rep = conjecture14_check(10)
-    assert (rep.observed, rep.predicted, rep.agrees) == (37, 59, False)
-    assert list(rep.certificate.items()) == [("kind", "unexpected_smaller_modulus"),
-                                             ("modulus", 37)]
+    assert (rep.least_m, rep.predicted, rep.match) == (37, 59, False)
+    assert list(rep.extra["certificate"].items()) == [
+        ("kind", "unexpected_smaller_modulus"), ("modulus", 37)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import quaddisc.conjectures as conjectures
 import quaddisc.discriminator as discriminator
+from quaddisc.cli import main
 from quaddisc.conjectures import conjecture13_check
 from quaddisc.discriminator import (
     APCase,
@@ -23,6 +24,7 @@ from quaddisc.discriminator import (
     pairwise_distinct_fast,
 )
 from quaddisc.ntcore import ScanCeilingError, radical
+from quaddisc.tables import EXIT_OK
 
 
 # --- oracle: direct residue computation, no shared code with the library paths ---
@@ -335,3 +337,25 @@ def test_lemma22_slice():
                 expected = (p % d == c % d) and p > lower
                 assert pairwise_distinct(case.seq, n, p) == expected, (c, p)
             p += 1
+
+
+def test_paper_closed_forms(capsys):
+    # 2k(k-1) = HalfQuadratic(4, -4): the least modulus is the least prime
+    # above 2n - 2.  18k(3k-1) = HalfQuadratic(108, -36): from n = 4 on it is
+    # the least prime p > 3n with p == 1 (mod 3), and n = 1, 2, 3 give 1, 5, 5.
+    # The primes come from trial division, independent of the library.
+    primes = [p for p in range(2, 6200) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+
+    def least_prime(above, residue=0, modulus=1):
+        return next(p for p in primes if p > above and p % modulus == residue)
+
+    ns = range(2, 2001)
+    assert [least_modulus(HalfQuadratic(4, -4), n) for n in ns] == [
+        least_prime(2 * n - 2) for n in ns]
+    assert [least_modulus(HalfQuadratic(108, -36), n) for n in range(1, 2001)] == [
+        1, 5, 5, *(least_prime(3 * n, 1, 3) for n in range(4, 2001))]
+    assert main(["discriminator", "--A", "4", "--B", "-4", "--n-from", "2", "--n-to", "300",
+                 "--no-timing", "--parallelism", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f'{{"cmd":"discriminator","A":4,"B":-4,"n":{n},"least_m":{least_prime(2 * n - 2)},'
+        f'"predicted":null,"match":null,"ms":0}}\n' for n in range(2, 301))

@@ -1,4 +1,4 @@
-"""Value semantics of the eight value types: equality and hash within one class,
+"""Value semantics of the seven value types: equality and hash within one class,
 immutability, validation messages, construction and pickling.  The validation
 messages of first_prime_in_ap, which takes plain arguments, are checked with
 theirs."""
@@ -9,10 +9,9 @@ from collections import namedtuple
 import pytest
 
 from quaddisc.campaigns import CampaignConfig, Command
-from quaddisc.conjectures import ConjectureReport
 from quaddisc.discriminator import APCase, HalfQuadratic, least_modulus
-from quaddisc.ntcore import Value, first_prime_in_ap
-from quaddisc.verifier import ModulusClass, SequenceCase, VerificationRecord
+from quaddisc.ntcore import Outcome, Value, first_prime_in_ap
+from quaddisc.verifier import ModulusClass, SequenceCase
 
 
 def _check(config):
@@ -30,20 +29,28 @@ def _certified(params):
 VALUES = [
     HalfQuadratic(3, 1),
     APCase(3, 1),
-    VerificationRecord(5, -1, 15, 29, 29),
+    Outcome(29, 29, True),
     ModulusClass(1, 3, 3),
     SequenceCase("3k-1", 6, 3, -1, 4, ModulusClass(1, 3, 3), 3, 0),
-    ConjectureReport("1.2", {}, 5, 9, None, True),
+    Outcome(9, None, True, {"flags": [True, True]}),
     CampaignConfig("window-check", {"d": 5}, 206, 300),
     Command((("--d", {"type": int}),), _check, _compute, _certified),
 ]
 
 # Values that hold a dict: equal ones compare equal, but they cannot be hashed.
-UNHASHABLE = (ConjectureReport, CampaignConfig, Command)
+# An Outcome holds one only when its extra is a dict, as a conjecture's does.
+UNHASHABLE = (CampaignConfig, Command)
+
+
+def _unhashable(value):
+    return isinstance(value, UNHASHABLE) or isinstance(getattr(value, "extra", None), dict)
 
 
 def _ids(values):
-    return [type(v).__name__ for v in values]
+    # Outcome's two cases keep the ids of the two record types it replaced: a
+    # verifier's outcome (extra None) and a conjecture's (extra a dict).
+    return [type(v).__name__ if type(v) is not Outcome
+            else "ConjectureReport" if v.extra else "VerificationRecord" for v in values]
 
 
 @pytest.mark.parametrize("value", VALUES, ids=_ids(VALUES))
@@ -51,7 +58,7 @@ def test_equal_and_hash_only_within_the_class(value):
     cls = type(value)
     same = cls(*value)
     assert same == value and not same != value
-    if cls in UNHASHABLE:
+    if _unhashable(value):
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -115,8 +122,9 @@ def test_keyword_construction(value):
 def test_defaults():
     assert ModulusClass(power_base=2) == ModulusClass(0, 1, 2)
     assert ModulusClass() == ModulusClass(0, 1, None)
-    report = ConjectureReport("1.2", {}, 5, 9, None, True)
-    assert report.certificate is None and report.class_flags is None
+    outcome = Outcome(29, 29, True)
+    assert outcome.extra is None and outcome == Outcome(29, 29, True, None)
+    assert hash(outcome) == hash(Outcome(29, 29, True, None))
     config = CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, timing=False)
     assert config == CampaignConfig("verify-theorem12", {"case": "3k-1"}, 4, 30, 0, None,
                                     False, 1 << 40, False)

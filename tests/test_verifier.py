@@ -113,9 +113,9 @@ def _remark11_row(d):
 
 def test_verify_remark11_spot_rows(capsys):
     rec = _remark11_row(4)
-    assert not rec.match and rec.n == 8 and rec.c == -3
+    assert not rec.match and (PREDICTION_THRESHOLD[4], COUNTEREXAMPLE_RESIDUE[4]) == (8, -3)
     rec = _remark11_row(12)
-    assert not rec.match and rec.n == 27 and rec.c == 5
+    assert not rec.match and (PREDICTION_THRESHOLD[12], COUNTEREXAMPLE_RESIDUE[12]) == (27, 5)
     assert main(["verify-remark11", "--d", "37", "--no-timing"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -131,7 +131,7 @@ def test_remark11_d6_row_does_not_reproduce():
     rec = verify_theorem11(6, 1, 10)
     assert rec.match and rec.least_m == rec.predicted == 31
     rec = _remark11_row(6)
-    assert rec.n == 9 and rec.c == 1
+    assert (PREDICTION_THRESHOLD[6], COUNTEREXAMPLE_RESIDUE[6]) == (9, 1)
     assert not rec.match and rec.least_m == 27 and rec.predicted == 31
 
 
