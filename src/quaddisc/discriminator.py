@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from itertools import count
 
 from .ntcore import DEFAULT_SCAN_CEILING, Value, _first, _prime_factors, radical
@@ -65,28 +65,22 @@ class APCase(Value, namedtuple("APCase", "d c")):
         return HalfQuadratic.from_factors(2 * self.rad, self.d, -self.c)
 
 
-def _distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
-    """Occupancy pass over f(1..n) modulo m in exact integers, with early exit
-    on the first collision.  Each residue follows from the last by two
-    additions: f(k+1) - f(k) grows by a at every step."""
-    a, b = seq.a, seq.b
-    h = (a + b) // 2  # f(1); exact, a + b is even
+def _residues(seq: HalfQuadratic, n: int, m: int) -> Iterator[int]:
+    """f(1), ..., f(n) modulo m, in exact integers.  Each residue follows from
+    the last by two additions: f(k+1) - f(k) grows by a at every step."""
+    a = seq.a
+    h = (a + seq.b) // 2  # f(1); exact, a + b is even
     val = h % m
     step = (a + h) % m  # f(2) - f(1)
     inc = a % m
-    seen: set[int] = set()
-    add = seen.add
     for _ in range(n):
-        if val in seen:
-            return False
-        add(val)
+        yield val
         val += step
         if val >= m:
             val -= m
         step += inc
         if step >= m:
             step -= m
-    return True
 
 
 def _guarded(test: Callable, seq: HalfQuadratic, n: int, m: int) -> bool:
@@ -106,11 +100,12 @@ def _guarded(test: Callable, seq: HalfQuadratic, n: int, m: int) -> bool:
 def pairwise_distinct(seq: HalfQuadratic, n: int, m: int) -> bool:
     """True iff f(1..n) are pairwise distinct modulo m.
 
-    Single O(n) occupancy pass with early exit on the first collision; always
-    False when m < n by pigeonhole.  The scans use the divisor-class test of
-    _separates instead; this pass is the oracle it is tested against.
+    collision_witness's O(n) occupancy pass, with early exit on the first
+    collision; always False when m < n by pigeonhole.  The scans use the
+    divisor-class test of _separates instead; this pass is the oracle it is
+    tested against.
     """
-    return _guarded(_distinct, seq, n, m)
+    return _guarded(lambda *args: collision_witness(*args) is None, seq, n, m)
 
 
 def pairwise_distinct_fast(case: APCase, n: int, m: int) -> bool:
@@ -195,7 +190,7 @@ def collision_witness(seq: HalfQuadratic, n: int, m: int) -> tuple[int, int] | N
     """First pair 1 <= k < l <= n with f(k) == f(l) (mod m), else None."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _first_collision(seq.term(k) % m for k in range(1, n + 1))
+    return _first_collision(_residues(seq, n, m))
 
 
 def _check_separable(seq: HalfQuadratic, n: int) -> None:

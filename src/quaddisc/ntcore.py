@@ -1,18 +1,19 @@
 """Deterministic primality, sieving, and prime search in arithmetic progressions.
 
-Everything here is exact for 64-bit inputs: the Miller-Rabin witness set below is
-a verified deterministic set for all n < 2^64, so verification campaigns built on
-top of it carry no probabilistic error.
+Everything here is exact for 64-bit inputs: the Miller-Rabin witness sets below
+are verified deterministic sets for all n < 2^64, so verification campaigns
+built on top of it carry no probabilistic error.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, takewhile
 
 #: Default ceiling for open-ended prime scans (first prime of a polynomial form,
 #: de Polignac pairs, ...).  Termination of those scans is not provable, so they
@@ -21,14 +22,19 @@ DEFAULT_SCAN_CEILING = 1 << 40
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Deterministic witness set for all n < 2^64 (the well-known 7-base set).
+# Deterministic witness sets: {2, 7, 61} for all n < 4,759,123,141 (Jaeschke
+# 1993; 4,759,123,141 = 48,781 * 97,561 is a strong pseudoprime to all three),
+# and the well-known 7-base set for all n < 2^64.
+_MR_SMALL_WITNESSES = (2, 7, 61)
+_MR_SMALL_LIMIT = 4_759_123_141
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_LIMIT = 1 << 64
 
 # Width of one aligned sieve block, and how many sieved blocks are kept.  The
 # windows of consecutive n in a window-check campaign overlap almost entirely,
 # so one cached block answers thousands of calls; a block holds at most 6,542
-# primes, so eight cached blocks take about 2 MB.
+# primes, packed at 4 bytes each below 2^32 and 8 above, so eight cached blocks
+# take at most about 0.4 MB.
 _SIEVE_BLOCK = 1 << 16
 _CACHED_BLOCKS = 8
 
@@ -94,7 +100,7 @@ def is_prime(n: int) -> bool:
     while d & 1 == 0:
         d >>= 1
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES:
         a %= n
         if a == 0:
             continue
@@ -144,19 +150,23 @@ def first_prime_in_ap(
 
 
 @lru_cache(maxsize=_CACHED_BLOCKS)
-def _sieve_block(index: int) -> tuple[int, ...]:
+def _sieve_block(index: int) -> memoryview:
     """All primes in [index * _SIEVE_BLOCK, (index + 1) * _SIEVE_BLOCK), in
-    increasing order, by sieving the block's odd numbers with the odd primes up
-    to its square root.  Those come from the lower blocks, since the root is
-    below lo for every index >= 1.  Block 0 has no lower block, so it strikes
-    with every odd number from 3 up to its root, 255: a composite strikes only
-    numbers that its prime factors have already struck."""
+    increasing order, as a read-only view of packed machine integers: typecode
+    'I' for a block below 2^32 and 'Q' for one above, up to 2^64.  The block's
+    odd numbers are sieved with the odd primes up to its square root.  Those
+    are read from the lower blocks, since the root is below lo for every
+    index >= 1.  Block 0 has no lower block, so it strikes with every odd
+    number from 3 up to its root, 255: a composite strikes only numbers that
+    its prime factors have already struck.  The primes are packed one at a
+    time, so no list of them all is ever built."""
     lo = index * _SIEVE_BLOCK
     hi = lo + _SIEVE_BLOCK
     root = math.isqrt(hi - 1)
     # flags[i] stands for lo + 2i + 1; lo is even.
     flags = bytearray([1]) * (_SIEVE_BLOCK // 2)
-    for p in primes_in_range(3, root + 1) if index else range(3, root + 1, 2):
+    lower = chain.from_iterable(map(_sieve_block, range(root // _SIEVE_BLOCK + 1)))
+    for p in takewhile(root.__ge__, islice(lower, 1, None)) if index else range(3, root + 1, 2):
         # the first odd multiple of p from max(p * p, lo) on
         if p * p >= lo:
             first = (p * p - lo) >> 1
@@ -166,8 +176,10 @@ def _sieve_block(index: int) -> tuple[int, ...]:
         flags[first::p] = bytes(len(range(first, len(flags), p)))
     if index == 0:
         flags[0] = 0  # 1 is not prime
-    primes = tuple(compress(range(lo + 1, hi, 2), flags))
-    return (2, *primes) if index == 0 else primes
+    typecode = "I" if hi <= 1 << 32 else "Q"
+    primes = array(typecode, [2] if index == 0 else [])
+    primes.extend(compress(range(lo + 1, hi, 2), flags))
+    return memoryview(primes.tobytes()).cast(typecode)
 
 
 def _prime_factors(x: int, limit: int) -> Iterator[tuple[int, int]]:

@@ -121,7 +121,7 @@ def _runs(ns: range, table: bytearray, holes: list):
             holes.append(ns[start:stop])
 
 
-def resume(path: Path, command: str, segments: list) -> tuple[list, list]:
+def resume(path: str, command: str, segments: list) -> tuple[list, list]:
     """The work segments leave after the records already at path, and the
     summary counts of those records.  Each segment's table (_load_prior) is
     walked once by its runs of one code (_runs): a run with a record is one
@@ -129,7 +129,7 @@ def resume(path: Path, command: str, segments: list) -> tuple[list, list]:
     range when they are one run, such as a cut tail."""
     certified = COMMANDS[command].certified
     pending, summary = [], [0] * 5
-    for (seg, ns), table in zip(segments, _load_prior(path, command, segments)):
+    for (seg, ns), table in zip(segments, _load_prior(Path(path), command, segments)):
         holes = []
         counts = _tally(certified(seg), _runs(ns, table, holes))
         pending.append((seg, holes[0] if len(holes) == 1 else [n for hole in holes for n in hole]))

@@ -21,7 +21,6 @@ import time
 from bisect import bisect_left
 from collections.abc import Sequence
 from functools import partial
-from pathlib import Path
 
 from .campaigns import COMMANDS, CampaignConfig, _head
 from .ntcore import _MR_LIMIT
@@ -200,7 +199,7 @@ def run(config: CampaignConfig) -> int:
         prior = None
         if config.resume:
             from .prior import resume  # only a resume compiles and holds its reader
-            prior = resume(Path(config.output), config.command, segments)
+            prior = resume(config.output, config.command, segments)
         out = open(config.output, "a" if config.resume else "w", encoding="utf-8") \
             if config.output else sys.stdout
     except OSError as e:

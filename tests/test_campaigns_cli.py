@@ -1443,9 +1443,10 @@ def test_cli_never_loads_numpy(argv):
 
 
 # Modules a CLI process does not import at start-up: dataclasses brings in
-# inspect, ast and dis, fractions brings in decimal, and only a pool repays
-# multiprocessing.  A window check imports fractions only for --eps: its
-# default window validates and computes without it.  Each entry point loads one
+# inspect, ast and dis, fractions brings in decimal, only a pool repays
+# multiprocessing, and only a resume reads its output file through pathlib.  A
+# window check imports fractions only for --eps: its default window validates
+# and computes without it.  Each entry point loads one
 # set of quaddisc modules: `import quaddisc` none, tables, --help and an
 # unknown command only cli and tables, and a campaign the library and the runner but not
 # the resume reader.  A campaign's usage error loads what the campaign does:
@@ -1480,7 +1481,8 @@ _ENTRY_POINTS = [
 
 
 def test_cli_startup_imports():
-    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing"}
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "multiprocessing", "typing",
+                "pathlib"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     for argv, status, modules in _ENTRY_POINTS:
         proc = subprocess.run(
@@ -1514,43 +1516,3 @@ def test_no_module_compiles_past_the_peak():
     assert peaks[name] < 1.25 * 2**20, (
         f"compiling {name} peaks at {peaks[name] / 1024:.0f} KiB: the largest module sets the "
         f"peak RSS of a campaign run from source")
-
-
-# The names `from quaddisc import *` binds: the public names of the four
-# library modules, and the modules.
-_PUBLIC = {
-    "discriminator": ["APCase", "HalfQuadratic", "collision_witness", "least_modulus",
-                      "least_modulus_pair", "pairwise_distinct", "pairwise_distinct_fast"],
-    "ntcore": ["DEFAULT_SCAN_CEILING", "Outcome", "ScanCeilingError",
-               "classify_two_power_times_prime", "first_prime_in_ap", "first_prime_of_form",
-               "is_prime", "nth_primes", "primes_in_range", "radical"],
-    "tables": ["COUNTEREXAMPLE_RESIDUE", "PREDICTION_THRESHOLD", "THETA_ERROR_BOUND",
-               "WINDOW_THRESHOLD"],
-    "verifier": ["COROLLARY11_THRESHOLD", "ModulusClass", "predicted_prime",
-                 "prime_window_all_residues", "verify_remark12", "verify_theorem11",
-                 "verify_theorem12"],
-    "conjectures": ["PAIR_THRESHOLD", "conjecture11_check", "conjecture12_check",
-                    "conjecture13_check", "conjecture14_check"],
-}
-
-
-def test_package_resolves_its_names_lazily():
-    import importlib
-
-    import quaddisc
-    modules = ["conjectures", "discriminator", "ntcore", "verifier"]
-    assert quaddisc.__all__ == sorted([*(n for ns in _PUBLIC.values() for n in ns), *modules])
-    assert len(quaddisc.__all__) == 37
-    star = {}
-    exec("from quaddisc import *", star)
-    for module, names in _PUBLIC.items():
-        owner = importlib.import_module(f"quaddisc.{module}")
-        for name in names:
-            assert getattr(quaddisc, name) is star[name] is getattr(owner, name), name
-    for name in _PUBLIC["tables"]:  # the verifier re-exports the tables
-        assert star[name] is getattr(quaddisc.verifier, name)
-    for module in modules:
-        assert star[module] is importlib.import_module(f"quaddisc.{module}")
-    assert set(quaddisc.__all__) <= set(dir(quaddisc))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        quaddisc.no_such_name

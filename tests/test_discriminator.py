@@ -14,7 +14,6 @@ from quaddisc.conjectures import conjecture13_check
 from quaddisc.discriminator import (
     APCase,
     HalfQuadratic,
-    _distinct,
     _divisors_upto,
     _separates,
     collision_witness,
@@ -262,7 +261,7 @@ def test_separates_matches_occupancy_on_random_sequences():
         n = rng.randint(1, 60)
         m = rng.randint(n, 400)
         seq = HalfQuadratic(a, b)
-        if _separates(seq, n, m) != _distinct(seq, n, m):
+        if _separates(seq, n, m) != pairwise_distinct(seq, n, m):
             bad.append((a, b, n, m))
         seen["a=0"] += a == 0
         seen["a<0"] += a < 0
@@ -283,13 +282,13 @@ def test_separates_matches_occupancy_on_apcase_grid():
             seq = APCase(d, c).seq
             for n in (2, 3, 8, 25):
                 for m in range(n, 3 * n + 10):
-                    assert _separates(seq, n, m) == _distinct(seq, n, m), (d, c, n, m)
+                    assert _separates(seq, n, m) == pairwise_distinct(seq, n, m), (d, c, n, m)
 
 
 def test_least_modulus_pair_matches_occupancy_oracle():
     def oracle_pair(seq, n, gap):
         m = n
-        while not (_distinct(seq, n, m) and _distinct(seq, n, m + gap)):
+        while not (pairwise_distinct(seq, n, m) and pairwise_distinct(seq, n, m + gap)):
             m += 1
         return m
 
@@ -315,6 +314,20 @@ def test_collision_witness():
     k, l = collision_witness(SEQ_4K4K1, 6, 16)
     assert 1 <= k < l <= 6
     assert SEQ_4K4K1.term(k) % 16 == SEQ_4K4K1.term(l) % 16
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ab=st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda ab: sum(ab) % 2 == 0),
+       n=st.integers(1, 60), m=st.integers(1, 400))
+def test_collision_witness_is_the_first_repeat(ab, n, m):
+    # The library's residue stream against the test's own residues: the first
+    # l whose residue repeats an earlier one, and the first k that it repeats.
+    seq = HalfQuadratic(*ab)
+    values = brute_residues(seq, n, m)
+    first = next(((values.index(v) + 1, l) for l, v in enumerate(values, 1)
+                  if values.index(v) + 1 < l), None)
+    assert collision_witness(seq, n, m) == first
+    assert pairwise_distinct(seq, n, m) is (first is None)
 
 
 def test_lemma22_slice():

@@ -1,6 +1,8 @@
 """Primality, radical, and prime-search checks against independent oracles."""
 
 import math
+import random
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quaddisc.ntcore as ntcore
 from quaddisc.ntcore import (
     DEFAULT_SCAN_CEILING,
     POLYNOMIAL_FORMS,
@@ -83,6 +86,23 @@ def test_is_prime_witness_divisor_edges():
     # strong pseudoprimes to many small bases
     assert is_prime(3215031751) is False
     assert is_prime(3825123056546413051) is False
+
+
+def test_is_prime_matches_sympy_across_both_witness_sets(monkeypatch):
+    # {2, 7, 61} decides every n < 4,759,123,141 and the 7-base set the rest:
+    # all n < 200,000, the strong pseudoprimes to small bases, odd numbers
+    # around the switch, and a seeded sample in [2^31, 2^33] on both sides
+    sympy = pytest.importorskip("sympy")
+    switch = ntcore._MR_SMALL_LIMIT
+    rng = random.Random(20261020)
+    xs = [*range(200_000), 1_373_653, 9_080_191, 25_326_001, 3_215_031_751, switch,
+          *range(switch - 2001, switch + 2001, 2),
+          *(rng.randrange(2**31, 2**33) | 1 for _ in range(3000))]
+    assert [x for x in xs if is_prime(x) != sympy.isprime(x)] == []
+    # the bound is strict: 4,759,123,141 = 48,781 * 97,561 passes all three
+    assert switch == 48_781 * 97_561 and is_prime(switch) is False
+    monkeypatch.setattr(ntcore, "_MR_SMALL_LIMIT", switch + 1)
+    assert is_prime(switch) is True
 
 
 def test_is_prime_refuses_2_64_and_above():
@@ -294,6 +314,36 @@ def test_primes_in_range_cached_blocks(prime_flags):
     assert primes_in_range(sq - 300, sq + 300) == [
         x for x in range(sq - 300, sq + 300) if is_prime(x)
     ]
+
+
+def _trial_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), by trial division with the primes up to the
+    square root of hi - 1, themselves found by trial division."""
+    small = [p for p in range(2, math.isqrt(hi - 1) + 1)
+             if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    out = list(range(max(lo, 2), hi))
+    for p in small:
+        out = [x for x in out if x % p or x == p]
+    return out
+
+
+def test_sieve_blocks_are_packed_read_only_views():
+    block = 1 << 16
+    for index, typecode in ((0, "I"), (1, "I"), (1 << 16, "Q")):  # 2^16 is the first above 2^32
+        primes = ntcore._sieve_block(index)
+        assert primes.format == typecode and primes.readonly, index
+        assert list(primes) == _trial_primes(index * block, (index + 1) * block), index
+        with pytest.raises(TypeError):
+            primes[0] = 1
+    # a block retains its packed primes alone: 6,542 ints as a tuple took 254 KiB
+    ntcore._sieve_block.cache_clear()
+    tracemalloc.start()
+    try:
+        ntcore._sieve_block(0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
 
 
 def test_prime_counts():
