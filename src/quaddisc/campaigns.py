@@ -122,6 +122,14 @@ def _check_apcase(config: CampaignConfig) -> dict:
     return {"d": p["d"], "c": p["c"]}
 
 
+def _check_corollary(config: CampaignConfig) -> dict:
+    params = _check_apcase(config)
+    if (params["d"], params["c"]) not in COROLLARY11_THRESHOLD:
+        raise ValueError(f"corollary11 certifies (d, r) in {sorted(COROLLARY11_THRESHOLD)}, "
+                         f"got ({params['d']}, {params['c']}); verify-theorem11 runs any class")
+    return params
+
+
 def _theorem11(p: dict, n: int) -> Outcome:
     return verify_theorem11(p["d"], p["c"], n, p["ceiling"])
 
@@ -316,9 +324,9 @@ COMMANDS = {
     "corollary11": Command(
         options=(("--d", dict(_INT, choices=[4, 5])),
                  ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
-        check=_check_apcase,
+        check=_check_corollary,
         compute=partial(_each_n, _theorem11),
-        certified=lambda p: (COROLLARY11_THRESHOLD.get((p["d"], p["c"])), True),
+        certified=lambda p: (COROLLARY11_THRESHOLD[p["d"], p["c"]], True),
     ),
     "window-check": Command(
         options=(("--d", _INT), ("--eps", {"help": "override window parameter, e.g. 2/9"})),

@@ -8,7 +8,7 @@ unexpected modulus) precise enough to reproduce the finding independently.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, takewhile
 
 from .discriminator import HalfQuadratic, _first_collision, _scan, _separates, least_modulus_pair
 from .ntcore import (
@@ -21,7 +21,6 @@ from .ntcore import (
     first_prime_of_form,
     is_prime,
     nth_primes,
-    primes_in_range,
 )
 
 # Conjectured thresholds: for gap parameter d, agreement is expected from this n on.
@@ -143,25 +142,10 @@ def conjecture13_check(
         [seq.term(k) for k in range(1, n + 1)], m, _TERM_FIELDS))
 
 
-# The n and pair sums of the last _pair_sums call in this process: a sweep's
-# next n extends them by the n - 1 sums with the new prime.
-_last_sums: tuple | None = None
-
-
-def _pair_sums(primes: list[int]) -> set[int]:
-    """{p_i + p_j - 1 : i < j} over primes, the first n primes.  The set is
-    the last call's, extended, when that call was for n - 1, so it is only
-    valid until the next call."""
-    global _last_sums
-    n = len(primes)
-    if _last_sums is not None and _last_sums[0] == n - 1:
-        sums = _last_sums[1]
-        p_n = primes[-1]
-        sums.update(p + p_n - 1 for p in primes[:-1])
-    else:
-        sums = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
-    _last_sums = (n, sums)
-    return sums
+def _is_pair_sum(t: int, primes: list[int], members: set[int]) -> bool:
+    """Whether t = p_i + p_j for two of the ascending primes, i < j: a walk
+    down p_j while p_j > t - p_j, each step one lookup in members, their set."""
+    return any(t - p in members for p in takewhile(lambda p: 2 * p > t, reversed(primes)))
 
 
 def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
@@ -173,18 +157,21 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     values = [6 * p * (p - 1) for p in primes]
     observed = _scan("1.4", n, count, lambda m: len({v % m for v in values}) == n, ceiling,
                      f"prime-indexed discriminator at n={n}")
-    sums = _pair_sums(primes)
     # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
-    # s == q.  So the answer is the first prime from p_n on that is no sum, and
-    # every prime >= 2 p_n is none.
-    p_n = primes[-1]
-    walked = p_n  # the walk has passed every integer below this
-    for predicted in primes_in_range(p_n, min(2 * p_n, ceiling + 1)):
-        if predicted not in sums:
-            break
-        walked = predicted + 1
-    else:
-        # the first prime from walked on is >= 2 p_n, or above the ceiling
-        predicted = first_prime_in_ap(0, 1, walked, ceiling)
+    # s == q.  So the answer is the first prime q from p_n on with q + 1 no
+    # p_i + p_j, and every prime >= 2 p_n is one.  A larger n only adds sums
+    # and raises p_n, so the answer never falls: a scan of its own key starts
+    # at the last one found.  It never starts at the observed modulus, which
+    # bounds it too: an observed scan that overshot would confirm itself.
+    def primes_from(lower):
+        q = max(lower, primes[-1]) - 1
+        while True:
+            q = first_prime_in_ap(0, 1, q + 1, ceiling)
+            yield q
+
+    members = set(primes)
+    predicted = _scan("1.4 prediction", n, primes_from,
+                      lambda q: not _is_pair_sum(q + 1, primes, members), ceiling,
+                      f"prime-indexed prediction at n={n}")
     return _outcome(observed, predicted,
                     lambda m: _collision(values, m, ("i", "j", "value_i", "value_j")))

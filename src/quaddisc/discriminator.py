@@ -210,11 +210,12 @@ def _check_separable(seq: HalfQuadratic, n: int) -> None:
             )
 
 
-# The last (key, n, least modulus) that _scan found in this process.  Taking
-# fewer terms keeps distinct terms distinct, so D(n') <= D(n) for n' < n, and
-# any answer for the same key at a smaller n bounds the next one.  Only values
+# The last (n, least modulus) that _scan found in this process for each of
+# the last 64 keys it found one for, the least recent first.  Taking fewer
+# terms keeps distinct terms distinct, so D(n') <= D(n) for n' < n, and any
+# answer for the same key at a smaller n bounds the next one.  Only values
 # computed here are kept: a bound above the true answer would skip it.
-_last_scan: tuple | None = None
+_hints: dict = {}
 
 
 def _scan(
@@ -223,13 +224,14 @@ def _scan(
     """ntcore._first over candidates(lower), an ascending iterator of the
     candidate moduli >= lower.  lower is n, the pigeonhole bound, or the least
     modulus last found for key when that was at a smaller n.  A scan past the
-    ceiling leaves the hint as it was."""
-    global _last_scan
-    lower = n
-    if _last_scan is not None and _last_scan[0] == key and _last_scan[1] < n:
-        lower = max(n, _last_scan[2])
+    ceiling leaves the hints as they were."""
+    hint = _hints.get(key)
+    lower = max(n, hint[1]) if hint is not None and hint[0] < n else n
     m = _first(candidates(lower), accept, ceiling, what)
-    _last_scan = (key, n, m)
+    _hints.pop(key, None)
+    _hints[key] = (n, m)
+    if len(_hints) > 64:
+        del _hints[next(iter(_hints))]
     return m
 
 

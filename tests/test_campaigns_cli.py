@@ -585,6 +585,17 @@ def test_exit_mismatch_on_violated_expectation(tmp_path, monkeypatch, capsys):
     assert "unexpected=1" in capsys.readouterr().err
 
 
+def test_corollary11_rejects_an_uncertified_class(tmp_path, capsys):
+    # (5, 3) is a valid class with no certified threshold: exit 1 before any
+    # record, where 40 records, 5 of them mismatches, asserted nothing and exited 0
+    out = tmp_path / "c.jsonl"
+    assert main(["corollary11", "--d", "5", "--r", "3", "--n-from", "1", "--n-to", "40",
+                 "--out", str(out), "--no-timing"]) == EXIT_INVALID
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "error: invalid campaign: corollary11 certifies (d, r) in [(4, -1), (4, 1), (5, -2)")
+
+
 def test_exit_mismatch_when_a_counterexample_row_matches(monkeypatch, capsys):
     # verify-remark11 expects each row to mismatch; a row that matches is an
     # unexpected outcome, so a broken row fails the run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quaddisc.conjectures as conjectures
+import quaddisc.discriminator as discriminator
 from quaddisc.cli import main
 from quaddisc.conjectures import (
     PAIR_THRESHOLD,
@@ -15,8 +16,8 @@ from quaddisc.conjectures import (
     conjecture14_check,
     first_prime_with_prime_gap,
 )
-from quaddisc.discriminator import HalfQuadratic
-from quaddisc.ntcore import DEFAULT_SCAN_CEILING, is_prime, nth_primes
+from quaddisc.discriminator import HalfQuadratic, least_modulus
+from quaddisc.ntcore import DEFAULT_SCAN_CEILING, ScanCeilingError, is_prime, nth_primes
 from quaddisc.tables import EXIT_MISMATCH
 
 from conftest import dispatch
@@ -135,17 +136,23 @@ def test_conjecture14_prediction_matches_divisibility_definition():
         assert rep.predicted == q, n
 
 
-def test_pair_sums_extend_only_from_the_previous_n(monkeypatch):
-    # a call for n after one for n - 1 extends that set by the sums with p_n;
-    # any other order rebuilds it, and both give the O(n^2) definition
-    monkeypatch.setattr(conjectures, "_last_sums", None)
-    ns = list(range(3, 301))
-    shuffled = random.Random("pair-sums").sample(ns, len(ns))
-    for order in (ns, shuffled, ns):
-        for n in order:
-            primes = nth_primes(n)
-            want = {primes[i] + primes[j] - 1 for i in range(n) for j in range(i + 1, n)}
-            assert conjectures._pair_sums(primes) == want, n
+def test_conjecture14_prediction_matches_pair_sum_definition(monkeypatch):
+    # the first prime q >= p_n with q + 1 no sum p_i + p_j (i < j <= n), in a
+    # shuffled order of n; at n = 6, 14, 15, 21 and 127 every prime in
+    # [p_n, 2 p_n) is such a sum.  Every 8th n, 65 other keys are scanned
+    # first, which evicts the prediction's hint
+    monkeypatch.setattr(discriminator, "_hints", {})
+    primes = _first_primes(250)  # p_250 = 1583 > 2 p_130
+    ns = random.Random("pair-sums").sample(range(3, 131), 128)
+    for step, n in enumerate(ns):
+        if step % 8 == 0:
+            for b in range(65):
+                least_modulus(HalfQuadratic(2, 2 * b), 2)
+            assert len(discriminator._hints) == 64 and "1.4 prediction" not in discriminator._hints
+        sums = {primes[i] + primes[j] for i in range(n) for j in range(i + 1, n)}
+        q = next(q for q in primes if q >= primes[n - 1] and q + 1 not in sums)
+        assert conjecture14_check(n).predicted == q, n
+        assert (q > 2 * primes[n - 1]) == (n in (6, 14, 15, 21, 127)), n
 
 
 def test_conjecture11_refuses_values_from_2_64():
@@ -200,7 +207,8 @@ def _first_primes(n):
 def test_conjecture14_collision_certificate(monkeypatch, n):
     # with no pair sums the prediction is p_n itself, below the observed value,
     # so the report must name the first pair of values that collide modulo p_n
-    monkeypatch.setattr(conjectures, "_pair_sums", lambda primes: set())
+    monkeypatch.setattr(discriminator, "_hints", {})
+    monkeypatch.setattr(conjectures, "_is_pair_sum", lambda t, primes, members: False)
     primes = _first_primes(n)
     rep = conjecture14_check(n)
     assert rep.predicted == primes[-1] < rep.least_m and not rep.match
@@ -267,13 +275,14 @@ def test_conjecture11_inconsistent_certificate(monkeypatch):
 
 
 def test_conjecture14_smaller_modulus_certificate(monkeypatch):
-    # with every prime in [p_n, 2 p_n) a pair sum, the prediction is the first
-    # prime from 2 p_n on: 59 for n = 10, above the observed 37
-    def every_prime_below_2p_n(primes):
-        return {p for p in _first_primes(20) if primes[-1] <= p < 2 * primes[-1]}
-
-    monkeypatch.setattr(conjectures, "_pair_sums", every_prime_below_2p_n)
+    # with every t <= 2 p_n a pair sum, the prediction is the first prime from
+    # 2 p_n on: 59 for n = 10, above the observed 37
+    monkeypatch.setattr(discriminator, "_hints", {})
+    monkeypatch.setattr(conjectures, "_is_pair_sum", lambda t, primes, members: t <= 2 * primes[-1])
     rep = conjecture14_check(10)
     assert (rep.least_m, rep.predicted, rep.match) == (37, 59, False)
     assert list(rep.extra["certificate"].items()) == [
         ("kind", "unexpected_smaller_modulus"), ("modulus", 37)]
+    # under a ceiling of 50, the primes 29..47 are sums and none follows them
+    with pytest.raises(ScanCeilingError, match=r"prime == 0 \(mod 1\) from 48: .* 50$"):
+        conjecture14_check(10, ceiling=50)

@@ -161,7 +161,7 @@ def test_least_modulus_ceiling():
 @pytest.fixture
 def scanned(monkeypatch):
     """The (n, m) of every candidate modulus the scans test, from no hint on."""
-    monkeypatch.setattr(discriminator, "_last_scan", None)
+    monkeypatch.setattr(discriminator, "_hints", {})
     checked = []
     real = discriminator._separates
 
@@ -186,11 +186,29 @@ def test_scan_starts_at_last_least_modulus(scanned):
 def test_scan_ceiling_error_keeps_hint(scanned):
     seq = APCase(9, 2).seq
     least_modulus(seq, 40)
-    hint = discriminator._last_scan
+    hints = dict(discriminator._hints)
     with pytest.raises(ScanCeilingError):
         least_modulus(seq, 60, ceiling=120)  # D(60) = 137
-    assert scanned and discriminator._last_scan == hint
+    assert scanned and discriminator._hints == hints
     assert least_modulus(seq, 60) == brute_least(seq, 60)
+
+
+def test_scan_hints_keep_the_last_64_keys(scanned):
+    # a 65th key drops the least recently found one; a key found again is
+    # the most recent, and keeps its hint
+    seqs = [HalfQuadratic(2, 2 * b) for b in range(65)]
+    for seq in seqs[:64]:
+        least_modulus(seq, 10)
+    d12 = least_modulus(seqs[0], 12)
+    least_modulus(seqs[64], 10)
+    assert len(discriminator._hints) == 64
+    assert seqs[1] not in discriminator._hints and discriminator._hints[seqs[0]] == (12, d12)
+    scanned.clear()
+    least_modulus(seqs[0], 14)
+    assert scanned[0] == (14, max(14, d12))
+    scanned.clear()
+    least_modulus(seqs[1], 14)
+    assert scanned[0] == (14, 14)  # dropped: cold
 
 
 def test_scan_starts_at_n_below_last_or_for_another_key(scanned):

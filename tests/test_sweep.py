@@ -35,7 +35,7 @@ def holey_ns(seed, lo, hi, share=0.3):
 
 def cold_dispatch(command, params, n):
     """The record of a scan that starts at n: no hint from an earlier scan."""
-    discriminator._last_scan = None
+    discriminator._hints.clear()
     return dispatch(command, params, n)
 
 
@@ -103,7 +103,7 @@ def test_discriminator_sweep_matches_cold():
 def test_sweep_starts_at_previous_least_modulus(monkeypatch):
     # the warm start is really taken: each n after the first checks exactly the
     # candidates from max(D(previous n), n) up to D(n)
-    monkeypatch.setattr(discriminator, "_last_scan", None)
+    monkeypatch.setattr(discriminator, "_hints", {})
     checked = []
     real = discriminator._separates
 
@@ -127,7 +127,7 @@ def test_later_sweep_starts_at_last_least_modulus(monkeypatch):
     # a pool worker's next chunk, or a later campaign in the same process,
     # starts where the last scan of the same sequence ended, and one that does
     # not lie above it starts cold
-    monkeypatch.setattr(discriminator, "_last_scan", None)
+    monkeypatch.setattr(discriminator, "_hints", {})
     checked = []
     real = discriminator._separates
 
@@ -296,8 +296,9 @@ def test_switch_rule(monkeypatch, serial_pool, costs, pooled):
 
 
 def chunk_with_start_hint(*args):
-    """_chunk's result, with the process and the scan hint its chunk starts from."""
-    return os.getpid(), discriminator._last_scan, _chunk(*args)
+    """_chunk's result, with the process and the 3k-1 scan hint its chunk
+    starts from."""
+    return os.getpid(), discriminator._hints.get(THEOREM12_CASES["3k-1"].seq), _chunk(*args)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -305,13 +306,13 @@ def chunk_with_start_hint(*args):
 def test_forked_worker_starts_from_parent_hint(monkeypatch, fork_early):
     # the parent computes the first chunk, then forks; each worker's first
     # chunk starts from the hint the parent's last scan left, not cold
-    monkeypatch.setattr(discriminator, "_last_scan", None)
+    monkeypatch.setattr(discriminator, "_hints", {})
     monkeypatch.setattr(runner, "_chunk", chunk_with_start_hint)
     params = {"case": "3k-1", "ceiling": DEFAULT_SCAN_CEILING}
     results = _compute("verify-theorem12", [(params, list(range(4, 100)))], 2, timing=False)
     parent_pid, _, _ = next(results)
-    parent_hint = discriminator._last_scan
-    assert parent_pid == os.getpid() and parent_hint[1] == 9  # chunks of 96 // 16 = 6
+    parent_hint = discriminator._hints[THEOREM12_CASES["3k-1"].seq]
+    assert parent_pid == os.getpid() and parent_hint[0] == 9  # chunks of 96 // 16 = 6
     first_hint = {}
     for pid, hint, _ in results:
         first_hint.setdefault(pid, hint)

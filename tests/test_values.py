@@ -78,13 +78,13 @@ def test_apcase_never_equals_halfquadratic_or_tuple():
 
 
 def test_scan_hint_is_not_taken_across_sequence_types(monkeypatch):
-    # _scan keys least_modulus by the sequence itself; a tuple key with the
-    # same fields, left by another scan, must not pass for it
+    # _scan keys least_modulus by the sequence itself; an entry under a tuple
+    # key with the same fields, left by another scan, must not serve it
     import quaddisc.discriminator as discriminator
 
     seq = HalfQuadratic(6, -2)
     cold = least_modulus(seq, 40)
-    monkeypatch.setattr(discriminator, "_last_scan", ((6, -2), 10, 10**6))
+    monkeypatch.setattr(discriminator, "_hints", {(6, -2): (10, 10**6)})
     assert least_modulus(seq, 40) == cold
 
 
