@@ -108,7 +108,9 @@ exits_as() {
 # windows start in sieve block 1, which is built from block 0's primes.  The
 # d = 31 window check below its threshold 24334 misses a class at 12,837 of
 # its n, which each K cuts into other failing runs, and the d = 2999 windows
-# need more primes than two sieve blocks hold to meet all 2998 classes.  Then
+# need more primes than two sieve blocks hold to meet all 2998 classes.  The
+# conjecture 1.4 run over n = 390..400 starts with a cold observed scan in the
+# thousands, where the other 1.4 runs sweep warm from n = 3.  Then
 # one run of each other command and conjecture, across its certified start
 # where it has one, and windows above a threshold and with a wide eps.  The
 # 4x^2+1 squares run writes collision certificates at n = 3, 9, 19, 51, 99 and
@@ -123,6 +125,7 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "conjecture --id 1.3 --form x^2+x+1 --variant squares --n-from 1 --n-to 200"
        "verify-remark11 --all"
        "conjecture --id 1.4 --n-from 3 --n-to 140"
+       "conjecture --id 1.4 --n-from 390 --n-to 400"
        "window-check --d 7 --n-from 300 --n-to 3000"
        "window-check --d 5 --eps 1/100 --n-from 206 --n-to 2000"
        "window-check --d 4 --n-from 1 --n-to 3000"

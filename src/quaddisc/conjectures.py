@@ -75,8 +75,9 @@ def first_prime_with_prime_gap(
 
 
 def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
-    """Least m making binomial(k,2) full-count modulo both m and m + 2d, versus
-    the first prime p >= 2n - 1 with p + 2d also prime."""
+    """Least m making binomial(k,2) pairwise distinct modulo both m and m + 2d,
+    each modulus tested by divisor class (_separates), versus the first prime
+    p >= 2n - 1 with p + 2d also prime."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if n < 1:
@@ -95,8 +96,9 @@ def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> O
 
 
 def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
-    """Least m making binomial(k,2) full-count modulo both m and m + 1; the claim
-    is that m and m + 1 are each a power of two or a prime times a power of two.
+    """Least m making binomial(k,2) pairwise distinct modulo both m and m + 1,
+    each modulus tested by divisor class (_separates); the claim is that m and
+    m + 1 are each a power of two or a prime times a power of two.
     The extra fields are the flags of m and m + 1, then the certificate of a
     failure."""
     if n < 1:
@@ -155,8 +157,8 @@ def conjecture14_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
         raise ValueError(f"n must be > 2, got {n}")
     primes = nth_primes(n)
     values = [6 * p * (p - 1) for p in primes]
-    observed = _scan("1.4", n, count, lambda m: len({v % m for v in values}) == n, ceiling,
-                     f"prime-indexed discriminator at n={n}")
+    observed = _scan("1.4", n, count, lambda m: _first_collision(v % m for v in values) is None,
+                     ceiling, f"prime-indexed discriminator at n={n}")
     # Every sum s has 4 <= s <= p_(n-1) + p_n - 1 < 2 p_n <= 2q, so q | s iff
     # s == q.  So the answer is the first prime q from p_n on with q + 1 no
     # p_i + p_j, and every prime >= 2 p_n is one.  A larger n only adds sums

@@ -251,8 +251,8 @@ def least_modulus_pair(
 ) -> int:
     """Least m >= 1 with f(1..n) pairwise distinct modulo both m and m + gap.
 
-    Full residue count n at both moduli is equivalent to pairwise distinctness
-    at both.
+    The scan tests each candidate at both moduli by divisor class
+    (_separates).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

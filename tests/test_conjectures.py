@@ -1,9 +1,12 @@
 """Conjecture checker tests: frozen small cases plus certificate validity."""
 
 import random
+from itertools import count
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quaddisc.conjectures as conjectures
 import quaddisc.discriminator as discriminator
@@ -153,6 +156,34 @@ def test_conjecture14_prediction_matches_pair_sum_definition(monkeypatch):
         q = next(q for q in primes if q >= primes[n - 1] and q + 1 not in sums)
         assert conjecture14_check(n).predicted == q, n
         assert (q > 2 * primes[n - 1]) == (n in (6, 14, 15, 21, 127)), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.integers(-300, 300), min_size=1, max_size=60),
+       m=st.integers(1, 200))
+def test_first_collision_agrees_with_the_residue_count(values, m):
+    # the early-exit loop that the 1.4 scan accepts by, against the full count
+    # of distinct residues; the small value range makes residues repeat
+    assert (discriminator._first_collision(v % m for v in values) is None) == (
+        len({v % m for v in values}) == len(values))
+
+
+def test_conjecture14_observed_matches_brute_force(monkeypatch):
+    # the least m >= n with 6 p (p - 1) pairwise distinct modulo m, counted
+    # here from a set of residues: ascending n = 3..150 (warm scans), then a
+    # shuffled sample of larger n and n = 400, each scanned cold
+    monkeypatch.setattr(discriminator, "_hints", {})
+    primes = _first_primes(400)
+
+    def least(n):
+        values = [6 * p * (p - 1) for p in primes[:n]]
+        return next(m for m in count(n) if len({v % m for v in values}) == n)
+
+    sample = random.Random("observed-1.4").sample(range(151, 300), 8)
+    for n in [*range(3, 151), *sample, 400]:
+        if n > 150:
+            discriminator._hints.clear()
+        assert conjecture14_check(n).least_m == least(n), n
 
 
 def test_conjecture11_refuses_values_from_2_64():
