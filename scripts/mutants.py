@@ -40,8 +40,8 @@ MUTANTS = [
      "_tally counts a record without a match as a mismatch"),
     ("verifier.py", "while power < bound:", "while power <= bound:",
      "ModulusClass.first_at_least skips a power equal to the bound"),
-    ("verifier.py", "if x < base:", "if x <= base:",
-     "_is_power_of refuses base^1"),
+    ("verifier.py", "return min(prime, power)", "return prime",
+     "ModulusClass.first_at_least never takes a power"),
     ("verifier.py", "_ceil_div(a * n - b, c) - 1", "_ceil_div(a * n - b, c)",
      "_window_ends takes the window's right end into it"),
     ("discriminator.py", "new += [g * pk for g in divs if g * pk <= limit]",
@@ -52,6 +52,9 @@ MUTANTS = [
      "_class_collides misses a collision at the last admissible s"),
     ("discriminator.py", "lower = max(n, hint[1]) if", "lower = max(n, hint[1] + 1) if",
      "_scan starts past the hint's modulus"),
+    ("discriminator.py", 'if n < 1:\n        raise ValueError(f"n must be >= 1, got {n}")\n    if gap',
+     'if n < 0:\n        raise ValueError(f"n must be >= 1, got {n}")\n    if gap',
+     "least_modulus_pair, the one n check of conjectures 1.1 and 1.2, accepts n = 0"),
     ("campaigns.py", "elif not _window_scan(d, outer_first, outer_last):",
      "elif not _window_scan(d, inner_first, outer_last):",
      "_window decides False on [inner_first, outer_last]"),

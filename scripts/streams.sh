@@ -112,7 +112,8 @@ exits_as() {
 # conjecture 1.4 run over n = 390..400 starts with a cold observed scan in the
 # thousands, where the other 1.4 runs sweep warm from n = 3.  Then
 # one run of each other command and conjecture, across its certified start
-# where it has one, and windows above a threshold and with a wide eps.  The
+# where it has one, and windows above a threshold and with a wide eps; a
+# discriminator runs over a range and, through --n, at one n.  The
 # 4x^2+1 squares run writes collision certificates at n = 3, 9, 19, 51, 99 and
 # 129 and a smaller-modulus one at n = 1, besides the x^2+x+1 squares ones.  An
 # unknown --variant exits 1 with argparse's usage, and so do a d outside the
@@ -144,6 +145,7 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
        "conjecture --id 1.3 --form 4x^2+1 --variant squares --n-from 1 --n-to 130"
        "conjecture --id 1.3 --form x^2+x+1 --variant cubes --n-from 1 --n-to 3"
        "discriminator --A 32 --B -8 --n-from 1 --n-to 300"
+       "discriminator --A 32 --B -8 --n 6"
        "verify-theorem11 --d 2305843009213693951 --c 1 --n-from 1 --n-to 1"
        "verify-theorem11 --d 4294967291 --c 1 --n-from 1 --n-to 3"
        "window-check --d 31 --n-from 24334 --n-to 30000"
@@ -156,14 +158,16 @@ fresh=("verify-theorem12 --case 3k+1 --n-from 4 --n-to 300"
 # without --no-timing and --parallelism: the top-level help and its usage
 # errors, with no argument at all, an unknown command and an unknown option
 # before a command, every command's help, tables and an option it lacks, and a
-# campaign without its required flags or, for a discriminator, without any n.
+# campaign without its required flags or, for a discriminator, without any n
+# or with both --n and --n-from.
 surface=("--help" "-h" "" "bogus" "tables" "tables --bogus"
          "verify-theorem11 --help" "verify-remark11 --help" "verify-theorem12 --help"
          "verify-remark12 --help" "corollary11 --help" "window-check --help"
          "conjecture --help" "discriminator --help" "tables --help"
          "window-check --d 5"
          "--bogus window-check --d 5 --n-from 206 --n-to 208"
-         "discriminator --A 32 --B -8")
+         "discriminator --A 32 --B -8"
+         "discriminator --A 32 --B -8 --n 6 --n-from 1")
 
 # Resumes after deleted lines: every 17th window record from the third, every
 # 5th counterexample row, each keyed by its own d and c, every 7th Theorem 1.2

@@ -4,8 +4,9 @@ outcome it asserts, and what identifies a record.
 COMMANDS holds one Command per campaign command.  record_key, parse_record,
 _identity and _head define a record's identity and its text up to n;
 runner.run executes a campaign from these.  Every call into the verifier and
-the conjectures, and every serialize_record and parse_record of a campaign,
-is made here, where perfbench's tracing wraps those names.
+the conjectures and every serialize_record of a campaign is made here, and
+prior looks parse_record up here for each call: perfbench's tracing wraps
+those names in this module.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ COMMANDS = {
         certified=lambda p: (REMARK12_CASES[p["sign"]].threshold, True),
     ),
     "corollary11": Command(
-        options=(("--d", dict(_INT, choices=[4, 5])),
+        options=(("--d", dict(_INT, choices=sorted({d for d, _ in COROLLARY11_THRESHOLD}))),
                  ("--r", dict(_INT, dest="c", metavar="R", help="residue class (maps to c)"))),
         check=_check_corollary,
         compute=partial(_each_n, _theorem11),

@@ -80,8 +80,6 @@ def conjecture11_check(d: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> O
     p >= 2n - 1 with p + 2d also prime."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     seq = VARIANTS["choose2"]
     gap = 2 * d
     observed = least_modulus_pair(seq, n, gap, ceiling=ceiling)
@@ -101,8 +99,6 @@ def conjecture12_check(n: int, ceiling: int = DEFAULT_SCAN_CEILING) -> Outcome:
     m + 1 are each a power of two or a prime times a power of two.
     The extra fields are the flags of m and m + 1, then the certificate of a
     failure."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     seq = VARIANTS["choose2"]
     m = least_modulus_pair(seq, n, 1, ceiling=ceiling)
     flags = [classify_two_power_times_prime(m), classify_two_power_times_prime(m + 1)]

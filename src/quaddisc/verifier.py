@@ -2,9 +2,7 @@
 
 Each verifier computes the discriminator of a concrete sequence and compares it
 with the closed-form prediction (a first prime in an arithmetic progression, or
-the first member of a prime-or-prime-power class above an explicit bound).  It
-re-exports the per-d tables of the leaf module `tables`, which drive the
-counterexample suite and the certified n-ranges of the campaigns.
+the first member of a prime-or-prime-power class above an explicit bound).
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from .ntcore import (
     Value,
     _check_prime_query,
     first_prime_in_ap,
-    is_prime,
+    is_prime,  # not called here; perfbench traces quaddisc.verifier.is_prime
     primes_in_range,
 )
-from .tables import (COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD,  # re-exported
-                     THETA_ERROR_BOUND, WINDOW_THRESHOLD)
 
 
 def window_eps(d: int) -> Fraction:
@@ -60,15 +56,6 @@ def verify_theorem11(d: int, c: int, n: int, ceiling: int = DEFAULT_SCAN_CEILING
 # --- admissible modulus classes -------------------------------------------------
 
 
-def _is_power_of(base: int, x: int) -> bool:
-    """True iff x = base^a with a >= 1."""
-    if x < base:
-        return False
-    while x % base == 0:
-        x //= base
-    return x == 1
-
-
 class ModulusClass(Value, namedtuple("ModulusClass", "residue modulus power_base")):
     """Admissible target moduli: the primes == residue (mod modulus), plus the
     powers power_base^a (a >= 1) when power_base is set."""
@@ -80,13 +67,6 @@ class ModulusClass(Value, namedtuple("ModulusClass", "residue modulus power_base
         if power_base is not None and power_base < 2:
             raise ValueError(f"power_base must be >= 2, got {power_base}")
         return super().__new__(cls, residue, modulus, power_base)
-
-    def member(self, x: int) -> bool:
-        if x < 1:
-            raise ValueError(f"membership requires x >= 1, got {x}")
-        if is_prime(x) and x % self.modulus == self.residue % self.modulus:
-            return True
-        return self.power_base is not None and _is_power_of(self.power_base, x)
 
     def first_at_least(self, bound: int, ceiling: int = DEFAULT_SCAN_CEILING) -> int:
         """Least class member >= bound."""

@@ -19,16 +19,8 @@ from quaddisc.conjectures import PAIR_THRESHOLD
 from quaddisc.discriminator import APCase, pairwise_distinct, pairwise_distinct_fast
 from quaddisc.ntcore import POLYNOMIAL_FORMS, is_prime, primes_in_range
 from quaddisc.runner import run
-from quaddisc.tables import EXIT_OK
-from quaddisc.verifier import (
-    COROLLARY11_THRESHOLD,
-    COUNTEREXAMPLE_RESIDUE,
-    PREDICTION_THRESHOLD,
-    THEOREM12_CASES,
-    REMARK12_CASES,
-    WINDOW_THRESHOLD,
-    window_eps,
-)
+from quaddisc.tables import COUNTEREXAMPLE_RESIDUE, EXIT_OK, PREDICTION_THRESHOLD, WINDOW_THRESHOLD
+from quaddisc.verifier import COROLLARY11_THRESHOLD, REMARK12_CASES, THEOREM12_CASES, window_eps
 
 pytestmark = pytest.mark.acceptance
 

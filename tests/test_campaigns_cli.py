@@ -37,12 +37,11 @@ from quaddisc.ntcore import (DEFAULT_SCAN_CEILING, Outcome, ScanCeilingError, fi
                              radical)
 from quaddisc.prior import _OUTCOMES, _code, _load_prior, resume
 from quaddisc.runner import _chunk, _segments, _tally, _validate, run
-from quaddisc.tables import EXIT_CEILING, EXIT_INVALID, EXIT_IO, EXIT_MISMATCH, EXIT_OK
-from quaddisc.verifier import (COROLLARY11_THRESHOLD, COUNTEREXAMPLE_RESIDUE,
-                               PREDICTION_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
-                               WINDOW_THRESHOLD, _window_ends, _window_terms,
-                               prime_window_all_residues, verify_remark12, verify_theorem11,
-                               verify_theorem12, window_eps)
+from quaddisc.tables import (COUNTEREXAMPLE_RESIDUE, EXIT_CEILING, EXIT_INVALID, EXIT_IO,
+                             EXIT_MISMATCH, EXIT_OK, PREDICTION_THRESHOLD, WINDOW_THRESHOLD)
+from quaddisc.verifier import (COROLLARY11_THRESHOLD, REMARK12_CASES, THEOREM12_CASES,
+                               _window_ends, _window_terms, prime_window_all_residues,
+                               verify_remark12, verify_theorem11, verify_theorem12, window_eps)
 
 from conftest import dispatch
 
@@ -1337,6 +1336,16 @@ def test_cli_tables_output(capsys):
     assert rows[27]["d"] == 31 and rows[27]["prediction_threshold"] == 24310
 
 
+def test_cli_tables_write_failure_exits_io(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["tables"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: write failed: [Errno 28] No space left on device\n"
+
+
 def test_cli_window_check_with_eps(tmp_path):
     rc, path = run_to_file(tmp_path, "w.jsonl",
                            ["window-check", "--d", "4", "--eps", "2/9",
@@ -1408,6 +1417,21 @@ def test_run_config_direct_stdout(capsys):
     assert rc == EXIT_OK
     recs = [parse_record(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["n"] for r in recs] == [5, 6, 7] and all(r["match"] for r in recs)
+
+
+@pytest.mark.parametrize("command,params,message", [
+    ("verify-theorem12", {"case": "x"}, "unknown case 'x'"),
+    ("verify-remark12", {"sign": "x"}, "sign must be 'minus' or 'plus', got 'x'"),
+    ("conjecture", {"id": "9"}, "unknown conjecture id '9'"),
+    ("conjecture", {"id": "1.3", "form": "x^2+x+1", "variant": "cubes"},
+     "conjecture 1.3 needs --variant choose2 or squares"),
+    ("bogus", {}, "unknown command 'bogus'"),
+], ids=["theorem12-case", "remark12-sign", "conjecture-id", "conjecture-1.3-variant", "command"])
+def test_run_rejects_what_the_parser_cannot_reach(command, params, message, capsys):
+    # the parser's choices keep these values from the CLI; a config built in
+    # Python reaches run's own checks
+    assert run(CampaignConfig(command, params, 1, 2)) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: invalid campaign: {message}\n")
 
 
 def test_remark12_minus_n4_counterexample(capsys):

@@ -153,6 +153,15 @@ def test_least_modulus_rejects_inseparable_sequences():
     assert least_modulus(HalfQuadratic(2, -6), 1) == 1
 
 
+@pytest.mark.parametrize("b", [2, 4, -6])
+def test_least_modulus_of_a_linear_sequence(b):
+    # a = 0 and b != 0: f(k) = bk/2 has no two equal terms, which
+    # _check_separable lets through to the scan
+    seq = HalfQuadratic(0, b)
+    for n in range(1, 41):
+        assert least_modulus(seq, n) == brute_least(seq, n)
+
+
 def test_least_modulus_ceiling():
     with pytest.raises(ScanCeilingError):
         least_modulus(CHOOSE2, 10, ceiling=5)

@@ -1,7 +1,7 @@
 """Value semantics of the seven value types: equality and hash within one class,
 immutability, validation messages, construction and pickling.  The validation
-messages of first_prime_in_ap, which takes plain arguments, are checked with
-theirs."""
+messages of the library calls that take plain arguments, such as
+first_prime_in_ap or a conjecture's check at n = 0, are checked with theirs."""
 
 import pickle
 from collections import namedtuple
@@ -9,9 +9,12 @@ from collections import namedtuple
 import pytest
 
 from quaddisc.campaigns import CampaignConfig, Command
-from quaddisc.discriminator import APCase, HalfQuadratic, least_modulus
-from quaddisc.ntcore import Outcome, Value, first_prime_in_ap
-from quaddisc.verifier import ModulusClass, SequenceCase
+from quaddisc.conjectures import conjecture11_check, conjecture12_check, conjecture13_check
+from quaddisc.discriminator import (APCase, HalfQuadratic, collision_witness, least_modulus,
+                                    least_modulus_pair, pairwise_distinct)
+from quaddisc.ntcore import (Outcome, Value, classify_two_power_times_prime, first_prime_in_ap,
+                             first_prime_of_form)
+from quaddisc.verifier import ModulusClass, SequenceCase, predicted_prime
 
 
 def _check(config):
@@ -107,6 +110,17 @@ def test_immutable_and_closed(value):
     (APCase, (6, 2), "c=2 and d=6 must be coprime"),
     (ModulusClass, (2, 4), "residue 2 is not coprime to modulus 4"),
     (ModulusClass, (0, 1, 1), "power_base must be >= 2, got 1"),
+    # conjectures 1.1 and 1.2 take their n check from least_modulus_pair
+    (conjecture11_check, (1, 0), "n must be >= 1, got 0"),
+    (conjecture12_check, (0,), "n must be >= 1, got 0"),
+    (conjecture13_check, ("x^2+x+1", 0), "n must be >= 1, got 0"),
+    (pairwise_distinct, (HalfQuadratic(1, -1), 0, 5), "n must be >= 1, got 0"),
+    (pairwise_distinct, (HalfQuadratic(1, -1), 3, 0), "m must be >= 1, got 0"),
+    (collision_witness, (HalfQuadratic(1, -1), 3, 0), "m must be >= 1, got 0"),
+    (least_modulus_pair, (HalfQuadratic(1, -1), 0, 1), "n must be >= 1, got 0"),
+    (classify_two_power_times_prime, (0,), "classification requires m >= 1, got 0"),
+    (first_prime_of_form, ("4x^2+1", 1), "lower_bound must be >= 2, got 1"),
+    (predicted_prime, (4, 1, 0), "n must be >= 1, got 0"),
 ])
 def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError) as err:

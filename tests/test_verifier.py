@@ -13,14 +13,12 @@ from quaddisc import ntcore
 from quaddisc.cli import main
 from quaddisc.discriminator import APCase, least_modulus
 from quaddisc.ntcore import _SIEVE_BLOCK, is_prime, primes_in_range
+from quaddisc.tables import (COUNTEREXAMPLE_RESIDUE, PREDICTION_THRESHOLD, THETA_ERROR_BOUND,
+                             WINDOW_THRESHOLD)
 from quaddisc.verifier import (
     COROLLARY11_THRESHOLD,
-    COUNTEREXAMPLE_RESIDUE,
-    PREDICTION_THRESHOLD,
     REMARK12_CASES,
     THEOREM12_CASES,
-    THETA_ERROR_BOUND,
-    WINDOW_THRESHOLD,
     ModulusClass,
     _window_scan,
     predicted_prime,
@@ -191,22 +189,6 @@ def test_remark12_minus_threshold_correction_certificate():
     assert REMARK12_CASES["minus"].threshold == 5
 
 
-def test_class_member_examples():
-    assert ModulusClass(power_base=2).member(16) is True
-    assert ModulusClass(1, 3, power_base=3).member(13) is True
-    assert ModulusClass(2, 3, power_base=3).member(13) is False
-
-
-def test_class_member_power_reading():
-    # powers enter with exponent >= 1; 1 = 2^0 = 3^0 is not a member
-    assert not ModulusClass(power_base=2).member(1)
-    assert ModulusClass(power_base=2).member(2)
-    assert ModulusClass(1, 3, power_base=3).member(3)
-    assert ModulusClass(2, 3, power_base=3).member(27)
-    assert not ModulusClass(1, 3, power_base=3).member(7 * 9)
-    assert ModulusClass(-3, 4).member(13)
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -221,20 +203,28 @@ def test_modulus_class_validation(args):
         ModulusClass(**args)
 
 
-@pytest.mark.parametrize(
-    "mc",
-    [
-        ModulusClass(),
-        ModulusClass(power_base=2),
-        ModulusClass(1, 3, power_base=3),
-        ModulusClass(2, 3, power_base=3),
-        ModulusClass(3, 7),
-    ],
-)
+def _in_class(mc, x):
+    """Whether x is a prime == residue (mod modulus), by trial division, or a
+    power base^a with a >= 1 of mc's power_base: 1 = 2^0 = 3^0 is neither."""
+    prime = x >= 2 and all(x % q for q in range(2, math.isqrt(x) + 1))
+    if prime and (x - mc.residue) % mc.modulus == 0:
+        return True
+    power = mc.power_base
+    while power is not None and power < x:
+        power *= mc.power_base
+    return power == x
+
+
+_CLASSES = list(dict.fromkeys(
+    [case.modulus_class for case in (*THEOREM12_CASES.values(), *REMARK12_CASES.values())]
+    + [ModulusClass(-3, 4), ModulusClass(3, 7)]))
+
+
+@pytest.mark.parametrize("mc", _CLASSES)
 def test_first_at_least_matches_linear_scan(mc):
-    for bound in (2, 3, 9, 17, 28, 97, 243, 1024, 2500):
-        x = max(bound, 2)
-        while not mc.member(x):
+    for bound in (0, 1, 2, 3, 9, 17, 28, 97, 243, 1024, 2500, 6561, 65536):
+        x = max(bound, 1)
+        while not _in_class(mc, x):
             x += 1
         assert mc.first_at_least(bound) == x
 
